@@ -48,11 +48,13 @@ _MN_EXAMPLES = {
 }
 
 
-def _max_workers() -> int:
+def _max_workers(tasks: int) -> int:
+    """Pool size: EIGMATCH_THREADS if set, capped by the CPU and task counts."""
+    workers = os.cpu_count() or 1
     env = os.environ.get("EIGMATCH_THREADS")
     if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        workers = min(workers, int(env))
+    return max(1, min(workers, tasks))
 
 
 def _parse_ns(spec: str) -> list[int]:
@@ -92,7 +94,7 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     def lam(n: int) -> np.ndarray:
         return eig_sym(toeplitz_build(coeffs, n)).values
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=_max_workers(len(ns))) as pool:
         lambdas = dict(zip(ns, pool.map(lam, ns)))
     return mn_curve(half, problems.eigen_angle_grid, lambdas, ns)
 
@@ -110,7 +112,7 @@ def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
         diag, off = fd_matrix(a, n)
         return eig_sym_tridiag(diag, off).values
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=_max_workers(len(ns))) as pool:
         lambdas = dict(zip(ns, pool.map(lam, ns)))
     return mn_curve_2d(symbol, lambda n: (math.isqrt(n), math.isqrt(n)), lambdas, ns)
 
@@ -180,13 +182,15 @@ def _pk_pairs(pmax: int) -> list[tuple[int, int]]:
 
 
 def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
-    """Exact-eigenvalue check of a spline matrix family over (p, k, n)."""
+    """Exact-eigenvalue check of a spline matrix family over (p, k, n).
+
+    Rows run serially: assembly and branch tables are batched numpy, so a
+    thread pool only adds contention for the interpreter lock.
+    """
     if family not in ("K", "M", "L"):
         raise ValueError(f"unknown family {family!r}")
-    tasks = [(p, k, n) for p, k in _pk_pairs(pmax) for n in range(2, nmax + 1)]
 
-    def one(task):
-        p, k, n = task
+    def one(p, k, n):
         K, M = assemble_KM(n, p, k)
         if family == "M":
             spectrum = eig_sym(n * M)
@@ -205,8 +209,7 @@ def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
         ok, err = verify_eig_formula(spectrum, branches, assignment, n, tol)
         return (p, k, n, err, ok)
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(one, tasks))
+    return [one(p, k, n) for p, k in _pk_pairs(pmax) for n in range(2, nmax + 1)]
 
 
 def run_grid_infer(pmax: int, nmax: int, tol: float):

@@ -160,14 +160,20 @@ def restrict_mask(g: AUGrid, membership: Callable | None) -> np.ndarray:
 def count_grid_in_interval(x0: float, h: float, alpha: float, beta: float) -> int:
     """Upper bound floor((beta-alpha)/h) + 1 for |{x0 + i*h} ∩ [alpha, beta]|.
 
-    The actual number of points of a stepsize-h grid inside [alpha, beta]
-    never exceeds this bound; used as a test oracle throughout.
+    The number of points of a stepsize-h grid inside [alpha, beta] never
+    exceeds this bound, also when the grid points and endpoints are computed
+    in floating point: the quotient gets a slack of a few ulps of the
+    magnitudes involved, so endpoints sitting on the grid are not lost to
+    rounding.  Used as a test oracle throughout.
     """
     if h <= 0:
         raise ValueError(f"stepsize must be positive, got {h}")
     if alpha > beta:
         raise ValueError("interval requires alpha <= beta")
-    return int(math.floor((beta - alpha) / h)) + 1
+    q = (beta - alpha) / h
+    scale = max(abs(x0), abs(alpha), abs(beta)) / h
+    slack = 16 * np.finfo(float).eps * (q + scale)
+    return int(math.floor(q + slack)) + 1
 
 
 @dataclass(frozen=True)
@@ -192,10 +198,13 @@ class RealMultiset:
 
 
 def as_values(x) -> np.ndarray:
-    """Coerce a RealMultiset or array-like into a 1-d float array."""
+    """Coerce a RealMultiset or array-like into a 1-d float array of finite values."""
     if isinstance(x, RealMultiset):
         return x.values
-    return np.asarray(x, dtype=float).reshape(-1)
+    v = np.asarray(x, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    return v
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import scipy.linalg
 
 __all__ = ["Spectrum", "NotPositiveDefiniteError", "eig_sym", "eig_sym_tridiag", "eig_gen_sym_def"]
 
-_HERM_TOL = 1e-10
+_HERM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,13 @@ class Spectrum:
         return self.values.size
 
 
+def _check_hermitian(A: np.ndarray, name: str = "matrix"):
+    """Entrywise |A - A^H| <= 1e-10 * max(1, max|A|), so the test scales with A."""
+    tol = _HERM_RTOL * max(1.0, float(np.max(np.abs(A))))
+    if np.max(np.abs(A - A.conj().T)) > tol:
+        raise ValueError(f"{name} is not Hermitian within {tol:.3g} entrywise")
+
+
 class NotPositiveDefiniteError(ValueError):
     """The mass matrix of a generalized problem failed its Cholesky check."""
 
@@ -44,8 +51,7 @@ def eig_sym(A) -> Spectrum:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if np.max(np.abs(A - A.conj().T)) > _HERM_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-10 entrywise")
+    _check_hermitian(A)
     if np.iscomplexobj(A) and np.max(np.abs(A.imag)) <= 1e-13 * max(1.0, np.max(np.abs(A.real))):
         A = A.real  # real symmetric solver is faster and the result identical
     return Spectrum(scipy.linalg.eigh(A, eigvals_only=True))
@@ -76,8 +82,7 @@ def eig_gen_sym_def(K, M) -> Spectrum:
     if K.shape != M.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K and M must be square matrices of the same size")
     for name, X in (("K", K), ("M", M)):
-        if np.max(np.abs(X - X.conj().T)) > _HERM_TOL:
-            raise ValueError(f"{name} is not Hermitian within 1e-10 entrywise")
+        _check_hermitian(X, name)
     try:
         vals = scipy.linalg.eigh(K, M, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:

@@ -8,10 +8,16 @@ Covers three matrix families used by the experiments:
   together with their (p-k) x (p-k) block symbols and the uniform grids on
   which the scaled matrices have exactly the branch samples as eigenvalues.
 
-B-splines are evaluated with the knot-span table recursion; all Galerkin
-integrals use Gauss-Legendre with p+1 nodes per knot span, which is exact for
-the degree <= 2p piecewise-polynomial integrands, so the assembled matrices
-agree with the symbolic ones to rounding error.
+B-splines are evaluated with the knot-span table recursion, batched over
+arrays of points: one pass covers every quadrature node of an assembly.  All
+Galerkin integrals use Gauss-Legendre with p+1 nodes per knot span, which is
+exact for the degree <= 2p piecewise-polynomial integrands, so the assembled
+matrices agree with the symbolic ones to rounding error.
+
+The block symbols take a scalar angle or an array of angles.  Branch
+callables handed to the verification and inference routines follow one
+contract: an array of N angles in, an (N, number of branches) array of
+ascending branch values out.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .eig import Spectrum
 from .match import sorted_match
@@ -55,45 +60,54 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# B-spline evaluation (knot-span table algorithm)
+# B-spline evaluation (knot-span table algorithm, batched over points)
 # ---------------------------------------------------------------------------
 
-def _find_span(knots: np.ndarray, p: int, x: float) -> int:
-    """Index s with knots[s] <= x < knots[s+1], clamped into the basis domain."""
+def _basis_table(knots: np.ndarray, p: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knot spans and the p+1 B-spline values and derivatives alive on them.
+
+    Runs the Cox-de Boor table recursion over all points at once.  For
+    points x of shape (N,) returns (spans, values, derivs): ``spans[q]``
+    satisfies knots[s] <= x[q] < knots[s+1], clamped into the basis domain,
+    and row q of ``values``/``derivs`` (shape (N, p+1)) holds functions
+    spans[q]-p .. spans[q].
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
     nf = knots.size - p - 1
-    if x >= knots[nf]:
-        return nf - 1
-    s = int(np.searchsorted(knots, x, side="right")) - 1
-    return max(s, p)
-
-
-def _basis_and_deriv(knots: np.ndarray, p: int, span: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives of the p+1 B-splines alive on the span."""
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    ndu = np.zeros((p + 1, p + 1))
-    ndu[0, 0] = 1.0
+    spans = np.clip(np.searchsorted(knots, x, side="right") - 1, p, nf - 1)
+    offsets = np.arange(1, p + 1)[:, None]
+    left = x - knots[spans + 1 - offsets]  # left[j-1] = x - t_{s+1-j}
+    right = knots[spans + offsets] - x  # right[j-1] = t_{s+j} - x
+    values = np.ones((1, x.size))
     for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-    values = ndu[:, p].copy()
-    derivs = np.zeros(p + 1)
-    if p > 0:
-        for r in range(p + 1):
-            d = 0.0
-            if r >= 1:
-                d += ndu[r - 1, p - 1] / ndu[p, r - 1]
-            if r <= p - 1:
-                d -= ndu[r, p - 1] / ndu[p, r]
-            derivs[r] = p * d
-    return values, derivs
+        # ratio[r] = N_{s-j+1+r, j-1}(x) / (t_{s+r+1} - t_{s+r+1-j}), r = 0..j-1
+        ratio = values / (right[:j] + left[j - 1::-1])
+        values = np.zeros((j + 1, x.size))
+        values[:j] = right[:j] * ratio
+        values[1:] += left[j - 1::-1] * ratio
+    # N'_{s-p+r, p} = p * (ratio[r-1] - ratio[r]) with the last (j = p) ratios
+    derivs = np.zeros_like(values)
+    derivs[1:] += ratio
+    derivs[:-1] -= ratio
+    derivs *= p
+    return spans, values.T, derivs.T
+
+
+def _full_rows(knots: np.ndarray, p: int, x, deriv: bool) -> np.ndarray:
+    """Every basis function (or derivative) at every point, shape (N, nf)."""
+    spans, values, derivs = _basis_table(knots, p, x)
+    out = np.zeros((spans.size, knots.size - p - 1))
+    cols = spans[:, None] - p + np.arange(p + 1)
+    np.put_along_axis(out, cols, derivs if deriv else values, axis=1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    gx.setflags(write=False)
+    gw.setflags(write=False)
+    return gx, gw
 
 
 @dataclass(frozen=True)
@@ -129,30 +143,23 @@ def make_basis(n: int, p: int, k: int) -> BSplineBasis:
     return BSplineBasis(p=p, k=k, n=n, knots=knots, dim=n * (p - k) + k - 1)
 
 
-def _eval_one(knots: np.ndarray, p: int, i: int, x: float, deriv: bool) -> float:
-    span = _find_span(knots, p, x)
-    if not span - p <= i <= span:
-        return 0.0
-    values, derivs = _basis_and_deriv(knots, p, span, x)
-    return float((derivs if deriv else values)[i - span + p])
+def _check_basis_point(basis: BSplineBasis, i: int, x: float):
+    if not 0 <= i < basis.dim_full:
+        raise ValueError(f"basis index {i} out of range [0, {basis.dim_full})")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x must lie in [0, 1]")
 
 
 def bspline_eval(basis: BSplineBasis, i: int, x: float) -> float:
     """Value of the i-th full-basis function (0-based, boundary included)."""
-    if not 0 <= i < basis.dim_full:
-        raise ValueError(f"basis index {i} out of range [0, {basis.dim_full})")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    return _eval_one(basis.knots, basis.p, i, x, deriv=False)
+    _check_basis_point(basis, i, x)
+    return float(_full_rows(basis.knots, basis.p, x, deriv=False)[0, i])
 
 
 def bspline_deriv(basis: BSplineBasis, i: int, x: float) -> float:
     """First derivative of the i-th full-basis function at x."""
-    if not 0 <= i < basis.dim_full:
-        raise ValueError(f"basis index {i} out of range [0, {basis.dim_full})")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    return _eval_one(basis.knots, basis.p, i, x, deriv=True)
+    _check_basis_point(basis, i, x)
+    return float(_full_rows(basis.knots, basis.p, x, deriv=True)[0, i])
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +200,9 @@ def _reference_knots(p: int, k: int) -> tuple[np.ndarray, int, int]:
 def _reference_values(p: int, k: int, ts: np.ndarray, deriv: bool) -> np.ndarray:
     """Matrix beta_r(t) (or derivative) for r = 1..p-k, shape (len(ts), p-k)."""
     knots, first, eta = _reference_knots(p, k)
-    out = np.zeros((ts.size, p - k))
-    for row, t in enumerate(ts):
-        if t < 0.0 or t > eta:
-            continue
-        span = _find_span(knots, p, float(t))
-        values, derivs = _basis_and_deriv(knots, p, span, float(t))
-        chosen = derivs if deriv else values
-        for r in range(p - k):
-            i = first + r
-            if span - p <= i <= span:
-                out[row, r] = chosen[i - span + p]
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    out = _full_rows(knots, p, ts, deriv)[:, first:first + p - k]
+    out[(ts < 0.0) | (ts > eta)] = 0.0
     return out
 
 
@@ -213,7 +212,7 @@ def reference_blocks(p: int, k: int) -> ReferenceBlocks:
     if p < 1 or not 0 <= k <= p - 1:
         raise ValueError(f"need p >= 1 and 0 <= k <= p-1, got p={p}, k={k}")
     _, _, eta = _reference_knots(p, k)
-    gx, gw = np.polynomial.legendre.leggauss(p + 1)
+    gx, gw = _gauss_legendre(p + 1)
     Kblocks, Mblocks = [], []
     for ell in range(eta):
         K = np.zeros((p - k, p - k))
@@ -233,34 +232,52 @@ def reference_blocks(p: int, k: int) -> ReferenceBlocks:
     return ReferenceBlocks(p=p, k=k, eta=eta, Kblocks=tuple(Kblocks), Mblocks=tuple(Mblocks))
 
 
-def _trig_block_sum(blocks: Sequence[np.ndarray], theta: float) -> np.ndarray:
-    out = np.asarray(blocks[0], dtype=complex).copy()
+def _trig_block_sum(blocks: Sequence[np.ndarray], theta) -> np.ndarray:
+    """B_0 + sum_l (B_l e^{il theta} + B_l^T e^{-il theta}), batched over theta.
+
+    A scalar angle gives shape (m, m); an array of angles of shape S gives
+    shape S + (m, m).
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(theta.shape + blocks[0].shape, dtype=complex)
+    out += blocks[0]
     for ell in range(1, len(blocks)):
-        phase = np.exp(1j * ell * theta)
+        phase = np.exp(1j * ell * theta)[..., None, None]
         out += blocks[ell] * phase + blocks[ell].T * np.conj(phase)
     return out
 
 
-def symbol_f(p: int, k: int, theta: float) -> np.ndarray:
-    """Stiffness symbol: Hermitian (p-k) x (p-k) trigonometric block sum."""
+def symbol_f(p: int, k: int, theta) -> np.ndarray:
+    """Stiffness symbol: Hermitian (p-k) x (p-k) trigonometric block sum.
+
+    ``theta`` may be a scalar (result (p-k, p-k)) or an array of N angles
+    (result (N, p-k, p-k)).
+    """
     rb = reference_blocks(p, k)
     return _trig_block_sum(rb.Kblocks, theta)
 
 
-def symbol_h(p: int, k: int, theta: float) -> np.ndarray:
-    """Mass symbol: Hermitian positive definite block sum."""
+def symbol_h(p: int, k: int, theta) -> np.ndarray:
+    """Mass symbol: Hermitian positive definite block sum (batched like symbol_f)."""
     rb = reference_blocks(p, k)
     return _trig_block_sum(rb.Mblocks, theta)
 
 
-def symbol_e_branches(p: int, k: int, theta: float) -> np.ndarray:
-    """Ascending generalized eigenvalues of (stiffness, mass) symbols at theta."""
+def symbol_e_branches(p: int, k: int, theta) -> np.ndarray:
+    """Ascending generalized eigenvalues of (stiffness, mass) symbols at theta.
+
+    Reduces F x = lambda H x to the standard problem for L^-1 F L^-H with
+    H = L L^H (the LAPACK *hegv reduction), stacked over all angles: a scalar
+    angle gives shape (p-k,), an array of N angles shape (N, p-k).
+    """
     F = symbol_f(p, k, theta)
     H = symbol_h(p, k, theta)
     try:
-        return scipy.linalg.eigh(F, H, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:  # mass symbol is PD by construction
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:  # mass symbol is PD by construction
         raise RuntimeError(f"mass symbol not positive definite at theta={theta}") from exc
+    X = np.linalg.solve(L, F)
+    return np.linalg.eigvalsh(np.linalg.solve(L, X.conj().swapaxes(-1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,30 +288,33 @@ def assemble_KM(n: int, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Stiffness and mass matrices of the boundary-vanishing spline basis.
 
     Element-wise Gauss-Legendre assembly with p+1 nodes per element; both
-    matrices are symmetric and positive definite of size n(p-k)+k-1.
+    matrices are symmetric and positive definite of size n(p-k)+k-1.  The
+    basis is evaluated at all n(p+1) nodes in one table pass, the element
+    blocks are formed in one contraction and scattered in one ``add.at``;
+    the two dropped boundary functions land in a pad row/column that is
+    sliced off.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     basis = make_basis(n, p, k)
     dim = basis.dim
-    K = np.zeros((dim, dim))
-    M = np.zeros((dim, dim))
-    gx, gw = np.polynomial.legendre.leggauss(p + 1)
+    gx, gw = _gauss_legendre(p + 1)
     h = 1.0 / n
-    for e in range(n):
-        span = p + e * (p - k)
-        xs = (e + 0.5 + 0.5 * gx) * h
-        ws = 0.5 * h * gw
-        local = np.arange(span - p, span + 1) - 1  # kept (matrix) indices
-        keep = (local >= 0) & (local < dim)
-        for x, w in zip(xs, ws):
-            values, derivs = _basis_and_deriv(basis.knots, p, span, x)
-            v = values[keep]
-            d = derivs[keep]
-            rows = local[keep]
-            K[np.ix_(rows, rows)] += w * np.outer(d, d)
-            M[np.ix_(rows, rows)] += w * np.outer(v, v)
-    return K, M
+    xs = (np.arange(n)[:, None] + 0.5 + 0.5 * gx) * h
+    w = 0.5 * h * gw
+    spans, values, derivs = _basis_table(basis.knots, p, xs)
+    shape = (n, p + 1, p + 1)  # (element, node, local function)
+    V, D = values.reshape(shape), derivs.reshape(shape)
+    Ke = np.einsum("q,eqa,eqb->eab", w, D, D)
+    Me = np.einsum("q,eqa,eqb->eab", w, V, V)
+    local = spans.reshape(n, p + 1)[:, :1] - p - 1 + np.arange(p + 1)  # matrix indices
+    local = np.where((local >= 0) & (local < dim), local, dim)
+    rows, cols = local[:, :, None], local[:, None, :]
+    K = np.zeros((dim + 1, dim + 1))
+    M = np.zeros((dim + 1, dim + 1))
+    np.add.at(K, (rows, cols), Ke)
+    np.add.at(M, (rows, cols), Me)
+    return K[:dim, :dim], M[:dim, :dim]
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +462,14 @@ def grid_assign_L(p: int, k: int, j: int) -> GridKind:
 # Exact-eigenvalue verification
 # ---------------------------------------------------------------------------
 
-def _branch_table(branches: Callable[[float], np.ndarray], n: int) -> np.ndarray:
-    """branches(theta) over the full grid, shape (n+1, number of branches)."""
+def _branch_table(branches: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """branches(thetas) on the full grid in one call, shape (n+1, number of branches)."""
     thetas = grid_points(GridKind.FULL, n)
-    rows = [np.atleast_1d(np.asarray(branches(t), dtype=float)) for t in thetas]
-    return np.stack(rows, axis=0)
+    table = np.asarray(branches(thetas), dtype=float)
+    if table.ndim != 2 or table.shape[0] != thetas.size:
+        raise ValueError(f"branch function returned shape {table.shape} for {thetas.size} "
+                         "angles, expected (angles, branches)")
+    return table
 
 
 _ROW_SLICES = {
@@ -463,7 +486,7 @@ def _assignment_values(table: np.ndarray, assignment: Sequence[GridKind]) -> np.
 
 def verify_eig_formula(
     spectrum: Spectrum,
-    branches: Callable[[float], np.ndarray],
+    branches: Callable[[np.ndarray], np.ndarray],
     assignment: Sequence[GridKind],
     n: int,
     tol: float,
@@ -472,7 +495,8 @@ def verify_eig_formula(
 
     Forms the multiset {lambda_j(theta) : theta in grid(assignment[j])},
     sorted-matches it against the spectrum, and reports (max_error <= tol,
-    max_error).
+    max_error).  ``branches`` is called once with the n+1 angles of the full
+    grid and must return their ascending branch values, shape (n+1, m).
     """
     table = _branch_table(branches, n)
     if len(assignment) != table.shape[1]:
@@ -490,7 +514,7 @@ _KIND_ORDER = (GridKind.FULL, GridKind.NO_ZERO, GridKind.NO_PI, GridKind.INTERIO
 
 def infer_grid_assignment(
     spectrum: Spectrum,
-    branches: Callable[[float], np.ndarray],
+    branches: Callable[[np.ndarray], np.ndarray],
     p: int,
     k: int,
     n: int,
@@ -503,6 +527,8 @@ def infer_grid_assignment(
     lexicographic FULL < NO_ZERO < NO_PI < INTERIOR order per branch) passing
     at ``tol`` is returned, or None when none passes.  The reconstruction is
     empirical: it recovers a figure-encoded table, not a closed formula.
+    ``branches`` follows the contract of :func:`verify_eig_formula`: the n+1
+    full-grid angles in, shape (n+1, p-k) out.
     """
     table = _branch_table(branches, n)
     m = table.shape[1]

@@ -141,17 +141,28 @@ def graph_path_suite(trials: int = 1000, seed: int = 7):
 
 
 def count_bound_suite(trials: int = 1000, seed: int = 8):
-    """Brute-force grid counts never exceed the floor((beta-alpha)/h)+1 bound."""
+    """Brute-force grid counts never exceed the floor((beta-alpha)/h)+1 bound.
+
+    Each trial checks a random interval and one whose endpoints sit on the
+    grid (alpha = x0 + i*h, beta = x0 + j*h), where rounding in
+    (beta - alpha)/h is most likely to undercount.
+    """
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x0 = rng.uniform(-5, 5)
-        h = rng.uniform(0.01, 2.0)
-        lo, hi = np.sort(rng.uniform(-10, 10, size=2))
+
+    def check(x0, h, lo, hi):
         bound = count_grid_in_interval(x0, h, lo, hi)
         i = np.arange(np.ceil((lo - x0) / h) - 2, np.floor((hi - x0) / h) + 3)
         pts = x0 + i * h
         actual = int(np.sum((pts >= lo) & (pts <= hi)))
-        assert actual <= bound, (actual, bound)
+        assert actual <= bound, (x0, h, lo, hi, actual, bound)
+
+    for _ in range(trials):
+        x0 = rng.uniform(-5, 5)
+        h = rng.uniform(0.01, 2.0)
+        lo, hi = np.sort(rng.uniform(-10, 10, size=2))
+        check(x0, h, lo, hi)
+        first, last = np.sort(rng.integers(-50, 51, size=2))
+        check(x0, h, x0 + first * h, x0 + last * h)
 
 
 def weyl_suite(trials: int = 100, seed: int = 9):

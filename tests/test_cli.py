@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from eigmatch.cli import main
+from eigmatch.cli import _max_workers, main
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +103,28 @@ def test_threads_env_override(monkeypatch, capsys):
     monkeypatch.setenv("EIGMATCH_THREADS", "1")
     code, out, _ = run_cli(capsys, "mn-table", "--example", "e2", "--ns", "8")
     assert code == 0 and out.splitlines()[1].startswith("8,0.0851,")
+
+
+def test_thread_count_capped_by_cpus_and_tasks(monkeypatch):
+    monkeypatch.setenv("EIGMATCH_THREADS", str(10**9))
+    cpus = os.cpu_count() or 1
+    assert _max_workers(3) == min(cpus, 3)
+    assert _max_workers(10**6) == cpus
+    monkeypatch.setenv("EIGMATCH_THREADS", "1")
+    assert _max_workers(8) == 1
+    monkeypatch.delenv("EIGMATCH_THREADS")
+    assert _max_workers(1) == 1
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # importing scipy.interpolate would add about a quarter second to every run
+    code = "import sys, eigmatch.cli; print('scipy.interpolate' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_programmatic_experiment_registry(capsys):

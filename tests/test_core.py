@@ -120,6 +120,15 @@ def test_count_grid_in_interval_examples():
         count_grid_in_interval(0.0, -1.0, 0.0, 1.0)
 
 
+def test_count_grid_in_interval_aligned_endpoints():
+    # 0.3 + i*0.05 for i = 2..8 lies in [0.4, 0.7]; (0.7-0.4)/0.05 rounds below 6
+    assert count_grid_in_interval(0.3, 0.05, 0.4, 0.7) == 7
+    assert count_grid_in_interval(0.7, 0.1, 0.7, 0.8) == 2
+    x0, h = 0.3, 0.05
+    for i, j in [(0, 1), (2, 8), (-7, 13), (5, 5)]:
+        assert count_grid_in_interval(x0, h, x0 + i * h, x0 + j * h) == j - i + 1
+
+
 def test_count_grid_bound_property():
     count_bound_suite(trials=1000)
 

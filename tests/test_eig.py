@@ -44,6 +44,24 @@ def test_eig_sym_rejects_non_hermitian():
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_tolerance_scales_with_matrix_norm():
+    # asymmetry 1e-9 on entries of size 2e7: about 5e-17 relative
+    A = np.array([[1e7, 1.0], [1.0 + 1e-9, 2e7]])
+    assert eig_sym(A).values[0] == pytest.approx(1e7 - 1e-7, rel=1e-12)
+    assert eig_gen_sym_def(A, np.eye(2)).values[0] == pytest.approx(1e7 - 1e-7, rel=1e-12)
+    assert eig_gen_sym_def(np.eye(2), A).values[1] == pytest.approx(1 / (1e7 - 1e-7), rel=1e-12)
+
+
+def test_large_non_hermitian_matrix_still_rejected():
+    A = np.array([[1e7, 1.0], [2.0, 2e7]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_sym(A)
+    with pytest.raises(ValueError, match="K is not Hermitian"):
+        eig_gen_sym_def(A, np.eye(2))
+    with pytest.raises(ValueError, match="M is not Hermitian"):
+        eig_gen_sym_def(np.eye(2), A)
+
+
 def test_eig_sym_complex_hermitian():
     A = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
     expected = np.sort(np.linalg.eigvalsh(A))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eigmatch.eig import Spectrum, eig_gen_sym_def, eig_sym
 from eigmatch.galerkin import (
@@ -177,6 +178,38 @@ def test_reference_block_definiteness():
         assert np.min(np.linalg.eigvalsh(rb.Kblocks[0])) > -1e-13
 
 
+@pytest.mark.parametrize("p,k", [(1, 0), (2, 0), (4, 1), (8, 0), (8, 1)])
+def test_batched_symbols_equal_stacked_scalar_results(p, k):
+    thetas = np.linspace(0.0, math.pi, 17)
+    for func in (symbol_f, symbol_h, symbol_e_branches):
+        batched = func(p, k, thetas)
+        stacked = np.stack([func(p, k, float(t)) for t in thetas])
+        assert batched.shape == stacked.shape
+        assert np.max(np.abs(batched - stacked)) <= 1e-13 * max(1.0, np.max(np.abs(stacked)))
+    assert symbol_f(p, k, 0.3).shape == (p - k, p - k)
+    assert symbol_e_branches(p, k, 0.3).shape == (p - k,)
+
+
+def test_batched_pencil_branches_match_scipy_generalized_solver():
+    thetas = np.linspace(0.0, math.pi, 21)
+    for p, k in [(3, 0), (6, 1), (8, 0)]:
+        batched = symbol_e_branches(p, k, thetas)
+        ref = np.stack([scipy.linalg.eigh(symbol_f(p, k, t), symbol_h(p, k, t), eigvals_only=True)
+                        for t in thetas])
+        assert np.max(np.abs(batched - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_pencil_branches_reject_indefinite_mass(monkeypatch):
+    import eigmatch.galerkin as galerkin
+
+    def negative_mass(p, k, theta):
+        return np.broadcast_to(-np.eye(p - k, dtype=complex), np.shape(theta) + (p - k, p - k))
+
+    monkeypatch.setattr(galerkin, "symbol_h", negative_mass)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        galerkin.symbol_e_branches(3, 0, np.linspace(0.0, math.pi, 4))
+
+
 @pytest.mark.parametrize("p,k", [(2, 0), (4, 1), (8, 0), (8, 1)])
 def test_symbols_hermitian_with_ascending_branches(p, k):
     rng = np.random.default_rng(14)
@@ -220,6 +253,34 @@ def test_assembly_symmetric_positive_definite(p, k, n):
     assert np.max(np.abs(M - M.T)) <= 1e-14
     np.linalg.cholesky(M)
     np.linalg.cholesky(K)
+
+
+def _assembly_oracle(n, p, k):
+    """K and M from a per-node loop over the scalar basis functions."""
+    basis = make_basis(n, p, k)
+    gx, gw = np.polynomial.legendre.leggauss(p + 1)
+    K = np.zeros((basis.dim, basis.dim))
+    M = np.zeros((basis.dim, basis.dim))
+    t = basis.knots
+    for e in range(n):
+        for x, w in zip((e + 0.5 + 0.5 * gx) / n, 0.5 * gw / n):
+            # kept functions whose support [t_i, t_{i+p+1}] holds x
+            alive = [i for i in range(1, basis.dim_full - 1) if t[i] < x < t[i + p + 1]]
+            v = np.array([bspline_eval(basis, i, x) for i in alive])
+            d = np.array([bspline_deriv(basis, i, x) for i in alive])
+            rows = np.array(alive) - 1
+            K[np.ix_(rows, rows)] += w * np.outer(d, d)
+            M[np.ix_(rows, rows)] += w * np.outer(v, v)
+    return K, M
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(1, 9) for k in (0, 1) if k <= p - 1])
+def test_assembly_matches_per_node_oracle(p, k, n):
+    K, M = assemble_KM(n, p, k)
+    Ko, Mo = _assembly_oracle(n, p, k)
+    assert np.max(np.abs(K - Ko)) <= 1e-13 * np.max(np.abs(Ko))
+    assert np.max(np.abs(M - Mo)) <= 1e-13 * np.max(np.abs(Mo))
 
 
 def test_assembly_rejects_single_element():
@@ -393,6 +454,17 @@ def test_pencil_family_small_case():
     assignment = [grid_assign_L(p, k, j) for j in range(1, p - k + 1)]
     ok, err = verify_eig_formula(spectrum, branches, assignment, n, 1e-8)
     assert ok, err
+
+
+def test_branch_table_requires_one_row_per_angle():
+    p, k, n = 3, 0, 7
+    spectrum, _ = _mass_spectrum_and_branches(p, k, n)
+    assignment = [grid_assign_M(p, k, j) for j in range(1, p - k + 1)]
+    transposed = lambda t: np.linalg.eigvalsh(symbol_h(p, k, t)).T
+    with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
+        verify_eig_formula(spectrum, transposed, assignment, n, 1e-8)
+    with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
+        infer_grid_assignment(spectrum, lambda t: np.ones(t.size), p, k, n, 1e-8)
 
 
 def test_kept_basis_functions_vanish_at_boundary():

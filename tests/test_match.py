@@ -112,6 +112,22 @@ def test_mn_curve_size_mismatch_names_n():
         mn_curve(symbol, eigen_angle_grid, {6: np.zeros(5)}, [6])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sorted_match_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sorted_match([1.0, bad], [1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        sorted_match([1.0, 2.0], [bad, 2.0])
+
+
+def test_mn_curve_rejects_non_finite_lambdas():
+    symbol = cosine_symbol_half(2.0, -2.0)
+    lam = cosine_eigs_exact(2.0, -2.0, 6)
+    lam[3] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        mn_curve(symbol, eigen_angle_grid, {6: lam}, [6])
+
+
 def _cosine_pieces(a, b):
     direction = "increasing" if b < 0 else "decreasing"
     return [MonotonePiece(0.0, math.pi, direction, lambda t: a + b * np.cos(t))]
