@@ -29,6 +29,7 @@ from .galerkin import (
     assemble_KM,
     bspline_deriv,
     bspline_eval,
+    count_grid_assignments,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,

@@ -24,10 +24,12 @@ from . import problems
 from .core import RealMultiset, make_uniform_grid
 from .eig import Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag
 from .galerkin import (
+    GridKind,
     assemble_KM,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,
+    grid_points,
     iga_2d_matrix,
     infer_grid_assignment,
     symbol_e_branches,
@@ -181,6 +183,16 @@ def _pk_pairs(pmax: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _check_spline_args(pmax: int, nmax: int, tol: float):
+    """Reject sweeps that would check no row or compare against a meaningless tol."""
+    if pmax < 1:
+        raise ValueError(f"pmax must be >= 1, got {pmax}")
+    if nmax < 2:
+        raise ValueError(f"nmax must be >= 2, got {nmax}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
     """Exact-eigenvalue check of a spline matrix family over (p, k, n).
 
@@ -189,6 +201,7 @@ def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
     """
     if family not in ("K", "M", "L"):
         raise ValueError(f"unknown family {family!r}")
+    _check_spline_args(pmax, nmax, tol)
 
     def one(p, k, n):
         K, M = assemble_KM(n, p, k)
@@ -202,7 +215,8 @@ def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
             assignment = [grid_assign_L(p, k, j) for j in range(1, p - k + 1)]
         else:
             spectrum = eig_sym(K / n)
-            branches = lambda t: np.linalg.eigvalsh(symbol_f(p, k, t))
+            # one branch table serves both the inference and the check
+            branches = np.linalg.eigvalsh(symbol_f(p, k, grid_points(GridKind.FULL, n)))
             assignment = infer_grid_assignment(spectrum, branches, p, k, n, tol)
             if assignment is None:
                 return (p, k, n, math.inf, False)
@@ -214,7 +228,8 @@ def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
 
 def run_grid_infer(pmax: int, nmax: int, tol: float):
     """Recover the stiffness-family grid assignments and their n-stability."""
-    probe_ns = [n for n in (5, 10, 20) if n <= nmax] or [max(2, nmax)]
+    _check_spline_args(pmax, nmax, tol)
+    probe_ns = [n for n in (5, 10, 20) if n <= nmax] or [nmax]
     rows = []
     for p, k in _pk_pairs(pmax):
         found = []

@@ -17,12 +17,12 @@ matrices agree with the symbolic ones to rounding error.
 The block symbols take a scalar angle or an array of angles.  Branch
 callables handed to the verification and inference routines follow one
 contract: an array of N angles in, an (N, number of branches) array of
-ascending branch values out.
+ascending branch values out.  Those routines also take that array itself,
+evaluated on the full grid, in place of the callable.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,6 +56,7 @@ __all__ = [
     "grid_assign_L",
     "verify_eig_formula",
     "infer_grid_assignment",
+    "count_grid_assignments",
 ]
 
 
@@ -462,31 +463,43 @@ def grid_assign_L(p: int, k: int, j: int) -> GridKind:
 # Exact-eigenvalue verification
 # ---------------------------------------------------------------------------
 
-def _branch_table(branches: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """branches(thetas) on the full grid in one call, shape (n+1, number of branches)."""
-    thetas = grid_points(GridKind.FULL, n)
-    table = np.asarray(branches(thetas), dtype=float)
-    if table.ndim != 2 or table.shape[0] != thetas.size:
-        raise ValueError(f"branch function returned shape {table.shape} for {thetas.size} "
+# A branch callable (angles in, (angles, branches) values out) or its table
+# on the full grid.
+_Branches = Callable[[np.ndarray], np.ndarray] | np.ndarray
+
+
+def _branch_table(branches: _Branches, n: int) -> np.ndarray:
+    """Branch values on the full grid, shape (n+1, number of branches)."""
+    if callable(branches):
+        branches = branches(grid_points(GridKind.FULL, n))
+    table = np.asarray(branches, dtype=float)
+    if table.ndim != 2 or table.shape[0] != n + 1:
+        raise ValueError(f"branch function returned shape {table.shape} for {n + 1} "
                          "angles, expected (angles, branches)")
     return table
 
 
-_ROW_SLICES = {
-    GridKind.FULL: slice(None),
-    GridKind.NO_ZERO: slice(1, None),
-    GridKind.NO_PI: slice(None, -1),
-    GridKind.INTERIOR: slice(1, -1),
+# Whether each grid kind keeps lambda_j(0) and lambda_j(pi), in the order
+# inference prefers the kinds.
+_KIND_KEEPS = {
+    GridKind.FULL: (True, True),
+    GridKind.NO_ZERO: (False, True),
+    GridKind.NO_PI: (True, False),
+    GridKind.INTERIOR: (False, False),
 }
 
 
 def _assignment_values(table: np.ndarray, assignment: Sequence[GridKind]) -> np.ndarray:
-    return np.concatenate([table[_ROW_SLICES[kind], j] for j, kind in enumerate(assignment)])
+    parts = []
+    for j, kind in enumerate(assignment):
+        keep_zero, keep_pi = _KIND_KEEPS[kind]
+        parts.append(table[0 if keep_zero else 1:None if keep_pi else -1, j])
+    return np.concatenate(parts)
 
 
 def verify_eig_formula(
     spectrum: Spectrum,
-    branches: Callable[[np.ndarray], np.ndarray],
+    branches: _Branches,
     assignment: Sequence[GridKind],
     n: int,
     tol: float,
@@ -496,7 +509,9 @@ def verify_eig_formula(
     Forms the multiset {lambda_j(theta) : theta in grid(assignment[j])},
     sorted-matches it against the spectrum, and reports (max_error <= tol,
     max_error).  ``branches`` is called once with the n+1 angles of the full
-    grid and must return their ascending branch values, shape (n+1, m).
+    grid and must return their ascending branch values, shape (n+1, m); an
+    array of that shape is taken as the table, so one table can serve both
+    inference and verification.
     """
     table = _branch_table(branches, n)
     if len(assignment) != table.shape[1]:
@@ -509,37 +524,84 @@ def verify_eig_formula(
     return err <= tol, err
 
 
-_KIND_ORDER = (GridKind.FULL, GridKind.NO_ZERO, GridKind.NO_PI, GridKind.INTERIOR)
+def _infer_grids(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int,
+                 tol: float) -> tuple[tuple[GridKind, ...] | None, int]:
+    """First passing grid assignment (or None) and the number of passing ones.
 
-
-def infer_grid_assignment(
-    spectrum: Spectrum,
-    branches: Callable[[np.ndarray], np.ndarray],
-    p: int,
-    k: int,
-    n: int,
-    tol: float,
-) -> tuple[GridKind, ...] | None:
-    """Search the 4^(p-k) grid assignments for one matching the spectrum.
-
-    Candidates whose total point count differs from the spectrum size are
-    discarded before any eigenvalue comparison; the first assignment (in
-    lexicographic FULL < NO_ZERO < NO_PI < INTERIOR order per branch) passing
-    at ``tol`` is returned, or None when none passes.  The reconstruction is
-    empirical: it recovers a figure-encoded table, not a closed formula.
-    ``branches`` follows the contract of :func:`verify_eig_formula`: the n+1
-    full-grid angles in, shape (n+1, p-k) out.
+    The grid kinds share the interior samples and differ only in the
+    endpoint values they keep.  Endpoint values chained within ``tol`` form
+    clusters; the spectrum values within ``tol`` of a cluster, less the
+    interior samples there, count the r members it keeps.  Branch by branch,
+    the first kind that leaves every cluster able to reach its r gives the
+    lexicographically first assignment with these counts; if it passes, so
+    do the prod C(cluster size, r) assignments with them.  This presumes a
+    match well within ``tol`` and clusters more than ``tol`` apart; the
+    final check holds regardless.
     """
     table = _branch_table(branches, n)
     m = table.shape[1]
     if m != p - k:
         raise ValueError(f"branch function returns {m} values, expected {p - k}")
-    target = spectrum.n
     sorted_spec = np.sort(spectrum.values, kind="stable")
-    for assignment in itertools.product(_KIND_ORDER, repeat=m):
-        if sum(grid_size(kind, n) for kind in assignment) != target:
-            continue
-        values = np.sort(_assignment_values(table, assignment), kind="stable")
-        if float(np.max(np.abs(values - sorted_spec))) <= tol:
-            return assignment
-    return None
+    interior = np.sort(table[1:-1].ravel())
+    ends = np.concatenate([table[0], table[-1]])  # lambda_j(0) at j, lambda_j(pi) at m + j
+    order = np.argsort(ends, kind="stable")
+    gap = np.diff(ends[order]) > tol
+    cluster = np.empty(2 * m, dtype=int)
+    cluster[order] = np.concatenate([[0], np.cumsum(gap)])
+    lo = ends[order][np.concatenate([[True], gap])] - tol
+    hi = ends[order][np.concatenate([gap, [True]])] + tol
+
+    def near(values: np.ndarray) -> np.ndarray:
+        return np.searchsorted(values, hi, side="right") - np.searchsorted(values, lo, side="left")
+
+    need = (near(sorted_spec) - near(interior)).tolist()
+    size = np.bincount(cluster).tolist()
+    if any(not 0 <= r <= s for r, s in zip(need, size)):
+        return None, 0
+    cluster = cluster.tolist()
+    still = list(need)  # members each cluster must still keep
+    left = list(size)  # members on branches not yet assigned
+    assignment = []
+    for j in range(m):
+        ends_j = (cluster[j], cluster[m + j])
+        for c in ends_j:
+            left[c] -= 1
+        for kind, keeps in _KIND_KEEPS.items():
+            gain = dict.fromkeys(ends_j, 0)
+            for c, keep in zip(ends_j, keeps):
+                gain[c] += keep
+            if all(0 <= still[c] - g <= left[c] for c, g in gain.items()):
+                break
+        for c, g in gain.items():
+            still[c] -= g
+        assignment.append(kind)
+    if sum(grid_size(kind, n) for kind in assignment) != spectrum.n:
+        return None, 0
+    values = np.sort(_assignment_values(table, assignment), kind="stable")
+    if not float(np.max(np.abs(values - sorted_spec))) <= tol:
+        return None, 0
+    return tuple(assignment), math.prod(math.comb(s, r) for s, r in zip(size, need))
+
+
+def infer_grid_assignment(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int,
+                          tol: float) -> tuple[GridKind, ...] | None:
+    """Infer grids on which the branch samples equal the spectrum, or None.
+
+    Passing means the grids hold as many points as the spectrum and the
+    sorted samples are within ``tol`` of the sorted spectrum; the first
+    passing assignment in FULL < NO_ZERO < NO_PI < INTERIOR order per
+    branch is read off the kept endpoint values in O(p + dim log dim) work.
+    The reconstruction is empirical: it recovers a figure-encoded table,
+    not a closed formula.  ``branches`` is as in :func:`verify_eig_formula`.
+    """
+    return _infer_grids(spectrum, branches, p, k, n, tol)[0]
+
+
+def count_grid_assignments(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int,
+                           tol: float) -> int:
+    """Number of assignments passing :func:`infer_grid_assignment`'s test.
+
+    More than 1 means tied endpoint values leave the assignment ambiguous.
+    """
+    return _infer_grids(spectrum, branches, p, k, n, tol)[1]

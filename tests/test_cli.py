@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from eigmatch.cli import _max_workers, main
+from eigmatch.cli import _max_workers, main, run_bspline_verify, run_grid_infer
+from eigmatch.galerkin import symbol_f
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,63 @@ def test_grid_infer_reports_expected_row(capsys):
     rows = {tuple(line.split(",")[:2]): line.split(",") for line in out.strip().splitlines()[1:]}
     assert rows[("2", "0")][2] == "no_zero+interior"
     assert rows[("2", "0")][4] == "1"
+
+
+def test_grid_infer_default_csv(capsys):
+    code, out, err = run_cli(capsys, "grid-infer")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "p,k,assignment,ns_checked,stable",
+        "1,0,interior,5;10;20,1",
+        "2,0,no_zero+interior,5;10;20,1",
+        "2,1,no_zero,5;10;20,1",
+        "3,0,interior+full+interior,5;10;20,1",
+        "3,1,no_zero+no_pi,5;10;20,1",
+        "4,0,no_zero+interior+full+interior,5;10;20,1",
+        "4,1,no_zero+no_zero+no_pi,5;10;20,1",
+        "5,0,interior+full+interior+full+interior,5;10;20,1",
+        "5,1,interior+full+no_zero+no_pi,5;10;20,1",
+    ]
+
+
+def test_stiffness_inference_reaches_degree_12():
+    rows = run_bspline_verify("K", 12, 20, 1e-8)
+    assert len(rows) == 23 * 19
+    assert all(ok for *_, ok in rows), [row for row in rows if not row[-1]]
+    inferred = run_grid_infer(12, 20, 1e-8)
+    assert len(inferred) == 23
+    assert all(stable for *_, stable in inferred), [row for row in inferred if not row[-1]]
+
+
+def test_stiffness_rows_build_one_branch_table(monkeypatch):
+    import eigmatch.cli as cli
+
+    calls = []
+
+    def counted(p, k, theta):
+        calls.append((p, k))
+        return symbol_f(p, k, theta)
+
+    monkeypatch.setattr(cli, "symbol_f", counted)
+    rows = run_bspline_verify("K", 3, 6, 1e-8)
+    assert all(ok for *_, ok in rows)
+    assert len(calls) == len(rows) == 5 * 5
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bspline-verify", "--family", "K", "--pmax", "0"], "pmax must be >= 1"),
+    (["grid-infer", "--pmax", "0"], "pmax must be >= 1"),
+    (["bspline-verify", "--family", "M", "--nmax", "1"], "nmax must be >= 2"),
+    (["grid-infer", "--nmax", "1"], "nmax must be >= 2"),
+    (["bspline-verify", "--family", "L", "--tol=-1e-8"], "tol must be finite and >= 0"),
+    (["grid-infer", "--tol=-1e-8"], "tol must be finite and >= 0"),
+    (["bspline-verify", "--family", "K", "--tol", "nan"], "tol must be finite and >= 0"),
+    (["grid-infer", "--tol", "inf"], "tol must be finite and >= 0"),
+])
+def test_bad_spline_arguments_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -12,6 +12,7 @@ from eigmatch.galerkin import (
     assemble_KM,
     bspline_deriv,
     bspline_eval,
+    count_grid_assignments,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,
@@ -433,6 +434,111 @@ def test_infer_matches_mass_assignment_rule():
     spectrum, branches = _mass_spectrum_and_branches(p, k, n)
     inferred = infer_grid_assignment(spectrum, branches, p, k, n, 1e-8)
     assert inferred == tuple(grid_assign_M(p, k, j) for j in range(1, p - k + 1))
+
+
+_ORACLE_ROWS = {
+    GridKind.FULL: slice(None),
+    GridKind.NO_ZERO: slice(1, None),
+    GridKind.NO_PI: slice(None, -1),
+    GridKind.INTERIOR: slice(1, -1),
+}
+
+
+def _search_grid_assignments(spectrum, branches, m, n, tol):
+    """Reference: try all 4^m assignments; (first passing, number passing)."""
+    table = np.asarray(branches(grid_points(GridKind.FULL, n)), dtype=float)
+    sorted_spec = np.sort(spectrum.values)
+    passing = []
+    for assignment in itertools.product(list(GridKind), repeat=m):
+        if sum(grid_size(kind, n) for kind in assignment) != spectrum.n:
+            continue
+        values = np.sort(np.concatenate(
+            [table[_ORACLE_ROWS[kind], j] for j, kind in enumerate(assignment)]))
+        if np.max(np.abs(values - sorted_spec)) <= tol:
+            passing.append(assignment)
+    return (passing[0] if passing else None), len(passing)
+
+
+def _stiffness_spectrum_and_branches(p, k, n):
+    K, _ = assemble_KM(n, p, k)
+    return eig_sym(K / n), (lambda t: np.linalg.eigvalsh(symbol_f(p, k, t)))
+
+
+def _assert_inference_matches_search(spectrum, branches, p, k, n, tol=1e-8):
+    expected = _search_grid_assignments(spectrum, branches, p - k, n, tol)
+    got = (infer_grid_assignment(spectrum, branches, p, k, n, tol),
+           count_grid_assignments(spectrum, branches, p, k, n, tol))
+    assert got == expected, (p, k, n)
+    return got
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(1, 8) for k in (0, 1) if k < p])
+def test_infer_stiffness_matches_exhaustive_search(p, k):
+    for n in (2, 5, 20):
+        spectrum, branches = _stiffness_spectrum_and_branches(p, k, n)
+        found, count = _assert_inference_matches_search(spectrum, branches, p, k, n)
+        assert found is not None and count >= 1
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 0, 5), (4, 1, 5), (6, 0, 20), (7, 1, 2)])
+def test_infer_rejects_moved_eigenvalue(p, k, n):
+    # negative control: one eigenvalue moved by 1e-6, far above tol
+    spectrum, branches = _stiffness_spectrum_and_branches(p, k, n)
+    values = spectrum.values.copy()
+    values[values.size // 2] += 1e-6
+    moved = Spectrum(values)
+    assert _assert_inference_matches_search(moved, branches, p, k, n) == (None, 0)
+
+
+_SYNTHETIC_BRANCHES = {
+    # lambda_j(0) = 0 for all three branches: a three-way endpoint tie
+    "three_way_tie": lambda t: np.outer(1.0 - np.cos(t), [1.0, 2.0, 3.0]),
+    # lambda_j(0) = lambda_j(pi) = j, and branch j reaches j + 1 at pi/2
+    "same_branch_tie": lambda t: np.add.outer(np.sin(t), [1.0, 2.0, 3.0]),
+    # lambda_1(pi) = lambda_2(0) = 2 and lambda_2(pi) = lambda_3(0) = 4
+    "cross_tie": lambda t: np.add.outer(1.0 - np.cos(t), [0.0, 2.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYNTHETIC_BRANCHES))
+@pytest.mark.parametrize("n", [2, 5])
+def test_infer_synthetic_ties_match_exhaustive_search(name, n):
+    branches = _SYNTHETIC_BRANCHES[name]
+    table = branches(grid_points(GridKind.FULL, n))
+    counts = set()
+    for truth in itertools.product(list(GridKind), repeat=3):
+        values = np.concatenate([table[_ORACLE_ROWS[kind], j] for j, kind in enumerate(truth)])
+        if values.size == 0:
+            continue
+        found, count = _assert_inference_matches_search(
+            Spectrum(np.sort(values)), branches, 3, 0, n)
+        assert found is not None
+        counts.add(count)
+    assert max(counts) > 1  # the ties make some spectra ambiguous
+
+
+def test_count_grid_assignments_for_stiffness_family():
+    expected = {(6, 0): 2, (7, 0): 2, (8, 0): 4}
+    for p in range(1, 9):
+        for k in (0, 1):
+            if k >= p:
+                continue
+            for n in range(2, 21):
+                spectrum, branches = _stiffness_spectrum_and_branches(p, k, n)
+                count = count_grid_assignments(spectrum, branches, p, k, n, 1e-8)
+                assert count == expected.get((p, k), 1), (p, k, n)
+
+
+def test_precomputed_branch_table_equals_callable():
+    p, k, n = 5, 1, 9
+    spectrum, branches = _stiffness_spectrum_and_branches(p, k, n)
+    table = branches(grid_points(GridKind.FULL, n))
+    found = infer_grid_assignment(spectrum, branches, p, k, n, 1e-8)
+    assert infer_grid_assignment(spectrum, table, p, k, n, 1e-8) == found
+    assert (verify_eig_formula(spectrum, table, found, n, 1e-8)
+            == verify_eig_formula(spectrum, branches, found, n, 1e-8))
+    with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
+        infer_grid_assignment(spectrum, table[1:], p, k, n, 1e-8)
 
 
 def test_single_branch_has_unique_feasible_assignment():
