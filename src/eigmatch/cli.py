@@ -59,6 +59,18 @@ def _max_workers(tasks: int) -> int:
     return max(1, min(workers, tasks))
 
 
+def _solve_each(solve, ns: list[int]) -> dict[int, np.ndarray]:
+    """``{n: solve(n)}`` for each distinct n, largest (costliest) first on the pool.
+
+    Starting the big solves first keeps the workers' makespan short; the
+    callers read the dict in the requested order, so the output does not
+    depend on the schedule.
+    """
+    distinct = sorted(set(ns), reverse=True)
+    with ThreadPoolExecutor(max_workers=_max_workers(len(distinct))) as pool:
+        return dict(zip(distinct, pool.map(solve, distinct)))
+
+
 def _parse_ns(spec: str) -> list[int]:
     ns = [int(tok) for tok in spec.split(",") if tok.strip()]
     if not ns or any(n < 1 for n in ns):
@@ -96,8 +108,7 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     def lam(n: int) -> np.ndarray:
         return eig_sym(toeplitz_build(coeffs, n)).values
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(ns))) as pool:
-        lambdas = dict(zip(ns, pool.map(lam, ns)))
+    lambdas = _solve_each(lam, ns)
     return mn_curve(half, problems.eigen_angle_grid, lambdas, ns)
 
 
@@ -114,8 +125,7 @@ def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
         diag, off = fd_matrix(a, n)
         return eig_sym_tridiag(diag, off).values
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(ns))) as pool:
-        lambdas = dict(zip(ns, pool.map(lam, ns)))
+    lambdas = _solve_each(lam, ns)
     return mn_curve_2d(symbol, lambda n: (math.isqrt(n), math.isqrt(n)), lambdas, ns)
 
 
@@ -183,14 +193,19 @@ def _pk_pairs(pmax: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _check_tol(tol: float):
+    """Reject a tolerance no error can meaningfully be compared against."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _check_spline_args(pmax: int, nmax: int, tol: float):
     """Reject sweeps that would check no row or compare against a meaningless tol."""
     if pmax < 1:
         raise ValueError(f"pmax must be >= 1, got {pmax}")
     if nmax < 2:
         raise ValueError(f"nmax must be >= 2, got {nmax}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
 
 
 def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
@@ -273,22 +288,22 @@ def _exp_mn_table_2d(params):
 
 def _exp_exactness(params):
     example = params["example"]
+    tol = params["tol"]
+    if tol is None:
+        tol = 1e-10 * (abs(params["a"]) + abs(params["b"])) if example == "e1" else 1e-8
+    _check_tol(tol)
     failures: list[str] = []
     if example == "e1":
         ns = params["ns"] or _parse_ns("10,50,100,200")
-        a, b = params["a"], params["b"]
-        rows = run_exactness_e1(ns, a, b)
-        tol = params["tol"] if params["tol"] is not None else 1e-10 * (abs(a) + abs(b))
+        rows = run_exactness_e1(ns, params["a"], params["b"])
     elif example == "e4p":
         ns = params["ns"] or _parse_ns("5,10,20,30")
         rows, failures = run_exactness_e4p(ns)
-        tol = params["tol"] if params["tol"] is not None else 1e-8
     else:
         ns = params["ns"] or _parse_ns("20,50,100")
         rows = run_exactness_e5(ns)
-        tol = params["tol"] if params["tol"] is not None else 1e-8
     failures += [f"exactness {example} n={n}: error {err:.3e} > tol {tol:.3e}"
-                 for n, err in rows if err > tol]
+                 for n, err in rows if not err <= tol]
     return ["n", "max_error"], [[str(n), f"{e:.12g}"] for n, e in rows], failures
 
 
@@ -299,10 +314,11 @@ def _exp_counterexample(params):
 
 
 def _exp_split_demo(params):
-    rows = run_split_demo(params["n"])
     tol = params["tol"]
+    _check_tol(tol)
+    rows = run_split_demo(params["n"])
     failures = [f"split-demo branch {j}: M_n={m:.3e} > tol {tol:.3e}"
-                for j, c, m in rows if m > tol]
+                for j, c, m in rows if not m <= tol]
     return (
         ["branch", "cardinality", "M_n", "M_n_full"],
         [[str(j), str(c), f"{m:.4f}", f"{m:.12g}"] for j, c, m in rows],

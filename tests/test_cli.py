@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,53 @@ def test_bad_spline_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exactness", "--example", "e1", "--ns", "50", "--tol", "nan"],
+    ["split-demo", "--n", "20", "--tol", "nan"],
+    ["split-demo", "--n", "20", "--tol=-1"],
+])
+def test_bad_tolerance_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "tol must be finite and >= 0" in err
+
+
+def test_nan_error_fails_the_row(capsys, monkeypatch):
+    import eigmatch.cli as cli
+
+    monkeypatch.setattr(cli, "run_exactness_e1", lambda ns, a, b: [(n, math.nan) for n in ns])
+    code, out, err = run_cli(capsys, "exactness", "--example", "e1", "--ns", "50")
+    assert code == 1 and "FAIL exactness e1 n=50" in err
+
+
+@pytest.mark.parametrize("argv,binding,solved", [
+    (["mn-table2d", "--coef", "exp", "--ns", "900,900,1600"], "eig_sym_tridiag", [1600, 900]),
+    (["mn-table", "--example", "e2", "--ns", "16,8,16,8"], "eig_sym", [16, 8]),
+])
+def test_duplicate_ns_solved_once(capsys, monkeypatch, argv, binding, solved):
+    import eigmatch.cli as cli
+
+    sizes = []
+    solver = getattr(cli, binding)
+
+    def counted(*args):
+        spectrum = solver(*args)
+        sizes.append(spectrum.n)
+        return spectrum
+
+    monkeypatch.setenv("EIGMATCH_THREADS", "1")  # one worker: calls arrive in submission order
+    monkeypatch.setattr(cli, binding, counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sizes == solved
+    requested = argv[-1].split(",")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == requested
+    first = {}
+    for n, *values in rows:
+        assert first.setdefault(n, values) == values
 
 
 def test_output_file(tmp_path, capsys):

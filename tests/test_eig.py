@@ -1,9 +1,16 @@
+import ctypes
+import importlib.util
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
+import eigmatch.eig
+from eigmatch import problems
 from eigmatch.eig import (
     NotPositiveDefiniteError,
     Spectrum,
@@ -95,6 +102,103 @@ def test_tridiag_constant_coefficient_reduction():
 def test_tridiag_validates_lengths():
     with pytest.raises(ValueError):
         eig_sym_tridiag(np.ones(4), np.ones(4))
+
+
+def _scipy_tridiag(d, e):
+    return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+
+
+@pytest.mark.parametrize("coef", sorted(problems.fd_coefficients))
+@pytest.mark.parametrize("n", [2, 3, 900, 2500])
+def test_tridiag_bit_identical_to_scipy_on_fd_matrices(coef, n):
+    d, e = fd_matrix(problems.fd_coefficients[coef], n)
+    assert np.array_equal(eig_sym_tridiag(d, e).values, _scipy_tridiag(d, e))
+
+
+def test_tridiag_bit_identical_to_scipy_on_random_indefinite():
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 64, 501):
+        d = rng.normal(scale=10.0, size=n)
+        e = rng.normal(size=n - 1)
+        d[0], d[-1] = -20.0, 20.0  # interlacing: eigenvalues of both signs
+        ours = eig_sym_tridiag(d, e).values
+        assert ours[0] < 0 < ours[-1]
+        assert np.array_equal(ours, _scipy_tridiag(d, e))
+
+
+def test_tridiag_bit_identical_to_scipy_on_split_matrix():
+    # zero off-diagonals split the matrix into independent blocks
+    rng = np.random.default_rng(12)
+    d = rng.normal(size=40)
+    e = rng.normal(size=39)
+    e[[0, 7, 8, 20, 38]] = 0.0
+    assert np.array_equal(eig_sym_tridiag(d, e).values, _scipy_tridiag(d, e))
+    assert np.array_equal(eig_sym_tridiag(d, np.zeros(39)).values, np.sort(d))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["diag", "offdiag"])
+def test_tridiag_rejects_non_finite(bad, where):
+    d, e = np.full(5, 2.0), np.full(4, -1.0)
+    (d if where == "diag" else e)[2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eig_sym_tridiag(d, e)
+
+
+def test_tridiag_rejects_non_finite_1x1():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eig_sym_tridiag([math.nan], [])
+
+
+def test_tridiag_reports_lapack_failure(monkeypatch):
+    # dsterf sets INFO > 0 when it fails to converge; no finite input is known to do so
+    def failing(n, d, e, info):
+        info._obj.value = 3
+
+    monkeypatch.setattr(eigmatch.eig, "_dsterf", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+        eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0))
+
+
+def test_tridiag_leaves_inputs_unchanged():
+    d, e = fd_matrix(problems.fd_coefficients["exp"], 100)
+    d0, e0 = d.copy(), e.copy()
+    values = eig_sym_tridiag(d, e).values
+    assert np.array_equal(d, d0) and np.array_equal(e, e0)
+    assert not np.shares_memory(values, d)
+    one = np.array([3.0])
+    spec = eig_sym_tridiag(one, [])
+    assert not np.shares_memory(spec.values, one)
+
+
+def test_tridiag_accepts_strided_and_integer_input():
+    d = np.arange(20.0)[::2]
+    e = np.ones(9, dtype=int)
+    expected = _scipy_tridiag(np.ascontiguousarray(d), e.astype(float))
+    assert np.array_equal(eig_sym_tridiag(d, e).values, expected)
+
+
+def test_tridiag_concurrent_calls_match_serial():
+    rng = np.random.default_rng(13)
+    problems_ = [(rng.normal(size=n), rng.normal(size=n - 1)) for n in (300, 1000, 50, 2000) * 2]
+    serial = [eig_sym_tridiag(d, e).values for d, e in problems_]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        concurrent = list(pool.map(lambda de: eig_sym_tridiag(*de).values, problems_))
+    assert all(np.array_equal(a, b) for a, b in zip(serial, concurrent))
+
+
+def test_unexpected_dsterf_signature_fails_at_import(monkeypatch):
+    # an ILP64 build would export 64-bit integer arguments
+    new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                                    ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+    signature = b"void (__pyx_t_int64 *, double *, double *, __pyx_t_int64 *)"
+    fake = new_capsule(ctypes.cast(eigmatch.eig._dsterf, ctypes.c_void_p), signature, None)
+    monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsterf", fake)
+    spec = importlib.util.spec_from_file_location("_eig_fresh_copy", eigmatch.eig.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    with pytest.raises(ImportError, match="unexpected signature"):
+        spec.loader.exec_module(module)
 
 
 def test_gen_identity_mass_matches_plain():
