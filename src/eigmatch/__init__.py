@@ -18,7 +18,7 @@ from .core import (
     count_grid_in_interval,
     grid_deviation,
     make_uniform_grid,
-    restrict_indices,
+    restrict_mask,
 )
 from .eig import NotPositiveDefiniteError, Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag
 from .galerkin import (

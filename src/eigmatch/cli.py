@@ -45,8 +45,8 @@ DEFAULT_TABLE_NS = "8,16,32,64,128,256,512,1024"
 DEFAULT_TABLE2D_NS = "900,1600,2500,3600,4900,6400,8100,10000"
 
 _MN_EXAMPLES = {
-    "e2": (problems.plateau_ramp_symbol, problems.plateau_ramp_half),
-    "e3": (problems.cos_dip_ramp_symbol, problems.cos_dip_ramp_half),
+    "e2": problems.plateau_ramp_symbol,
+    "e3": problems.cos_dip_ramp_symbol,
 }
 
 
@@ -57,18 +57,6 @@ def _max_workers(tasks: int) -> int:
     if env is not None:
         workers = min(workers, int(env))
     return max(1, min(workers, tasks))
-
-
-def _solve_each(solve, ns: list[int]) -> dict[int, np.ndarray]:
-    """``{n: solve(n)}`` for each distinct n, largest (costliest) first on the pool.
-
-    Starting the big solves first keeps the workers' makespan short; the
-    callers read the dict in the requested order, so the output does not
-    depend on the schedule.
-    """
-    distinct = sorted(set(ns), reverse=True)
-    with ThreadPoolExecutor(max_workers=_max_workers(len(distinct))) as pool:
-        return dict(zip(distinct, pool.map(solve, distinct)))
 
 
 def _parse_ns(spec: str) -> list[int]:
@@ -100,20 +88,23 @@ def _report_failures(failures: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
-    """Sorted-match curve of a Toeplitz family against its symbol on [0, pi]."""
-    full_factory, half_factory = _MN_EXAMPLES[example]
-    full, half = full_factory(), half_factory()
+    """Sorted-match curve of a Toeplitz family against its symbol on [0, pi].
+
+    Each distinct n is solved once, serially: scipy's dense ``eigh`` holds
+    the interpreter lock, and LAPACK already threads each solve.
+    """
+    full = _MN_EXAMPLES[example]()
     coeffs = fourier_coeffs(full, max(ns) - 1 if max(ns) > 1 else 1)
-
-    def lam(n: int) -> np.ndarray:
-        return eig_sym(toeplitz_build(coeffs, n)).values
-
-    lambdas = _solve_each(lam, ns)
-    return mn_curve(half, problems.eigen_angle_grid, lambdas, ns)
+    lambdas = {n: eig_sym(toeplitz_build(coeffs, n)).values for n in dict.fromkeys(ns)}
+    return mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)
 
 
 def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
-    """Sorted-match curve of the finite-difference family, tridiagonal solver."""
+    """Sorted-match curve of the finite-difference family, tridiagonal solver.
+
+    The solves run on a thread pool: ``eig_sym_tridiag`` releases the
+    interpreter lock, so they proceed on separate cores.
+    """
     a = problems.fd_coefficients[coef]
     symbol = problems.fd_symbol_2d(a)
     for n in ns:
@@ -125,7 +116,11 @@ def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
         diag, off = fd_matrix(a, n)
         return eig_sym_tridiag(diag, off).values
 
-    lambdas = _solve_each(lam, ns)
+    # Each distinct n once, largest (costliest) first: that keeps the workers'
+    # makespan short, and mn_curve_2d reads the rows in the requested order.
+    distinct = sorted(set(ns), reverse=True)
+    with ThreadPoolExecutor(max_workers=_max_workers(len(distinct))) as pool:
+        lambdas = dict(zip(distinct, pool.map(lam, distinct)))
     return mn_curve_2d(symbol, lambda n: (math.isqrt(n), math.isqrt(n)), lambdas, ns)
 
 

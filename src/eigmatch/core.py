@@ -8,8 +8,12 @@ Conventions used throughout the package:
   a + i*(b - a)/n; note that it excludes the face x = a and includes x = b.
 - Multisets keep their values in insertion order.  Operations that need a
   sorted view return permutations instead of mutating anything.
-- Symbols evaluate vectorized: ``eval`` receives one numpy array per
-  coordinate and must return an array of values of the same shape.
+- Symbols evaluate vectorized.  A scalar symbol's ``eval`` receives one
+  numpy array per coordinate and returns an array of values of the same
+  shape; a matrix symbol's ``eval`` receives an array of N angles and
+  returns the (N, k, k) stack of its values.
+- A subdomain Omega is a boolean ``membership`` callable on the coordinates;
+  :func:`restrict_mask` selects the grid points it contains.
 """
 
 from __future__ import annotations
@@ -29,10 +33,14 @@ __all__ = [
     "IntervalUnion",
     "make_uniform_grid",
     "grid_deviation",
-    "restrict_indices",
+    "restrict_mask",
     "count_grid_in_interval",
     "as_values",
 ]
+
+
+#: Absolute bound on max|m - m^H| for a matrix-symbol value to count as Hermitian.
+_HERMITIAN_TOL = 1e-12
 
 
 def _readonly(a):
@@ -99,14 +107,11 @@ class AUGrid:
 
     def multi_indices(self) -> np.ndarray:
         """All multi-indices 1..n in lexicographic order, shape (N, d)."""
-        grids = np.meshgrid(*[np.arange(1, n + 1) for n in self.dims], indexing="ij")
-        return np.stack(grids, axis=-1).reshape(-1, len(self.dims))
+        return _lattice(self.dims)
 
     def uniform_points(self) -> np.ndarray:
         """Points of the uniform grid a + i*(b-a)/n in the same index order."""
-        idx = self.multi_indices().astype(float)
-        n = np.asarray(self.dims, dtype=float)
-        return self.rect.a + idx * (self.rect.b - self.rect.a) / n
+        return _uniform_points(self.rect, self.dims)
 
     def flatten_index(self, i: Sequence[int]) -> int:
         """Position of multi-index i (1-based components) in the row order."""
@@ -117,15 +122,23 @@ class AUGrid:
         return tuple(int(c) + 1 for c in np.unravel_index(int(flat), self.dims))
 
 
+def _lattice(dims) -> np.ndarray:
+    """Multi-indices 1..n (componentwise) in lexicographic order, shape (N, d)."""
+    grids = np.meshgrid(*[np.arange(1, n + 1) for n in dims], indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, len(dims))
+
+
+def _uniform_points(rect: Rect, dims) -> np.ndarray:
+    """Points a + i*(b-a)/n of the uniform grid, in lattice order."""
+    return rect.a + _lattice(dims) * (rect.b - rect.a) / np.asarray(dims, dtype=float)
+
+
 def make_uniform_grid(rect: Rect, dims) -> AUGrid:
     """Uniform grid {a + i*(b-a)/n : i = 1..n} on ``rect``, deviation zero."""
     dims = tuple(int(n) for n in np.atleast_1d(np.asarray(dims)))
     if any(n < 1 for n in dims):
         raise ValueError(f"dims must be >= 1 componentwise, got {dims}")
-    grids = np.meshgrid(*[np.arange(1, n + 1) for n in dims], indexing="ij")
-    idx = np.stack(grids, axis=-1).reshape(-1, len(dims)).astype(float)
-    pts = rect.a + idx * (rect.b - rect.a) / np.asarray(dims, dtype=float)
-    return AUGrid(rect=rect, dims=dims, points=pts)
+    return AUGrid(rect=rect, dims=dims, points=_uniform_points(rect, dims))
 
 
 def grid_deviation(g: AUGrid) -> float:
@@ -134,23 +147,13 @@ def grid_deviation(g: AUGrid) -> float:
     return float(diff.max(axis=1).max()) if g.size else 0.0
 
 
-def restrict_indices(g: AUGrid, membership: Callable | None) -> list[tuple[int, ...]]:
-    """Multi-indices (lexicographic order) whose grid points lie in Omega.
+def restrict_mask(g: AUGrid, membership: Callable | None) -> np.ndarray:
+    """Boolean mask over the grid's rows, True where the point lies in Omega.
 
     ``membership`` receives one array per coordinate and returns a boolean
-    array; ``None`` selects every point.
+    array; ``None`` selects every point.  ``g.multi_indices()[mask]`` lists
+    the selected multi-indices in lexicographic order.
     """
-    if membership is None:
-        mask = np.ones(g.size, dtype=bool)
-    else:
-        coords = [g.points[:, j] for j in range(g.rect.d)]
-        mask = np.asarray(membership(*coords), dtype=bool).reshape(-1)
-    idx = g.multi_indices()
-    return [tuple(int(c) for c in row) for row in idx[mask]]
-
-
-def restrict_mask(g: AUGrid, membership: Callable | None) -> np.ndarray:
-    """Boolean mask version of :func:`restrict_indices` (same row order)."""
     if membership is None:
         return np.ones(g.size, dtype=bool)
     coords = [g.points[:, j] for j in range(g.rect.d)]
@@ -243,14 +246,14 @@ class ScalarSymbol:
 class MatrixSymbol:
     """Hermitian k x k matrix-valued function on an interval.
 
-    ``eval`` maps a scalar angle to a (k, k) complex array.  Branches are the
-    ascending eigenvalue functions of the matrix at each point.
+    ``eval`` maps an array of N angles to the (N, k, k) stack of complex
+    values.  Branches are the ascending eigenvalue functions of the matrix at
+    each point.
     """
 
     interval: tuple[float, float]
     k: int
-    eval: Callable[[float], np.ndarray]
-    hermitian_tol: float = 1e-12
+    eval: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         a, b = float(self.interval[0]), float(self.interval[1])
@@ -258,25 +261,30 @@ class MatrixSymbol:
             raise ValueError("need a nonempty interval and k >= 1")
         object.__setattr__(self, "interval", (a, b))
 
-    def matrix(self, theta: float) -> np.ndarray:
-        m = np.asarray(self.eval(float(theta)), dtype=complex)
-        if m.shape != (self.k, self.k):
-            raise ValueError(f"symbol returned shape {m.shape}, expected {(self.k, self.k)}")
-        if np.max(np.abs(m - m.conj().T)) > self.hermitian_tol:
-            raise ValueError(f"symbol is not Hermitian at theta={theta!r}")
+    def matrices(self, thetas) -> np.ndarray:
+        """Symbol values at an array of N angles, shape (N, k, k), validated.
+
+        Raises ``ValueError`` naming the first angle whose value is not
+        finite or not Hermitian to within an absolute 1e-12.
+        """
+        thetas = np.asarray(thetas, dtype=float).reshape(-1)
+        m = np.asarray(self.eval(thetas), dtype=complex)
+        if m.shape != (thetas.size, self.k, self.k):
+            raise ValueError(
+                f"symbol returned shape {m.shape}, expected {(thetas.size, self.k, self.k)}"
+            )
+        finite = np.isfinite(m).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"symbol is not finite at theta={float(thetas[~finite][0])!r}")
+        skew = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        hermitian = skew <= _HERMITIAN_TOL  # written so that a NaN skew fails
+        if not hermitian.all():
+            raise ValueError(f"symbol is not Hermitian at theta={float(thetas[~hermitian][0])!r}")
         return m
 
-    def branch_values(self, theta: float) -> np.ndarray:
-        """Ascending eigenvalues lambda_1 <= ... <= lambda_k at ``theta``."""
-        return np.linalg.eigvalsh(self.matrix(theta))
-
     def branch_samples(self, thetas) -> np.ndarray:
-        """Branch values over an array of angles, shape (len(thetas), k)."""
-        thetas = np.asarray(thetas, dtype=float).reshape(-1)
-        out = np.empty((thetas.size, self.k))
-        for i, t in enumerate(thetas):
-            out[i] = self.branch_values(t)
-        return out
+        """Ascending eigenvalues lambda_1 <= ... <= lambda_k per angle, shape (N, k)."""
+        return np.linalg.eigvalsh(self.matrices(thetas))
 
 
 @dataclass(frozen=True)

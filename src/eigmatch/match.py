@@ -115,7 +115,7 @@ def mn_curve(
 
 def mn_curve_2d(
     symbol: ScalarSymbol,
-    dims_for_n: Callable[[int], tuple[int, int]] | Mapping[int, tuple[int, int]],
+    dims_for_n: Callable[[int], tuple[int, ...]],
     lambdas_by_n: Mapping[int, object],
     ns: Sequence[int],
 ) -> list[tuple[int, float]]:
@@ -125,14 +125,8 @@ def mn_curve_2d(
     sqrt n) for perfect squares); the flattening is lexicographic, so the
     sample vector order matches the multi-index order of the grid.
     """
-    if not callable(dims_for_n):
-        mapping = dict(dims_for_n)
-        dims_for_n = mapping.__getitem__
-
-    def grid_for_n(n: int) -> AUGrid:
-        return make_uniform_grid(symbol.domain, dims_for_n(n))
-
-    return mn_curve(symbol, grid_for_n, lambdas_by_n, ns)
+    return mn_curve(symbol, lambda n: make_uniform_grid(symbol.domain, dims_for_n(n)),
+                    lambdas_by_n, ns)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@
 Each experiment pairs a matrix family with the symbol describing its
 asymptotic eigenvalue distribution.  Generating functions are defined on
 [-pi, pi] (as needed for Fourier coefficients); the matching diagnostics use
-their restriction to [0, pi], where the even symbols carry the distribution.
+their restriction ``half(f)`` to [0, pi], where the even symbols carry the
+distribution.  Matrix-valued symbols evaluate a whole array of angles at
+once, returning the (N, k, k) stack.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,13 +19,11 @@ from .core import AUGrid, MatrixSymbol, Rect, ScalarSymbol, make_uniform_grid
 from .toeplitz import FourierCoeffs
 
 __all__ = [
+    "half",
     "cosine_symbol",
-    "cosine_symbol_half",
     "cosine_eigs_exact",
     "plateau_ramp_symbol",
-    "plateau_ramp_half",
     "cos_dip_ramp_symbol",
-    "cos_dip_ramp_half",
     "cos_dip_min",
     "cos_dip_argmin",
     "endpoint_indicator",
@@ -50,20 +51,22 @@ _FULL_RECT = Rect(np.array([-math.pi]), np.array([math.pi]))
 # Scalar generating functions
 # ---------------------------------------------------------------------------
 
+def half(f: ScalarSymbol) -> ScalarSymbol:
+    """Restriction of an even generating function on [-pi, pi] to [0, pi].
+
+    Keeps the evaluator and the declared bounds (evenness leaves the range
+    unchanged, and is not checked) and the breakpoints inside (0, pi).
+    """
+    if f.domain.d != 1 or (f.domain.a[0], f.domain.b[0]) != (-math.pi, math.pi):
+        raise ValueError("half() restricts generating functions on [-pi, pi]")
+    inner = tuple(t for t in f.discontinuities if 0.0 < t < math.pi)
+    return dataclasses.replace(f, domain=_PI_RECT, discontinuities=inner)
+
+
 def cosine_symbol(a: float, b: float) -> ScalarSymbol:
     """a + b*cos(theta) on [-pi, pi]."""
     return ScalarSymbol(
         domain=_FULL_RECT,
-        eval=lambda t: a + b * np.cos(t),
-        declared_inf=a - abs(b),
-        declared_sup=a + abs(b),
-    )
-
-
-def cosine_symbol_half(a: float, b: float) -> ScalarSymbol:
-    """Restriction of the cosine symbol to [0, pi]."""
-    return ScalarSymbol(
-        domain=_PI_RECT,
         eval=lambda t: a + b * np.cos(t),
         declared_inf=a - abs(b),
         declared_sup=a + abs(b),
@@ -91,16 +94,6 @@ def plateau_ramp_symbol() -> ScalarSymbol:
     )
 
 
-def plateau_ramp_half() -> ScalarSymbol:
-    return ScalarSymbol(
-        domain=_PI_RECT,
-        eval=_plateau_ramp,
-        declared_inf=1.0,
-        declared_sup=1.0 + _HALF_PI,
-        discontinuities=(_HALF_PI,),
-    )
-
-
 #: Interior minimizer of cos(2t) + cos(3t) on (0, pi/2): cos t = (-1+sqrt(10))/6.
 cos_dip_argmin = math.acos((-1.0 + math.sqrt(10.0)) / 6.0)
 #: The corresponding minimum value -25/54 - 10*sqrt(10)/27.
@@ -124,16 +117,6 @@ def cos_dip_ramp_symbol() -> ScalarSymbol:
         declared_inf=cos_dip_min,
         declared_sup=math.pi,
         discontinuities=(-_HALF_PI, _HALF_PI),
-    )
-
-
-def cos_dip_ramp_half() -> ScalarSymbol:
-    return ScalarSymbol(
-        domain=_PI_RECT,
-        eval=_cos_dip_ramp,
-        declared_inf=cos_dip_min,
-        declared_sup=math.pi,
-        discontinuities=(_HALF_PI,),
     )
 
 
@@ -220,15 +203,14 @@ def c0_quadratic_matrix(n: int) -> np.ndarray:
     return A
 
 
-def _c0_quadratic_eval(theta: float) -> np.ndarray:
+def _c0_quadratic_eval(theta: np.ndarray) -> np.ndarray:
     e = np.exp(1j * theta)
-    return np.array(
-        [
-            [4.0 / 3.0, -2.0 / 3.0 - 2.0 * e / 3.0],
-            [-2.0 / 3.0 - 2.0 * np.conj(e) / 3.0, 8.0 / 3.0 - 4.0 * math.cos(theta) / 3.0],
-        ],
-        dtype=complex,
-    )
+    out = np.empty(theta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 4.0 / 3.0
+    out[..., 0, 1] = -2.0 / 3.0 - 2.0 * e / 3.0
+    out[..., 1, 0] = -2.0 / 3.0 - 2.0 * np.conj(e) / 3.0
+    out[..., 1, 1] = 8.0 / 3.0 - 4.0 * np.cos(theta) / 3.0
+    return out
 
 
 def c0_quadratic_symbol() -> MatrixSymbol:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntervalUnion, ScalarSymbol, as_values
+from .core import AUGrid, IntervalUnion, ScalarSymbol, _lattice, as_values, restrict_mask
 
 __all__ = [
     "QuantileInterpolant",
@@ -67,7 +67,7 @@ def empirical_quantile(samples) -> QuantileInterpolant:
 def quantile_eval(q: QuantileInterpolant, y) -> float | np.ndarray:
     """Evaluate the interpolant at y in [0, 1]; monotone increasing in y."""
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
         raise ValueError("evaluation point must lie in [0, 1]")
     out = np.interp(arr, q.nodes, q.sorted_samples)
     return float(out) if np.isscalar(y) or arr.ndim == 0 else out
@@ -80,15 +80,9 @@ def _dense_samples(f: ScalarSymbol, density: int) -> np.ndarray:
     boundary, so values attained only on a face (a measure-zero set) do not
     leak into range estimates.
     """
-    d = f.domain.d
-    per_axis = max(2, math.ceil(density ** (1.0 / d)))
-    steps = np.arange(1, per_axis + 1) / (per_axis + 1)
-    axes = [f.domain.a[j] + steps * (f.domain.b[j] - f.domain.a[j]) for j in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, d)
-    if f.membership is not None:
-        mask = np.asarray(f.membership(*(pts[:, j] for j in range(d))), dtype=bool)
-        pts = pts[mask.reshape(-1)]
+    dims = (max(2, math.ceil(density ** (1.0 / f.domain.d))),) * f.domain.d
+    pts = f.domain.a + _lattice(dims) / (dims[0] + 1) * f.domain.lengths
+    pts = pts[restrict_mask(AUGrid(rect=f.domain, dims=dims, points=pts), f.membership)]
     if pts.shape[0] == 0:
         raise ValueError("membership selected no grid points")
     return np.sort(f.sample(pts), kind="stable")
@@ -122,7 +116,7 @@ def essential_range(f: ScalarSymbol, density: int, gap_tol: float | None = None)
         raise ValueError("density must be at least 1e3")
     if gap_tol is None:
         gap_tol = 10.0 * (f.declared_sup - f.declared_inf) / density
-    if gap_tol <= 0:
+    if not gap_tol > 0:  # NaN included
         raise ValueError("gap_tol must be positive")
     s = _dense_samples(f, density)
     pairs = []

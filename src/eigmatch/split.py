@@ -11,6 +11,11 @@ Given a multiset distributed as a k-branch matrix symbol, the pipeline is:
    partition always provides the required path, so every repair step removes
    exactly one stray element without disturbing the cardinalities.
 3. Per-branch sorted matching then proceeds exactly as in the scalar case.
+
+Branch values always come from one stacked evaluation of the symbol over an
+array of angles (``MatrixSymbol.branch_samples``), never angle by angle; the
+branch value ranges used for repair and as default targets come from one
+513-angle probe of the symbol's interval.
 """
 
 from __future__ import annotations
@@ -75,6 +80,23 @@ class Partition:
         return np.bincount(self.provenance, minlength=self.k)
 
 
+def _segment_angles(ms: MatrixSymbol, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and branch labels of points ys of [0, 1] under the concatenation.
+
+    Segment j covers [j/k, (j+1)/k) (half-open, last segment closed), so a
+    point landing exactly on a boundary belongs to the upper segment, and
+    carries branch j stretched from the symbol's interval.
+    """
+    a, b = ms.interval
+    seg = np.minimum((ys * ms.k).astype(int), ms.k - 1)
+    return a + (b - a) * (ms.k * ys - seg), seg
+
+
+def _probe(ms: MatrixSymbol) -> np.ndarray:
+    """Branch values at 513 equispaced angles of the interval, shape (513, k)."""
+    return ms.branch_samples(np.linspace(*ms.interval, 513))
+
+
 def concat_branches(ms: MatrixSymbol) -> ScalarSymbol:
     """Concatenate the resized branch functions into one symbol on [0, 1].
 
@@ -83,29 +105,27 @@ def concat_branches(ms: MatrixSymbol) -> ScalarSymbol:
     Declared bounds are estimated from a dense branch sampling, padded by the
     largest observed local variation.
     """
-    a, b = ms.interval
-    r = ms.k
 
     def tilde(y):
         y = np.asarray(y, dtype=float)
         flat = y.reshape(-1)
-        out = np.empty(flat.size)
-        for pos, yy in enumerate(flat):
-            if not 0.0 <= yy <= 1.0:
-                raise ValueError(f"concatenated symbol is defined on [0, 1], got {yy}")
-            j = min(int(yy * r), r - 1)
-            x = a + (b - a) * (r * yy - j)
-            out[pos] = ms.branch_values(x)[j]
+        outside = ~((flat >= 0.0) & (flat <= 1.0))
+        if outside.any():
+            raise ValueError(
+                f"concatenated symbol is defined on [0, 1], got {flat[np.argmax(outside)]}"
+            )
+        xs, seg = _segment_angles(ms, flat)
+        out = ms.branch_samples(xs)[np.arange(flat.size), seg]
         return out.reshape(y.shape) if y.ndim else float(out[0])
 
-    probe = ms.branch_samples(np.linspace(a, b, 257))
-    pad = float(np.max(np.abs(np.diff(probe, axis=0)))) if probe.shape[0] > 1 else 0.0
+    probe = _probe(ms)
+    pad = float(np.max(np.abs(np.diff(probe, axis=0))))
     return ScalarSymbol(
         domain=Rect(np.array([0.0]), np.array([1.0])),
         eval=tilde,
         declared_inf=float(probe.min()) - pad,
         declared_sup=float(probe.max()) + pad,
-        discontinuities=tuple(j / r for j in range(1, r)),
+        discontinuities=tuple(j / ms.k for j in range(1, ms.k)),
     )
 
 
@@ -129,17 +149,6 @@ def restriction(A: np.ndarray, E: IntervalUnion) -> np.ndarray:
         raise ValueError("matrix must be square")
     sel = restriction_indices(A.shape[0], E)
     return A[np.ix_(sel, sel)]
-
-
-def _branch_segment_labels(d_n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample points i/d_n of [0,1] with their branch segment labels.
-
-    Segment j covers [j/k, (j+1)/k) (half-open, last segment closed), so a
-    point landing exactly on a boundary belongs to the upper segment.
-    """
-    ys = np.arange(1, d_n + 1) / d_n
-    labels = np.minimum((ys * k).astype(int), k - 1)
-    return ys, labels
 
 
 def _repair_cardinalities(labels: np.ndarray, target: np.ndarray, sorted_vals: np.ndarray,
@@ -201,11 +210,9 @@ def initial_split(lambdas, ms: MatrixSymbol, cards) -> Partition:
     if np.any(L < 0) or L.sum() != v.size:
         raise ValueError(f"cardinalities {L.tolist()} do not sum to {v.size}")
     d_n, k = v.size, ms.k
-    a, b = ms.interval
 
-    ys, seg = _branch_segment_labels(d_n, k)
-    xs = a + (b - a) * (k * ys - seg)
-    samples = np.array([ms.branch_values(x)[j] for x, j in zip(xs, seg)])
+    xs, seg = _segment_angles(ms, np.arange(1, d_n + 1) / d_n)
+    samples = ms.branch_samples(xs)[np.arange(d_n), seg]
 
     order_samples = np.argsort(samples, kind="stable")
     rank_labels = seg[order_samples]
@@ -213,7 +220,7 @@ def initial_split(lambdas, ms: MatrixSymbol, cards) -> Partition:
     order_vals = np.argsort(v, kind="stable")
     sorted_vals = v[order_vals]
 
-    probe = ms.branch_samples(np.linspace(a, b, 129))
+    probe = _probe(ms)
     branch_ranges = np.stack([probe.min(axis=0), probe.max(axis=0)], axis=1)
     rank_labels = _repair_cardinalities(rank_labels, L, sorted_vals, branch_ranges)
 
@@ -384,8 +391,7 @@ def split_and_match(
     init = initial_split(lambdas, ms, cards)
 
     if target_ranges is None:
-        a, b = ms.interval
-        probe = ms.branch_samples(np.linspace(a, b, 513))
+        probe = _probe(ms)
         target_ranges = [
             IntervalUnion(((float(probe[:, j].min()) - delta, float(probe[:, j].max()) + delta),))
             for j in range(ms.k)

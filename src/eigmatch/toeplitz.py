@@ -141,9 +141,7 @@ def block_fourier_coeffs(f: MatrixSymbol, order: int, oversample: float = 1.0) -
         raise ValueError("order must be nonnegative")
     breaks = _breakpoints(f)
     theta, w = _panel_nodes(breaks, order, oversample)
-    mats = np.empty((theta.size, f.k, f.k), dtype=complex)
-    for i, t in enumerate(theta):
-        mats[i] = f.matrix(t)
+    mats = f.matrices(theta)
     pos = np.empty((order + 1, f.k, f.k), dtype=complex)
     for k in range(order + 1):
         phase = w * np.exp(-1j * k * theta)

@@ -206,8 +206,30 @@ def test_usage_error_exit_code():
 
 
 def test_threads_env_override(monkeypatch, capsys):
+    import eigmatch.cli as cli
+
+    pools = []
+    real_pool = cli.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
     monkeypatch.setenv("EIGMATCH_THREADS", "1")
-    code, out, _ = run_cli(capsys, "mn-table", "--example", "e2", "--ns", "8")
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
+    code, out, _ = run_cli(capsys, "mn-table2d", "--coef", "exp", "--ns", "900,1600")
+    assert code == 0 and pools == [1]
+    assert out.splitlines()[1:] == ["900,0.0684,0.0684420962491", "1600,0.0559,0.0559256023132"]
+
+
+def test_mn_table_starts_no_thread(monkeypatch, capsys):
+    import eigmatch.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("mn-table must solve on the calling thread")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    code, out, _ = run_cli(capsys, "mn-table", "--example", "e2", "--ns", "8,16")
     assert code == 0 and out.splitlines()[1].startswith("8,0.0851,")
 
 

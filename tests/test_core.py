@@ -11,7 +11,7 @@ from eigmatch.core import (
     count_grid_in_interval,
     grid_deviation,
     make_uniform_grid,
-    restrict_indices,
+    restrict_mask,
 )
 
 from property_suites import count_bound_suite
@@ -74,22 +74,28 @@ def test_grid_deviation_shifted_angles():
     assert grid_deviation(g) == pytest.approx(math.pi / 9, abs=1e-14)
 
 
-def test_restrict_indices_whole_domain():
+def selected(g, membership):
+    """Multi-indices the mask keeps, as tuples in row order."""
+    return [tuple(map(int, mi)) for mi in g.multi_indices()[restrict_mask(g, membership)]]
+
+
+def test_restrict_mask_whole_domain():
     g = make_uniform_grid(unit_interval(), (4,))
-    assert restrict_indices(g, None) == [(1,), (2,), (3,), (4,)]
+    assert np.array_equal(restrict_mask(g, None), [True] * 4)
+    assert selected(g, None) == [(1,), (2,), (3,), (4,)]
 
 
-def test_restrict_indices_half_interval():
+def test_restrict_mask_half_interval():
     g = make_uniform_grid(unit_interval(), (4,))
-    idx = restrict_indices(g, lambda x: x <= 0.5)
-    assert idx == [(1,), (2,)]
+    assert np.array_equal(restrict_mask(g, lambda x: x <= 0.5), [True, True, False, False])
+    assert selected(g, lambda x: x <= 0.5) == [(1,), (2,)]
 
 
-def test_restrict_indices_disk_quadrant_brute_force():
+def test_restrict_mask_disk_quadrant_brute_force():
     rect = Rect(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     g = make_uniform_grid(rect, (3, 3))
     inside = lambda x, y: x**2 + y**2 <= 1.0
-    idx = restrict_indices(g, inside)
+    idx = selected(g, inside)
     brute = [
         tuple(mi)
         for mi, pt in zip(g.multi_indices(), g.points)
@@ -164,13 +170,62 @@ def test_interval_union():
 def test_matrix_symbol_rejects_non_hermitian_values():
     from eigmatch.core import MatrixSymbol
 
-    sym = MatrixSymbol(
-        interval=(0.0, 1.0),
-        k=2,
-        eval=lambda t: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-    )
-    with pytest.raises(ValueError):
-        sym.branch_values(0.5)
+    def eval(t):
+        m = np.zeros((t.size, 2, 2), dtype=complex)
+        m[t > 0.5, 0, 1] = 1.0  # Hermitian up to 0.5, not beyond
+        return m
+
+    sym = MatrixSymbol(interval=(0.0, 1.0), k=2, eval=eval)
+    assert sym.branch_samples([0.1, 0.5]).shape == (2, 2)
+    with pytest.raises(ValueError, match=r"not Hermitian at theta=0\.7"):
+        sym.branch_samples([0.1, 0.7, 0.9])
+    with pytest.raises(ValueError, match=r"not Hermitian at theta=0\.6"):
+        sym.matrices(np.array([0.6]))
+
+
+def test_matrix_symbol_hermitian_tolerance_is_absolute_1e12():
+    from eigmatch.core import MatrixSymbol
+
+    def sym(skew):
+        return MatrixSymbol(interval=(0.0, 1.0), k=2, eval=lambda t: np.broadcast_to(
+            np.array([[1e6, skew], [0.0, 1e6]], dtype=complex), (t.size, 2, 2)))
+
+    sym(1e-12).matrices([0.5])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sym(2e-12).matrices([0.5])
+
+
+def diag_nan_beyond_half(bad):
+    """2 x 2 diagonal symbol diag(-t, t) whose (1, 1) entry is ``bad`` for t > 0.5."""
+    from eigmatch.core import MatrixSymbol
+
+    def eval(t):
+        m = np.zeros((t.size, 2, 2), dtype=complex)
+        m[:, 0, 0] = -t
+        m[:, 1, 1] = np.where(t > 0.5, bad, t)
+        return m
+
+    return MatrixSymbol(interval=(0.0, 1.0), k=2, eval=eval)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_matrix_symbol_rejects_non_finite_values(bad):
+    from eigmatch.split import concat_branches
+
+    sym = diag_nan_beyond_half(bad)
+    assert np.array_equal(sym.branch_samples([0.25]), [[-0.25, 0.25]])
+    with pytest.raises(ValueError, match=r"not finite at theta=0\.7"):
+        sym.branch_samples([0.1, 0.7, 0.9])
+    with pytest.raises(ValueError, match="not finite"):
+        concat_branches(sym)
+
+
+def test_matrix_symbol_rejects_wrong_stack_shape():
+    from eigmatch.core import MatrixSymbol
+
+    scalar_style = MatrixSymbol(interval=(0.0, 1.0), k=2, eval=lambda t: np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="shape"):
+        scalar_style.branch_samples([0.1, 0.2])
 
 
 def test_matrix_symbol_branches_ascending():
@@ -179,8 +234,18 @@ def test_matrix_symbol_branches_ascending():
     sym = MatrixSymbol(
         interval=(0.0, 1.0),
         k=2,
-        eval=lambda t: np.array([[2.0, 1.0], [1.0, 0.0]], dtype=complex),
+        eval=lambda t: np.broadcast_to(np.array([[2.0, 1.0], [1.0, 0.0]], dtype=complex),
+                                       (t.size, 2, 2)),
     )
     b = sym.branch_samples([0.1, 0.9])
     assert b.shape == (2, 2)
     assert np.all(np.diff(b, axis=1) >= 0)
+
+
+def test_branch_samples_match_per_angle_eigvalsh_bitwise():
+    from eigmatch.problems import c0_quadratic_symbol
+
+    sym = c0_quadratic_symbol()
+    thetas = np.linspace(0.0, math.pi, 1000)
+    per_angle = np.array([np.linalg.eigvalsh(sym.eval(np.array([t]))[0]) for t in thetas])
+    assert np.array_equal(sym.branch_samples(thetas), per_angle)

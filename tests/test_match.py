@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eigmatch.core import AUGrid, Rect, grid_deviation, make_uniform_grid
+from eigmatch.core import AUGrid, Rect, ScalarSymbol, grid_deviation, make_uniform_grid
 from eigmatch.eig import eig_sym
 from eigmatch.match import (
     MonotonePiece,
@@ -18,9 +18,10 @@ from eigmatch.problems import (
     cos_dip_argmin,
     cos_dip_ramp_symbol,
     cosine_eigs_exact,
-    cosine_symbol_half,
+    cosine_symbol,
     endpoint_indicator,
     eigen_angle_grid,
+    half,
 )
 from eigmatch.toeplitz import fourier_coeffs, toeplitz_build
 
@@ -99,7 +100,7 @@ def test_sorted_rearrangement_deviation_property():
 
 def test_mn_curve_exact_cosine_family():
     a, b = 5.0, 3.0
-    symbol = cosine_symbol_half(a, b)
+    symbol = half(cosine_symbol(a, b))
     lambdas = {n: cosine_eigs_exact(a, b, n) for n in (4, 17, 60)}
     rows = mn_curve(symbol, eigen_angle_grid, lambdas, [4, 17, 60])
     for n, m in rows:
@@ -107,7 +108,7 @@ def test_mn_curve_exact_cosine_family():
 
 
 def test_mn_curve_size_mismatch_names_n():
-    symbol = cosine_symbol_half(2.0, -2.0)
+    symbol = half(cosine_symbol(2.0, -2.0))
     with pytest.raises(ValueError, match="n=6"):
         mn_curve(symbol, eigen_angle_grid, {6: np.zeros(5)}, [6])
 
@@ -121,11 +122,43 @@ def test_sorted_match_rejects_non_finite(bad):
 
 
 def test_mn_curve_rejects_non_finite_lambdas():
-    symbol = cosine_symbol_half(2.0, -2.0)
+    symbol = half(cosine_symbol(2.0, -2.0))
     lam = cosine_eigs_exact(2.0, -2.0, 6)
     lam[3] = math.nan
     with pytest.raises(ValueError, match="finite"):
         mn_curve(symbol, eigen_angle_grid, {6: lam}, [6])
+
+
+def disk_symbol():
+    """x^2 + y^2 on [-1, 1]^2 restricted to the closed unit disk Omega."""
+    return ScalarSymbol(
+        domain=Rect(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        eval=lambda x, y: x**2 + y**2,
+        declared_inf=0.0,
+        declared_sup=2.0,
+        membership=lambda x, y: x**2 + y**2 <= 1.0,
+    )
+
+
+def test_mn_curve_on_disk_domain_is_exact_against_restricted_samples():
+    symbol = disk_symbol()
+    grid_for_n = lambda n: make_uniform_grid(symbol.domain, (n, n))
+    rng = np.random.default_rng(17)
+    lambdas = {}
+    for n, inside in [(10, 75), (41, 1304), (100, 7839)]:
+        pts = grid_for_n(n).points
+        restricted = symbol.sample(pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 1.0])
+        assert restricted.size == inside
+        lambdas[n] = rng.permutation(restricted)
+    assert mn_curve(symbol, grid_for_n, lambdas, [10, 41, 100]) == [(10, 0.0), (41, 0.0),
+                                                                     (100, 0.0)]
+
+
+def test_mn_curve_on_disk_domain_rejects_full_grid_size():
+    symbol = disk_symbol()
+    grid_for_n = lambda n: make_uniform_grid(symbol.domain, (n, n))
+    with pytest.raises(ValueError, match="n=10: 75 grid samples inside the domain vs 100"):
+        mn_curve(symbol, grid_for_n, {10: np.zeros(100)}, [10])
 
 
 def _cosine_pieces(a, b):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigmatch.core import Rect, ScalarSymbol
-from eigmatch.problems import c0_quadratic_branches, cosine_symbol_half, endpoint_indicator
+from eigmatch.problems import c0_quadratic_branches, cosine_symbol, endpoint_indicator, half
 from eigmatch.rearrange import empirical_quantile, essential_range, quantile_eval, quantile_oracle
 
 from property_suites import quantile_integral_suite, quantile_measure_suite
@@ -99,9 +99,35 @@ def test_quantile_oracle_validates_density():
         quantile_oracle(endpoint_indicator(), 10, 0.5)
 
 
+def test_quantile_eval_rejects_nan():
+    q = empirical_quantile([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        quantile_eval(q, math.nan)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        quantile_eval(q, np.array([0.5, math.nan]))
+
+
+def test_quantile_oracle_on_disk_domain():
+    # on the unit disk r^2 is uniform on [0, 1], so its quantile is the identity
+    disk = ScalarSymbol(
+        domain=Rect(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        eval=lambda x, y: x**2 + y**2,
+        declared_inf=0.0,
+        declared_sup=2.0,
+        membership=lambda x, y: x**2 + y**2 <= 1.0,
+    )
+    for y in (0.1, 0.5, 0.9):
+        assert quantile_oracle(disk, 10**5, y) == pytest.approx(y, abs=6e-3)
+
+
+def test_essential_range_rejects_nan_gap_tol():
+    with pytest.raises(ValueError, match="gap_tol"):
+        essential_range(half(cosine_symbol(1.5, -0.75)), 10**4, gap_tol=math.nan)
+
+
 def test_essential_range_cosine_band():
     a, b = 1.5, -0.75
-    rng = essential_range(cosine_symbol_half(a, b), 10**4, gap_tol=None)
+    rng = essential_range(half(cosine_symbol(a, b)), 10**4, gap_tol=None)
     assert len(rng.intervals) == 1
     assert rng.lo == pytest.approx(a - abs(b), abs=1e-3)
     assert rng.hi == pytest.approx(a + abs(b), abs=1e-3)

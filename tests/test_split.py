@@ -33,7 +33,7 @@ def diag_symbol(g1, g2):
     return MatrixSymbol(
         interval=(0.0, math.pi),
         k=2,
-        eval=lambda t: np.diag([g1(t), g2(t)]).astype(complex),
+        eval=lambda t: np.eye(2) * np.stack([g1(t), g2(t)], axis=-1)[:, None, :],
     )
 
 
@@ -62,9 +62,17 @@ def test_concat_branches_block_symbol_midpoints():
 
 def test_concat_branches_constant_symbol():
     c = 2.75
-    sym = MatrixSymbol(interval=(0.0, 1.0), k=3, eval=lambda t: c * np.eye(3, dtype=complex))
+    sym = MatrixSymbol(interval=(0.0, 1.0), k=3, eval=lambda t: np.broadcast_to(c * np.eye(3), (t.size, 3, 3)))
     tilde = concat_branches(sym)
     assert np.allclose(tilde.eval(np.linspace(0, 1, 33)), c)
+
+
+def test_concat_branches_scalar_input_and_domain_check():
+    tilde = concat_branches(diag_symbol(low_branch, high_branch))
+    assert tilde.eval(0.5) == pytest.approx(high_branch(0.0), abs=1e-12)  # boundary: upper
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"defined on \[0, 1\]"):
+            tilde.eval(np.array([0.2, bad]))
 
 
 def test_restriction_full_interval_is_identity():
@@ -98,7 +106,7 @@ def test_restriction_empty_selection():
 
 def test_initial_split_single_branch():
     sym = MatrixSymbol(interval=(0.0, 1.0), k=1,
-                       eval=lambda t: np.array([[math.sin(t)]], dtype=complex))
+                       eval=lambda t: np.sin(t).reshape(-1, 1, 1))
     part = initial_split([0.3, 0.1, 0.2], sym, [3])
     assert np.array_equal(part.provenance, [0, 0, 0])
 

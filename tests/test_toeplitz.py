@@ -13,6 +13,8 @@ from eigmatch.problems import (
     cos_dip_ramp_symbol,
     cosine_eigs_exact,
     cosine_symbol,
+    endpoint_indicator,
+    half,
     plateau_ramp_symbol,
 )
 from eigmatch.split import initial_split
@@ -71,6 +73,25 @@ def test_real_even_symbol_coefficients_are_real_symmetric():
     assert np.max(np.abs(table.data.imag)) <= 1e-12
     for k in range(65):
         assert table[k] == pytest.approx(table[-k], abs=1e-14)
+
+
+@pytest.mark.parametrize("full", [plateau_ramp_symbol(), cos_dip_ramp_symbol(),
+                                  cosine_symbol(2.0, -1.0)])
+def test_half_restricts_generating_function_to_zero_pi(full):
+    h = half(full)
+    assert (h.domain.a[0], h.domain.b[0]) == (0.0, math.pi)
+    assert h.discontinuities == tuple(t for t in full.discontinuities if t > 0.0)
+    assert (h.declared_inf, h.declared_sup) == (full.declared_inf, full.declared_sup)
+    theta = np.linspace(0.0, math.pi, 101)
+    assert np.array_equal(h.sample(theta), full.sample(theta))
+    with pytest.raises(ValueError, match="pi"):
+        half(h)
+
+
+def test_half_keeps_the_interior_breakpoint_and_rejects_other_domains():
+    assert half(plateau_ramp_symbol()).discontinuities == (math.pi / 2,)
+    with pytest.raises(ValueError):
+        half(endpoint_indicator())
 
 
 def test_toeplitz_build_laplacian_stencil():
