@@ -77,7 +77,7 @@ from .toeplitz import (
     FourierCoeffs,
     block_fourier_coeffs,
     block_toeplitz_build,
-    fourier_coeff,
+    centrosymmetric_halves,
     fourier_coeffs,
     toeplitz_build,
 )

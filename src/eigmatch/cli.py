@@ -39,7 +39,7 @@ from .galerkin import (
 )
 from .match import mn_curve, mn_curve_2d, sorted_match
 from .split import Partition, split_and_match
-from .toeplitz import fourier_coeffs, toeplitz_build
+from .toeplitz import centrosymmetric_halves, fourier_coeffs, toeplitz_build
 
 DEFAULT_TABLE_NS = "8,16,32,64,128,256,512,1024"
 DEFAULT_TABLE2D_NS = "900,1600,2500,3600,4900,6400,8100,10000"
@@ -90,12 +90,19 @@ def _report_failures(failures: list[str]) -> int:
 def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     """Sorted-match curve of a Toeplitz family against its symbol on [0, pi].
 
-    Each distinct n is solved once, serially: scipy's dense ``eigh`` holds
-    the interpreter lock, and LAPACK already threads each solve.
+    Each distinct n is solved once, serially (scipy's dense ``eigh`` holds
+    the interpreter lock, and LAPACK already threads each solve), as the two
+    half-size problems of the symmetric Toeplitz section.
     """
     full = _MN_EXAMPLES[example]()
     coeffs = fourier_coeffs(full, max(ns) - 1 if max(ns) > 1 else 1)
-    lambdas = {n: eig_sym(toeplitz_build(coeffs, n)).values for n in dict.fromkeys(ns)}
+
+    def lam(n: int) -> np.ndarray:
+        halves = centrosymmetric_halves(toeplitz_build(coeffs, n))
+        # the odd half of T_1 is empty
+        return np.sort(np.concatenate([eig_sym(h).values for h in halves if h.size]))
+
+    lambdas = {n: lam(n) for n in dict.fromkeys(ns)}
     return mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)
 
 

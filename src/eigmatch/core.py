@@ -61,8 +61,8 @@ class Rect:
         b = _readonly(np.atleast_1d(self.b))
         if a.ndim != 1 or a.shape != b.shape or a.size < 1:
             raise ValueError("rectangle endpoints must be 1-d vectors of equal length")
-        if np.any(a > b):
-            raise ValueError("rectangle requires a <= b componentwise")
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.all(a <= b)):
+            raise ValueError("rectangle requires finite a <= b componentwise")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -301,7 +301,7 @@ class IntervalUnion:
     def __post_init__(self):
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
         for lo, hi in ivs:
-            if lo > hi:
+            if not lo <= hi:  # also rejects NaN
                 raise ValueError(f"empty interval [{lo}, {hi}]")
         for (lo0, hi0), (lo1, hi1) in zip(ivs, ivs[1:]):
             if not hi0 < lo1:
@@ -329,8 +329,8 @@ class IntervalUnion:
 
     def expand(self, eps: float) -> "IntervalUnion":
         """The eps-expansion: every interval widened by eps, overlaps merged."""
-        if eps < 0:
-            raise ValueError("expansion radius must be nonnegative")
+        if not eps >= 0:
+            raise ValueError(f"expansion radius must be nonnegative, got {eps}")
         return IntervalUnion.from_pairs((lo - eps, hi + eps) for lo, hi in self.intervals)
 
     @property

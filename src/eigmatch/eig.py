@@ -30,6 +30,7 @@ from scipy.linalg import cython_lapack
 __all__ = ["Spectrum", "NotPositiveDefiniteError", "eig_sym", "eig_sym_tridiag", "eig_gen_sym_def"]
 
 _HERM_RTOL = 1e-10
+_IMAG_RTOL = 1e-13  # a Hermitian matrix with imaginary parts below this is solved as real
 
 # dsterf(N, D, E, INFO); Cython spells ``double`` through its mangled typedef ``d``
 _DSTERF_SIGNATURE = re.compile(r"void \(int \*, (\w*_d|double) \*, (\w*_d|double) \*, int \*\)")
@@ -87,7 +88,7 @@ def eig_sym(A) -> Spectrum:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     _check_hermitian(A)
-    if np.iscomplexobj(A) and np.max(np.abs(A.imag)) <= 1e-13 * max(1.0, np.max(np.abs(A.real))):
+    if np.iscomplexobj(A) and np.max(np.abs(A.imag)) <= _IMAG_RTOL * max(1.0, np.max(np.abs(A.real))):
         A = A.real  # real symmetric solver is faster and the result identical
     return Spectrum(scipy.linalg.eigh(A, eigvals_only=True))
 

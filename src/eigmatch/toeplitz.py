@@ -1,33 +1,63 @@
 """Fourier coefficients of generating functions and (block) Toeplitz sections.
 
-Coefficients are computed by composite Gauss-Legendre quadrature with panels
-split at the declared breakpoints of the symbol, then subdivided so that no
-subpanel sees more than about one period of e^{-ik.theta}.  That restores
-spectral accuracy for piecewise-smooth symbols, where a single global rule
-would stall at the kinks.
+Coefficients are computed by Filon-Legendre quadrature (Iserles and Nørsett,
+Proc. R. Soc. A 461, 2005).  The declared breakpoints of the symbol cut
+[-pi, pi] into intervals on which it is smooth, and those into panels at
+most pi/2 wide.  On each panel the symbol is projected onto the Legendre
+polynomials P_0..P_31 with a 32-node Gauss rule, and the integral of each
+term against e^{-ik.theta} is a spherical Bessel function in closed form.
+So the symbol is sampled 32 times per panel whatever the order, the accuracy
+is that of the Legendre expansion for every k, and the cost grows linearly
+with the order.
+
+A real symmetric Toeplitz section is also centrosymmetric, so
+:func:`centrosymmetric_halves` splits its eigenproblem into two of half the
+size (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import MatrixSymbol, ScalarSymbol
+from .eig import _HERM_RTOL, _IMAG_RTOL
 
 __all__ = [
     "FourierCoeffs",
-    "fourier_coeff",
     "fourier_coeffs",
     "block_fourier_coeffs",
     "toeplitz_build",
+    "centrosymmetric_halves",
     "block_toeplitz_build",
 ]
 
-_NODES_PER_PANEL = 16
-_MAX_PHASE_PER_PANEL = 6.0  # radians of k*theta per subpanel, ~one period
+_LEGENDRE_TERMS = 32  # P_0..P_31 per panel, projected with as many Gauss nodes
+_MILLER_START = 2 * _LEGENDRE_TERMS  # backward-recurrence start; 80 or 96 agree to round-off
+_MINUS_I_POW = (-1j) ** np.arange(_LEGENDRE_TERMS)
+# Widest panel.  The rounding error of the Legendre coefficients grows like
+# m^2 in the derivative at the panel ends, and the f_k inherit it with
+# alternating sign, so it adds up in the spectrum.  On one 2pi panel the
+# cosine symbol's exact eigenvalues came out 2e-13 off at n = 200; on
+# pi/2 panels, 5e-14.
+_MAX_PANEL = math.pi / 2
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes on [-1, 1] and the projection of node values onto P_0..P_31.
+
+    Row m of the matrix maps the values of f at the nodes to the Legendre
+    coefficient (2m+1)/2 int f P_m dx.  Built on first use: the eigensolve
+    inside ``leggauss`` would add about 1 MiB to the resident size of every
+    CLI start.
+    """
+    x, w = np.polynomial.legendre.leggauss(_LEGENDRE_TERMS)
+    vander = np.polynomial.legendre.legvander(x, _LEGENDRE_TERMS - 1)
+    return x, (np.arange(_LEGENDRE_TERMS)[:, None] + 0.5) * vander.T * w
 
 
 @dataclass(frozen=True)
@@ -85,75 +115,79 @@ def _breakpoints(symbol: ScalarSymbol | MatrixSymbol) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
-def _panel_nodes(breaks: np.ndarray, k_scale: int, oversample: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes/weights resolving oscillations up to wavenumber k_scale."""
-    base_x, base_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        length = b - a
-        sub = max(1, math.ceil(oversample * max(1, abs(k_scale)) * length / _MAX_PHASE_PER_PANEL))
-        edges = np.linspace(a, b, sub + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            nodes.append(0.5 * (lo + hi) + half * base_x)
-            weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _spherical_jn(omega: np.ndarray) -> np.ndarray:
+    """j_m(omega) for m < _LEGENDRE_TERMS at each omega >= 0, stacked on a last axis.
 
-
-def fourier_coeff(f: ScalarSymbol, k: int, oversample: float = 1.0) -> complex:
-    """Coefficient f_k = (1/2pi) int f(theta) e^{-ik.theta} dtheta.
-
-    ``oversample`` multiplies the panel count; doubling it is the standard
-    convergence check (the result should move by less than ~1e-10).
+    For m <= omega the forward recurrence j_{m+1} = (2m+1)/omega j_m - j_{m-1},
+    started from the closed forms of j_0 and j_1, is stable.  Above omega the
+    ratios j_m / j_{m-1} come from Miller's backward recurrence in
+    continued-fraction form, which cannot overflow, and j_m is the last forward
+    value times their product.  Every denominator on that side is
+    omega j_{m-1} / j_m > 0, since j_{m-1} has no zero below m + 1 > omega.
     """
-    breaks = _breakpoints(f)
-    theta, w = _panel_nodes(breaks, k, oversample)
-    vals = f.sample(theta)
-    return complex(np.sum(w * vals * np.exp(-1j * k * theta)) / (2.0 * math.pi))
+    w = np.asarray(omega, dtype=float)
+    out = np.empty(w.shape + (_LEGENDRE_TERMS,))
+    ratio = np.empty_like(out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # discarded branches of np.where
+        r = np.zeros(w.shape)
+        for m in range(_MILLER_START, 0, -1):
+            r = w / (2 * m + 1 - w * r)
+            if m < _LEGENDRE_TERMS:
+                ratio[..., m] = r
+        out[..., 0] = np.where(w == 0.0, 1.0, np.sin(w) / w)
+        out[..., 1] = np.where(w >= 1.0, (out[..., 0] - np.cos(w)) / w, out[..., 0] * ratio[..., 1])
+        for m in range(1, _LEGENDRE_TERMS - 1):
+            out[..., m + 1] = np.where(w >= m + 1, (2 * m + 1) / w * out[..., m] - out[..., m - 1],
+                                       out[..., m] * ratio[..., m + 1])
+    return out
 
 
-def fourier_coeffs(f: ScalarSymbol, order: int, oversample: float = 1.0) -> FourierCoeffs:
-    """All coefficients f_k for |k| <= order of a real scalar symbol.
+def _filon_coeffs(breaks: np.ndarray, order: int, oversample: float, evaluate) -> np.ndarray:
+    """f_k for 0 <= k <= order, stacked on the first axis, by Filon-Legendre quadrature.
 
-    Evaluates the symbol once on a node set fine enough for the largest
-    wavenumber, then forms every coefficient from the same values; negative
-    orders follow from f real via f_{-k} = conj(f_k).
+    Each breakpoint interval of length L is cut into
+    ceil(oversample L / _MAX_PANEL) equal panels theta = c + h x.  On each, f
+    is projected onto P_0..P_31 with a 32-node Gauss rule, and
+    int_{-1}^{1} P_m(x) e^{-i k h x} dx = 2 (-i)^m j_m(k h) (DLMF 10.54.2)
+    integrates every term exactly.  ``evaluate`` maps the N nodes to an array
+    of N values or an (N, b, b) stack.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    breaks = _breakpoints(f)
-    theta, w = _panel_nodes(breaks, order, oversample)
-    vals = f.sample(theta) * w
-    ks = np.arange(order + 1)
-    pos = np.empty(order + 1, dtype=complex)
-    chunk = max(1, int(4e6 // max(1, theta.size)))
-    for start in range(0, order + 1, chunk):
-        kk = ks[start : start + chunk]
-        pos[start : start + chunk] = np.exp(-1j * np.outer(kk, theta)) @ vals
-    pos /= 2.0 * math.pi
-    data = np.concatenate([np.conj(pos[:0:-1]), pos])
-    return FourierCoeffs(order=order, data=data)
+    if not (math.isfinite(oversample) and oversample >= 1.0):
+        raise ValueError(f"oversample must be finite and >= 1, got {oversample}")
+    edges = np.concatenate([np.linspace(a, b, math.ceil(oversample * (b - a) / _MAX_PANEL) + 1)[:-1]
+                            for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
+    c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    x, project = _gauss_legendre()
+    vals = np.asarray(evaluate((c[:, None] + h[:, None] * x).reshape(-1)))
+    shape = vals.shape[1:]
+    legendre = project @ vals.reshape(c.size, _LEGENDRE_TERMS, -1)  # (panel, m, entry)
+    k = np.arange(order + 1)
+    moments = _spherical_jn(h[:, None] * k) @ (_MINUS_I_POW[:, None] * legendre)  # (panel, k, entry)
+    phase = (h[:, None] / math.pi) * np.exp(-1j * np.outer(c, k))
+    return np.einsum("pk,pke->ke", phase, moments).reshape((order + 1,) + shape)
+
+
+def fourier_coeffs(f: ScalarSymbol, order: int, oversample: float = 1.0) -> FourierCoeffs:
+    """All coefficients f_k = (1/2pi) int f(theta) e^{-ik.theta} dtheta, |k| <= order.
+
+    Negative orders follow from f real via f_{-k} = conj(f_k).  ``oversample``
+    multiplies the panel count; doubling it is the convergence check.
+    """
+    pos = _filon_coeffs(_breakpoints(f), order, oversample, f.sample)
+    return FourierCoeffs(order=order, data=np.concatenate([np.conj(pos[:0:-1]), pos]))
 
 
 def block_fourier_coeffs(f: MatrixSymbol, order: int, oversample: float = 1.0) -> FourierCoeffs:
     """Entrywise coefficients of a Hermitian matrix-valued symbol on [-pi, pi]."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    breaks = _breakpoints(f)
-    theta, w = _panel_nodes(breaks, order, oversample)
-    mats = f.matrices(theta)
-    pos = np.empty((order + 1, f.k, f.k), dtype=complex)
-    for k in range(order + 1):
-        phase = w * np.exp(-1j * k * theta)
-        pos[k] = np.tensordot(phase, mats, axes=(0, 0)) / (2.0 * math.pi)
+    pos = _filon_coeffs(_breakpoints(f), order, oversample, f.matrices)
     neg = np.conj(np.transpose(pos[:0:-1], (0, 2, 1)))  # f_{-k} = f_k^H
     return FourierCoeffs(order=order, data=np.concatenate([neg, pos]))
 
 
-def toeplitz_build(c: FourierCoeffs, n: int, allow_truncation: bool = False) -> np.ndarray:
-    """The n-th Toeplitz section [f_{i-j}]_{i,j=1..n} of a scalar symbol."""
-    if c.block_size != 1:
-        raise ValueError("coefficients are blocks; use block_toeplitz_build")
+def _section(c: FourierCoeffs, n: int, allow_truncation: bool) -> np.ndarray:
+    """[f_{i-j}] for i, j < n, shape (n, n) or (n, n, b, b), zero beyond the stored order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if c.order < n - 1 and not allow_truncation:
@@ -161,28 +195,58 @@ def toeplitz_build(c: FourierCoeffs, n: int, allow_truncation: bool = False) -> 
             f"building T_{n} needs coefficients up to order {n - 1}, have {c.order} "
             "(pass allow_truncation=True to zero-fill)"
         )
-    col = np.array([c.coeff(i) for i in range(n)])
-    row = np.array([c.coeff(-i) for i in range(n)])
-    return scipy.linalg.toeplitz(col, row)
+    m = min(n - 1, c.order)
+    window = np.zeros((2 * n - 1,) + c.data.shape[1:], dtype=complex)  # f_{-(n-1)}..f_{n-1}
+    window[n - 1 - m : n + m] = c.data[c.order - m : c.order + m + 1]
+    # row i is f_i, f_{i-1}, ..., f_{i-n+1}: a length-n window of the reversed stack
+    rows = np.lib.stride_tricks.sliding_window_view(window[::-1], n, axis=0)[::-1]
+    return np.moveaxis(rows, -1, 1).copy()
+
+
+def toeplitz_build(c: FourierCoeffs, n: int, allow_truncation: bool = False) -> np.ndarray:
+    """The n-th Toeplitz section [f_{i-j}]_{i,j=1..n} of a scalar symbol."""
+    if c.block_size != 1:
+        raise ValueError("coefficients are blocks; use block_toeplitz_build")
+    return _section(c, n, allow_truncation)
 
 
 def block_toeplitz_build(c: FourierCoeffs, n: int, allow_truncation: bool = False) -> np.ndarray:
     """The n-th block Toeplitz section, an (n*b) x (n*b) Hermitian matrix."""
+    T = _section(c, n, allow_truncation)
+    if T.ndim == 2:
+        return T
     b = c.block_size
-    if b == 1:
-        return toeplitz_build(c, n, allow_truncation)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if c.order < n - 1 and not allow_truncation:
-        raise ValueError(
-            f"building T_{n} needs coefficients up to order {n - 1}, have {c.order}"
-        )
-    out = np.zeros((n * b, n * b), dtype=complex)
-    for diag in range(-(n - 1), n):
-        blk = c.coeff(diag)
-        if not np.any(blk):
-            continue
-        for i in range(max(0, diag), min(n, n + diag)):
-            j = i - diag
-            out[i * b : (i + 1) * b, j * b : (j + 1) * b] = blk
-    return out
+    return T.transpose(0, 2, 1, 3).reshape(n * b, n * b)
+
+
+def centrosymmetric_halves(T) -> tuple[np.ndarray, np.ndarray]:
+    """The half matrices T11 + T12 J and T11 - T12 J of a real symmetric Toeplitz section.
+
+    J is the exchange matrix.  A symmetric centrosymmetric matrix is
+    orthogonally similar to the direct sum of the two halves (Cantoni and
+    Butler, Linear Algebra Appl. 13, 1976), so its spectrum is the union of
+    theirs.  For odd n the middle row and column, scaled by sqrt(2), join the
+    first half, giving sizes (n+1)/2 and (n-1)/2.  Raises ValueError, rather
+    than falling back to a full solve, when T has an imaginary part above the
+    bound ``eig_sym`` drops, or is not symmetric and centrosymmetric within
+    its Hermitian tolerance.
+    """
+    T = np.asarray(T)
+    if T.ndim != 2 or T.shape[0] != T.shape[1] or T.size == 0:
+        raise ValueError("matrix must be square and nonempty")
+    scale = max(1.0, float(np.max(np.abs(T.real))))
+    if not np.max(np.abs(T.imag)) <= _IMAG_RTOL * scale:
+        raise ValueError(f"matrix has imaginary parts above {_IMAG_RTOL * scale:.3g}")
+    T = T.real
+    # T - T^T and T - JTJ each hold every entry with both signs, so their
+    # largest entry is their largest absolute entry (or NaN)
+    skew = max(np.max(T - T.T), np.max(T - T[::-1, ::-1]))
+    if not skew <= _HERM_RTOL * scale:
+        raise ValueError(f"matrix is not symmetric and centrosymmetric within {_HERM_RTOL * scale:.3g}")
+    q = T.shape[0] // 2
+    flip = T[:q, ::-1][:, :q]  # T12 J
+    even, odd = T[:q, :q] + flip, T[:q, :q] - flip
+    if T.shape[0] % 2:
+        mid = math.sqrt(2.0) * T[:q, q : q + 1]
+        even = np.block([[even, mid], [mid.T, T[q : q + 1, q : q + 1]]])
+    return even, odd

@@ -30,6 +30,25 @@ def test_mn_table_deterministic_output(capsys):
     assert first.splitlines()[1].startswith("8,0.7220,")
 
 
+@pytest.mark.parametrize("example", ["e2", "e3"])
+def test_mn_table_half_solves_match_full_solves(example):
+    # n = 1 has an empty odd half; odd and even n split differently
+    from eigmatch import problems
+    from eigmatch.cli import _MN_EXAMPLES, run_mn_table
+    from eigmatch.eig import eig_sym
+    from eigmatch.match import mn_curve
+    from eigmatch.toeplitz import fourier_coeffs, toeplitz_build
+
+    ns = [1, 2, 3, 64, 65]
+    full = _MN_EXAMPLES[example]()
+    coeffs = fourier_coeffs(full, max(ns) - 1)
+    lambdas = {n: eig_sym(toeplitz_build(coeffs, n)).values for n in ns}
+    expected = mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)
+    rows = run_mn_table(example, ns)
+    assert [n for n, _ in rows] == ns
+    assert max(abs(m - e) for (_, m), (_, e) in zip(rows, expected)) <= 1e-13
+
+
 def test_mn_table2d_small_square(capsys):
     code, out, _ = run_cli(capsys, "mn-table2d", "--coef", "exp", "--ns", "900")
     assert code == 0
@@ -164,7 +183,8 @@ def test_nan_error_fails_the_row(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv,binding,solved", [
     (["mn-table2d", "--coef", "exp", "--ns", "900,900,1600"], "eig_sym_tridiag", [1600, 900]),
-    (["mn-table", "--example", "e2", "--ns", "16,8,16,8"], "eig_sym", [16, 8]),
+    # each Toeplitz section is solved as its two centrosymmetric halves
+    (["mn-table", "--example", "e2", "--ns", "16,8,16,8"], "eig_sym", [8, 8, 4, 4]),
 ])
 def test_duplicate_ns_solved_once(capsys, monkeypatch, argv, binding, solved):
     import eigmatch.cli as cli
@@ -245,8 +265,10 @@ def test_thread_count_capped_by_cpus_and_tasks(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # importing scipy.interpolate would add about a quarter second to every run
-    code = "import sys, eigmatch.cli; print('scipy.interpolate' in sys.modules)"
+    # importing scipy.interpolate would add about a quarter second to every run,
+    # scipy.special about 0.03 s; the Bessel functions are computed in numpy
+    code = ("import sys, eigmatch.cli; "
+            "print('scipy.interpolate' in sys.modules or 'scipy.special' in sys.modules)")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -31,6 +31,13 @@ def test_rect_validation():
     assert np.allclose(r.lengths, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("a,b", [([math.nan], [1.0]), ([0.0], [math.nan]), ([0.0], [math.inf]),
+                                 ([-math.inf], [0.0]), ([0.0, math.nan], [1.0, 1.0])])
+def test_rect_rejects_nan_and_infinite_endpoints(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        Rect(np.array(a), np.array(b))
+
+
 def test_uniform_grid_1d_quarters():
     g = make_uniform_grid(Rect(np.array([0.0]), np.array([math.pi])), (4,))
     assert np.allclose(g.points[:, 0], [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
@@ -165,6 +172,18 @@ def test_interval_union():
         (0.0, 1.5),
         (2.0, 3.0),
     )
+
+
+@pytest.mark.parametrize("pair", [(math.nan, math.nan), (0.0, math.nan), (math.nan, 1.0)])
+def test_interval_union_rejects_nan_endpoints(pair):
+    with pytest.raises(ValueError, match="empty interval"):
+        IntervalUnion((pair,))
+
+
+@pytest.mark.parametrize("eps", [math.nan, -0.1])
+def test_interval_union_expand_rejects_nan_and_negative_radius(eps):
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntervalUnion(((0.0, 1.0),)).expand(eps)
 
 
 def test_matrix_symbol_rejects_non_hermitian_values():

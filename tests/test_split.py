@@ -222,6 +222,15 @@ def test_split_and_match_block_family_exact(n):
     assert res[1].m_n <= 1e-8
 
 
+def test_split_and_match_rejects_nan_delta():
+    n = 20
+    values = eig_sym(c0_quadratic_matrix(n)).values
+    reference = Partition(values, np.concatenate([np.zeros(n, int), np.ones(n - 1, int)]), 2)
+    grids = [uniform_pi_grid(n), truncated_uniform_pi_grid(n)]
+    with pytest.raises(ValueError, match="empty interval"):
+        split_and_match(values, c0_quadratic_symbol(), reference, grids, delta=math.nan)
+
+
 def test_split_and_match_decoupled_diagonal_case():
     n = 16
     sym = diag_symbol(low_branch, high_branch)

@@ -21,51 +21,105 @@ from eigmatch.split import initial_split
 from eigmatch.toeplitz import (
     FourierCoeffs,
     block_fourier_coeffs,
+    _LEGENDRE_TERMS,
+    _spherical_jn,
     block_toeplitz_build,
-    fourier_coeff,
+    centrosymmetric_halves,
     fourier_coeffs,
     toeplitz_build,
 )
 
 
+def _sin_half_pi(q):
+    """sin(q*pi/2) for integer arrays q, exactly."""
+    return np.array([0.0, 1.0, 0.0, -1.0])[np.asarray(q) % 4]
+
+
+def _plateau_ramp_exact(order):
+    """f_k = (cos(k pi) - cos(k pi/2)) / (pi k^2) for k >= 1, and 1 + pi/8 at k = 0."""
+    k = np.arange(1, order + 1)
+    rest = ((-1.0) ** k - _sin_half_pi(k + 1)) / (math.pi * k**2)
+    return np.concatenate([[1.0 + math.pi / 8], rest])
+
+
+def _cos_dip_ramp_exact(order):
+    """(1/pi) [int_0^{pi/2} (cos 2t + cos 3t) cos kt dt + int_{pi/2}^{pi} t cos kt dt]."""
+    k = np.arange(order + 1)
+    head = np.zeros(order + 1)
+    for q in (2 - k, 2 + k, 3 - k, 3 + k):  # int_0^{pi/2} cos(qt) dt, halved
+        safe = np.where(q == 0, 1, q)
+        head += 0.5 * np.where(q == 0, math.pi / 2, _sin_half_pi(q) / safe)
+    kk = np.maximum(k, 1)
+    tail = np.where(k == 0, 3 * math.pi**2 / 8,
+                    (-1.0) ** kk / kk**2 - (math.pi / 2) * _sin_half_pi(kk) / kk
+                    - _sin_half_pi(kk + 1) / kk**2)
+    return (head + tail) / math.pi
+
+
 def test_cosine_coefficients_by_orthogonality():
     a, b = 1.7, -0.4
     f = cosine_symbol(a, b)
-    assert fourier_coeff(f, 0) == pytest.approx(a, abs=1e-12)
-    assert fourier_coeff(f, 1) == pytest.approx(b / 2, abs=1e-12)
-    assert fourier_coeff(f, -1) == pytest.approx(b / 2, abs=1e-12)
-    assert abs(fourier_coeff(f, 5)) <= 1e-12
+    assert fourier_coeffs(f, 0)[0] == pytest.approx(a, abs=1e-12)
+    assert fourier_coeffs(f, 1)[1] == pytest.approx(b / 2, abs=1e-12)
+    assert fourier_coeffs(f, 1)[-1] == pytest.approx(b / 2, abs=1e-12)
+    assert abs(fourier_coeffs(f, 5)[5]) <= 1e-12
 
 
 def test_constant_symbol_coefficients():
     f = cosine_symbol(3.25, 0.0)
-    assert fourier_coeff(f, 0) == pytest.approx(3.25, abs=1e-13)
-    assert abs(fourier_coeff(f, 3)) <= 1e-13
+    assert fourier_coeffs(f, 0)[0] == pytest.approx(3.25, abs=1e-13)
+    assert abs(fourier_coeffs(f, 3)[3]) <= 1e-13
 
 
 def test_plateau_ramp_mean_value():
     # closed form: (1/pi) * [pi/2 + int_{pi/2}^{pi} (t + 1 - pi/2) dt] = 1 + pi/8
-    f0 = fourier_coeff(plateau_ramp_symbol(), 0)
+    f0 = fourier_coeffs(plateau_ramp_symbol(), 0)[0]
     assert f0.real == pytest.approx(1.0 + math.pi / 8, abs=1e-12)
     assert abs(f0.imag) <= 1e-14
-    doubled = fourier_coeff(plateau_ramp_symbol(), 0, oversample=2.0)
+    doubled = fourier_coeffs(plateau_ramp_symbol(), 0, oversample=2.0)[0]
     assert abs(f0 - doubled) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 64, 511, 512])
 def test_quadrature_node_doubling_converged(k):
     for symbol in (plateau_ramp_symbol(), cos_dip_ramp_symbol(), cosine_symbol(2.0, -2.0)):
-        once = fourier_coeff(symbol, k)
-        twice = fourier_coeff(symbol, k, oversample=2.0)
+        once = fourier_coeffs(symbol, k)[k]
+        twice = fourier_coeffs(symbol, k, oversample=2.0)[k]
         assert abs(once - twice) <= 1e-10
 
 
 def test_coefficient_table_matches_single_path():
     symbol = cos_dip_ramp_symbol()
     table = fourier_coeffs(symbol, 40)
+    exact = _cos_dip_ramp_exact(40)
     for k in (-40, -7, 0, 3, 40):
-        assert table[k] == pytest.approx(fourier_coeff(symbol, k), abs=1e-12)
+        assert table[k] == pytest.approx(exact[abs(k)], abs=1e-12)
     assert table[100] == 0.0
+
+
+@pytest.mark.parametrize("symbol,exact", [(plateau_ramp_symbol(), _plateau_ramp_exact),
+                                          (cos_dip_ramp_symbol(), _cos_dip_ramp_exact)])
+def test_coefficients_match_closed_forms_at_table_order(symbol, exact):
+    # order 1023 builds T_1024, the largest section of the mn-table runs
+    table = fourier_coeffs(symbol, 1023)
+    assert np.max(np.abs(table.data[1023:] - exact(1023))) <= 1e-14
+
+
+@pytest.mark.parametrize("oversample", [0.5, 0.0, math.nan, math.inf])
+def test_oversample_below_one_is_rejected(oversample):
+    with pytest.raises(ValueError, match="oversample"):
+        fourier_coeffs(plateau_ramp_symbol(), 8, oversample=oversample)
+
+
+def test_spherical_bessel_table_matches_scipy():
+    spherical_jn = pytest.importorskip("scipy.special").spherical_jn
+    m = np.arange(_LEGENDRE_TERMS)
+    assert np.array_equal(_spherical_jn(np.zeros(1))[0], np.eye(_LEGENDRE_TERMS)[0])
+    near = np.concatenate([m + d for d in (-1e-9, 0.0, 1e-9, 0.5)])  # both sides of omega = m
+    grids = [np.arange(4096) * h for h in (math.pi / 8, math.pi / 4, math.pi / 2, math.pi)]
+    for omega in [near[near > 0], np.geomspace(1e-300, 1.0, 50), *grids]:
+        table = _spherical_jn(omega)
+        assert np.max(np.abs(table - spherical_jn(m, omega[:, None]))) <= 4e-15
 
 
 def test_real_even_symbol_coefficients_are_real_symmetric():
@@ -106,6 +160,14 @@ def test_toeplitz_cosine_eigenvalue_formula():
     assert np.max(np.abs(spec.values - np.sort(cosine_eigs_exact(a, b, n)))) <= 1e-12
 
 
+def test_cosine_section_spectrum_at_round_off_level():
+    # the exactness e1 table: rounding in the coefficients must not add up
+    # to more than a few ulps of the spectrum at n = 200
+    a, b, n = 2.0, -2.0, 200
+    spec = eig_sym(toeplitz_build(fourier_coeffs(cosine_symbol(a, b), n - 1), n))
+    assert np.max(np.abs(spec.values - np.sort(cosine_eigs_exact(a, b, n)))) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [8, 64, 256])
 def test_spectrum_within_declared_range(n):
     # strict containment holds in exact arithmetic for non-constant symbols;
@@ -124,6 +186,44 @@ def test_toeplitz_build_truncation_flag():
     T = toeplitz_build(table, 10, allow_truncation=True)
     assert T.shape == (10, 10)
     assert T[9, 0] == 0.0
+
+
+def _half_spectrum(T):
+    halves = centrosymmetric_halves(T)
+    return np.sort(np.concatenate([eig_sym(h).values for h in halves if h.size]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 127, 1023, 1024])
+def test_centrosymmetric_halves_match_full_solve(n):
+    T = toeplitz_build(fourier_coeffs(plateau_ramp_symbol(), max(n - 1, 1)), n)
+    even, odd = centrosymmetric_halves(T)
+    assert (even.shape, odd.shape) == (((n + 1) // 2,) * 2, ((n // 2),) * 2)
+    assert np.max(np.abs(_half_spectrum(T) - eig_sym(T).values)) <= 2e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 37, 50])
+def test_centrosymmetric_halves_of_random_symmetric_toeplitz(n):
+    c = np.random.default_rng(n).standard_normal(n)
+    T = c[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    assert np.max(np.abs(_half_spectrum(T) - eig_sym(T).values)) <= 1e-13 * n
+
+
+def test_centrosymmetric_halves_reject_bad_input():
+    T = toeplitz_build(fourier_coeffs(cosine_symbol(2.0, -1.0), 5), 6).real
+    with pytest.raises(ValueError, match="imaginary"):
+        centrosymmetric_halves(T + 1e-6j * np.triu(np.ones((6, 6)), 1)
+                               - 1e-6j * np.tril(np.ones((6, 6)), -1))
+    skew = T.copy()
+    skew[0, 1] += 1.0
+    lopsided = T + np.diag(np.arange(6.0))  # symmetric, not centrosymmetric
+    nan = T.copy()
+    nan[2, 3] = nan[3, 2] = math.nan
+    for bad in (skew, lopsided, nan):
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            centrosymmetric_halves(bad)
+    for bad in (T[:, :5], np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="square"):
+            centrosymmetric_halves(bad)
 
 
 def test_block_diagonal_symbol_interleaves_scalar_sections():
