@@ -90,17 +90,17 @@ def _report_failures(failures: list[str]) -> int:
 def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     """Sorted-match curve of a Toeplitz family against its symbol on [0, pi].
 
-    Each distinct n is solved once, serially (scipy's dense ``eigh`` holds
-    the interpreter lock, and LAPACK already threads each solve), as the two
-    half-size problems of the symmetric Toeplitz section.
+    Each distinct n is solved once, as the two half-size problems of the
+    symmetric Toeplitz section.  The solves run serially: LAPACK already
+    threads each one, and a pool thread's own malloc arena would hold a
+    second set of solve buffers.
     """
     full = _MN_EXAMPLES[example]()
     coeffs = fourier_coeffs(full, max(ns) - 1 if max(ns) > 1 else 1)
 
     def lam(n: int) -> np.ndarray:
         halves = centrosymmetric_halves(toeplitz_build(coeffs, n))
-        # the odd half of T_1 is empty
-        return np.sort(np.concatenate([eig_sym(h).values for h in halves if h.size]))
+        return np.sort(np.concatenate([eig_sym(h).values for h in halves]))
 
     lambdas = {n: lam(n) for n in dict.fromkeys(ns)}
     return mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)

@@ -1,8 +1,16 @@
 """Eigenvalue computation contracts used by every experiment.
 
-Thin wrappers around LAPACK (via scipy) fixing the package-wide conventions:
-ascending order, Hermiticity validated on input, and a tridiagonal path that
-never densifies (the n = 10^4 finite-difference tables are the binding size).
+Thin wrappers around LAPACK fixing the package-wide conventions: ascending
+order, Hermiticity validated on input, an empty spectrum for a 0 x 0 dense
+matrix, and a tridiagonal path that never densifies (the n = 10^4
+finite-difference tables are the binding size).
+
+Dense and pencil solves go through numpy alone, so importing the package
+does not load scipy (about 0.3 s of a CLI start).  ``eig_sym`` is numpy's
+``eigvalsh`` (LAPACK ``syevd``).  ``eig_gen_sym_def`` reduces the pencil
+(K, M) with the Cholesky factor M = L L^H to the standard problem for
+L^-1 K L^-H (the LAPACK *sygv reduction), forming L^-1 explicitly: one
+inverse and two products were faster than two general solves.
 
 The tridiagonal path calls LAPACK ``dsterf`` (Pal-Walker-Kahan QR, values
 only), the same routine that ``scipy.linalg.eigh_tridiagonal(d, e,
@@ -12,20 +20,21 @@ f2py wrapper holds the interpreter lock for the whole solve, which serialises
 the threads of ``mn-table2d``.  Here ``dsterf`` is called through the C
 function pointer that scipy exports in ``scipy.linalg.cython_lapack``,
 wrapped as a ``ctypes`` foreign function, and a ctypes call releases the
-lock, so concurrent solves run on separate cores.  The pointer's signature
-string is checked at import: an unexpected one (for example 64-bit LAPACK
-integers) raises ``ImportError`` instead of corrupting memory.
+lock, so concurrent solves run on separate cores.  The pointer is bound, and
+scipy imported, on the first tridiagonal solve.  Its signature string is
+checked then: an unexpected one (for example 64-bit LAPACK integers) raises
+``ImportError`` instead of corrupting memory, and the failed binding is not
+cached.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cython_lapack
 
 __all__ = ["Spectrum", "NotPositiveDefiniteError", "eig_sym", "eig_sym_tridiag", "eig_gen_sym_def"]
 
@@ -36,7 +45,11 @@ _IMAG_RTOL = 1e-13  # a Hermitian matrix with imaginary parts below this is solv
 _DSTERF_SIGNATURE = re.compile(r"void \(int \*, (\w*_d|double) \*, (\w*_d|double) \*, int \*\)")
 
 
+@functools.cache
 def _bind_dsterf():
+    # Concurrent first calls may each bind; the results are the same function.
+    from scipy.linalg import cython_lapack
+
     capsule = cython_lapack.__pyx_capi__["dsterf"]
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
@@ -48,9 +61,6 @@ def _bind_dsterf():
     int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
     # CFUNCTYPE (not PYFUNCTYPE): the call releases the GIL
     return ctypes.CFUNCTYPE(None, int_p, double_p, double_p, int_p)(get_pointer(capsule, name))
-
-
-_dsterf = _bind_dsterf()
 
 
 @dataclass(frozen=True)
@@ -82,22 +92,36 @@ class NotPositiveDefiniteError(ValueError):
     """The mass matrix of a generalized problem failed its Cholesky check."""
 
 
+def _pencil_eigvalsh(K: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian pencils (K, M), stacked over (..., k, k).
+
+    With M = L L^H, solves the standard problem for L^-1 K L^-H.  Raises
+    ``np.linalg.LinAlgError`` when a Cholesky factorization fails, that is
+    when some M is not positive definite.
+    """
+    Li = np.linalg.inv(np.linalg.cholesky(M))
+    return np.linalg.eigvalsh(Li @ K @ Li.conj().swapaxes(-1, -2))
+
+
 def eig_sym(A) -> Spectrum:
     """Eigenvalues of a real symmetric or complex Hermitian matrix, ascending."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    if A.size == 0:
+        return Spectrum(np.empty(0))
     _check_hermitian(A)
     if np.iscomplexobj(A) and np.max(np.abs(A.imag)) <= _IMAG_RTOL * max(1.0, np.max(np.abs(A.real))):
         A = A.real  # real symmetric solver is faster and the result identical
-    return Spectrum(scipy.linalg.eigh(A, eigvals_only=True))
+    return Spectrum(np.linalg.eigvalsh(A))
 
 
 def eig_sym_tridiag(diag, offdiag) -> Spectrum:
     """Eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     Stays in band storage; intended for sizes up to 1e4 and beyond.  LAPACK
-    works in place on private copies, and the solve releases the GIL.
+    works in place on private copies, and the solve releases the GIL.  The
+    first call with n >= 2 binds ``dsterf``, importing scipy.
     """
     d = np.array(diag, dtype=np.float64, order="C").reshape(-1)
     e = np.array(offdiag, dtype=np.float64, order="C").reshape(-1)
@@ -109,7 +133,8 @@ def eig_sym_tridiag(diag, offdiag) -> Spectrum:
         return Spectrum(d)
     n, info = ctypes.c_int(d.size), ctypes.c_int(0)
     double_p = ctypes.POINTER(ctypes.c_double)
-    _dsterf(ctypes.byref(n), d.ctypes.data_as(double_p), e.ctypes.data_as(double_p), ctypes.byref(info))
+    _bind_dsterf()(ctypes.byref(n), d.ctypes.data_as(double_p), e.ctypes.data_as(double_p),
+                   ctypes.byref(info))
     if info.value != 0:
         raise np.linalg.LinAlgError(f"dsterf failed to converge (info={info.value})")
     return Spectrum(d)
@@ -118,17 +143,20 @@ def eig_sym_tridiag(diag, offdiag) -> Spectrum:
 def eig_gen_sym_def(K, M) -> Spectrum:
     """Eigenvalues of the pencil (K, M) with M symmetric positive definite.
 
-    Solved by Cholesky reduction of M followed by a symmetric solve (LAPACK's
-    *sygv path); all eigenvalues are real and returned ascending.
+    Solved by Cholesky reduction of M followed by a symmetric solve (the
+    LAPACK *sygv reduction, in numpy); all eigenvalues are real and returned
+    ascending.
     """
     K = np.asarray(K)
     M = np.asarray(M)
     if K.shape != M.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K and M must be square matrices of the same size")
+    if K.size == 0:
+        return Spectrum(np.empty(0))
     for name, X in (("K", K), ("M", M)):
         _check_hermitian(X, name)
     try:
-        vals = scipy.linalg.eigh(K, M, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
+        vals = _pencil_eigvalsh(K, M)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"mass matrix is not positive definite: {exc}") from exc
     return Spectrum(vals)

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .eig import Spectrum
+from .eig import Spectrum, _pencil_eigvalsh
 from .match import sorted_match
 
 __all__ = [
@@ -274,11 +274,9 @@ def symbol_e_branches(p: int, k: int, theta) -> np.ndarray:
     F = symbol_f(p, k, theta)
     H = symbol_h(p, k, theta)
     try:
-        L = np.linalg.cholesky(H)
+        return _pencil_eigvalsh(F, H)
     except np.linalg.LinAlgError as exc:  # mass symbol is PD by construction
         raise RuntimeError(f"mass symbol not positive definite at theta={theta}") from exc
-    X = np.linalg.solve(L, F)
-    return np.linalg.eigvalsh(np.linalg.solve(L, X.conj().swapaxes(-1, -2)))
 
 
 # ---------------------------------------------------------------------------

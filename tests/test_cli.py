@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from eigmatch.cli import _max_workers, main, run_bspline_verify, run_grid_infer
@@ -47,6 +49,31 @@ def test_mn_table_half_solves_match_full_solves(example):
     rows = run_mn_table(example, ns)
     assert [n for n, _ in rows] == ns
     assert max(abs(m - e) for (_, m), (_, e) in zip(rows, expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("example", ["e2", "e3"])
+def test_mn_table_n1_solves_an_empty_odd_half(example, monkeypatch):
+    # T_1 = [f_0] splits into a 1 x 1 even half and a 0 x 0 odd half
+    import eigmatch.cli as cli
+    from eigmatch import problems
+    from eigmatch.match import mn_curve
+    from eigmatch.toeplitz import fourier_coeffs
+
+    sizes = []
+    solver = cli.eig_sym
+
+    def counted(A):
+        spectrum = solver(A)
+        sizes.append(spectrum.n)
+        return spectrum
+
+    monkeypatch.setattr(cli, "eig_sym", counted)
+    rows = cli.run_mn_table(example, [1])
+    assert sizes == [1, 0]
+    full = cli._MN_EXAMPLES[example]()
+    f0 = fourier_coeffs(full, 1)[0].real
+    expected = mn_curve(problems.half(full), problems.eigen_angle_grid, {1: np.array([f0])}, [1])
+    assert rows[0][0] == 1 and rows[0][1] == pytest.approx(expected[0][1], rel=0, abs=1e-15)
 
 
 def test_mn_table2d_small_square(capsys):
@@ -264,17 +291,59 @@ def test_thread_count_capped_by_cpus_and_tasks(monkeypatch):
     assert _max_workers(1) == 1
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # importing scipy.interpolate would add about a quarter second to every run,
-    # scipy.special about 0.03 s; the Bessel functions are computed in numpy
-    code = ("import sys, eigmatch.cli; "
-            "print('scipy.interpolate' in sys.modules or 'scipy.special' in sys.modules)")
+def _run_python(*args) -> str:
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.linalg would add about 0.3 s to every run; the dense and
+    # pencil solves are numpy's, and only the tridiagonal solve binds scipy
+    out = _run_python("-c", "import sys, eigmatch.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+_SCIPY_FREE_STEPS = [
+    ["mn-table", "--example", "e2", "--ns", "1,8,9"],
+    ["exactness", "--example", "e1", "--ns", "10"],
+    ["exactness", "--example", "e4p", "--ns", "5"],
+    ["exactness", "--example", "e5", "--ns", "20"],
+    ["split-demo", "--n", "7"],
+    ["bspline-verify", "--family", "L", "--pmax", "3", "--nmax", "4"],
+    ["grid-infer", "--pmax", "3", "--nmax", "5"],
+]
+
+
+def test_only_the_tridiagonal_solve_loads_scipy():
+    script = """
+import contextlib, io, json, sys
+from eigmatch.cli import main
+
+def loaded():
+    return any(m.split('.')[0] == 'scipy' for m in sys.modules)
+
+report = {"codes": [], "scipy_after": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["codes"].append(main(argv))
+    report["scipy_after"].append(loaded())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    report["codes"].append(main(["mn-table2d", "--coef", "exp", "--ns", "900,1600"]))
+report["scipy_after"].append(loaded())
+report["mn_table2d"] = out.getvalue()
+print(json.dumps(report))
+"""
+    report = json.loads(_run_python("-c", script, json.dumps(_SCIPY_FREE_STEPS)))
+    assert report["codes"] == [0] * (len(_SCIPY_FREE_STEPS) + 1)
+    assert report["scipy_after"] == [False] * len(_SCIPY_FREE_STEPS) + [True]
+    # the rows dsterf gave when it was bound at import
+    assert report["mn_table2d"] == ("n,M_n,M_n_full\n900,0.0684,0.0684420962491\n"
+                                    "1600,0.0559,0.0559256023132\n")
 
 
 def test_programmatic_experiment_registry(capsys):

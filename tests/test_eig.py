@@ -1,7 +1,5 @@
 import ctypes
-import importlib.util
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +12,7 @@ from eigmatch import problems
 from eigmatch.eig import (
     NotPositiveDefiniteError,
     Spectrum,
+    _pencil_eigvalsh,
     eig_gen_sym_def,
     eig_sym,
     eig_sym_tridiag,
@@ -155,7 +154,7 @@ def test_tridiag_reports_lapack_failure(monkeypatch):
     def failing(n, d, e, info):
         info._obj.value = 3
 
-    monkeypatch.setattr(eigmatch.eig, "_dsterf", failing)
+    monkeypatch.setattr(eigmatch.eig, "_bind_dsterf", lambda: failing)
     with pytest.raises(np.linalg.LinAlgError, match="info=3"):
         eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0))
 
@@ -187,18 +186,52 @@ def test_tridiag_concurrent_calls_match_serial():
     assert all(np.array_equal(a, b) for a, b in zip(serial, concurrent))
 
 
-def test_unexpected_dsterf_signature_fails_at_import(monkeypatch):
-    # an ILP64 build would export 64-bit integer arguments
+@pytest.fixture
+def fake_dsterf_signature(monkeypatch):
+    """Install a dsterf capsule with a given signature and an empty binding cache."""
     new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
                                     ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
-    signature = b"void (__pyx_t_int64 *, double *, double *, __pyx_t_int64 *)"
-    fake = new_capsule(ctypes.cast(eigmatch.eig._dsterf, ctypes.c_void_p), signature, None)
-    monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsterf", fake)
-    spec = importlib.util.spec_from_file_location("_eig_fresh_copy", eigmatch.eig.__file__)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
+
+    def install(signature: bytes):
+        pointer = ctypes.cast(eigmatch.eig._bind_dsterf(), ctypes.c_void_p)
+        eigmatch.eig._bind_dsterf.cache_clear()
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsterf", new_capsule(pointer, signature, None))
+
+    yield install
+    eigmatch.eig._bind_dsterf.cache_clear()
+
+
+def test_unexpected_dsterf_signature_fails_at_first_call(fake_dsterf_signature):
+    # an ILP64 build would export 64-bit integer arguments
+    fake_dsterf_signature(b"void (__pyx_t_int64 *, double *, double *, __pyx_t_int64 *)")
+    for _ in range(2):
+        with pytest.raises(ImportError, match="unexpected signature"):
+            eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0))
+
+
+def test_failed_dsterf_binding_is_not_cached(monkeypatch, fake_dsterf_signature):
+    fake_dsterf_signature(b"void (long *, double *, double *, long *)")
     with pytest.raises(ImportError, match="unexpected signature"):
-        spec.loader.exec_module(module)
+        eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0))
+    monkeypatch.undo()  # the real capsule is back
+    expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, 5) * math.pi / 5))
+    values = eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0)).values
+    assert np.max(np.abs(values - expected)) <= 1e-13
+
+
+def test_dsterf_bound_once():
+    eig_sym_tridiag(np.full(3, 2.0), np.full(2, -1.0))
+    assert eigmatch.eig._bind_dsterf() is eigmatch.eig._bind_dsterf()
+
+
+def test_empty_matrix_has_empty_spectrum():
+    for empty in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):
+        assert eig_sym(empty).n == 0
+        assert eig_gen_sym_def(empty, empty).n == 0
+    with pytest.raises(ValueError, match="square"):
+        eig_sym(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="same size"):
+        eig_gen_sym_def(np.zeros((0, 0)), np.eye(1))
 
 
 def test_gen_identity_mass_matches_plain():
@@ -233,6 +266,40 @@ def test_gen_2x2_symbol_pencil_closed_form():
     roots = np.sort(np.roots([A2, B2, C2]).real)
     assert np.allclose(vals, roots, atol=1e-12)
     assert np.allclose(vals, [10.0, 12.0], atol=1e-12)
+
+
+def _random_pencil(rng, shape, complex_=False):
+    def draw():
+        X = rng.normal(size=shape)
+        return X + 1j * rng.normal(size=shape) if complex_ else X
+    A, B = draw(), draw()
+    K = A + A.conj().swapaxes(-1, -2)
+    M = B @ B.conj().swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1])
+    return K, M
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_gen_matches_scipy_generalized_solver(complex_):
+    K, M = _random_pencil(np.random.default_rng(8), (30, 30), complex_)
+    ref = scipy.linalg.eigh(K, M, eigvals_only=True)
+    assert np.max(np.abs(eig_gen_sym_def(K, M).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_pencil_reduction_is_batched(complex_):
+    K, M = _random_pencil(np.random.default_rng(9), (3, 5, 4, 4), complex_)
+    batched = _pencil_eigvalsh(K, M)
+    assert batched.shape == (3, 5, 4)
+    ref = np.array([[scipy.linalg.eigh(k, m, eigvals_only=True) for k, m in zip(ks, ms)]
+                    for ks, ms in zip(K, M)])
+    assert np.max(np.abs(batched - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_pencil_reduction_rejects_indefinite_slice():
+    K, M = _random_pencil(np.random.default_rng(10), (6, 3, 3))
+    M[4] = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        _pencil_eigvalsh(K, M)
 
 
 def test_gen_rejects_indefinite_mass():
