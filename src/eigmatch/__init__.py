@@ -77,9 +77,9 @@ from .toeplitz import (
     FourierCoeffs,
     block_fourier_coeffs,
     block_toeplitz_build,
-    centrosymmetric_halves,
     fourier_coeffs,
     toeplitz_build,
+    toeplitz_halves,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .galerkin import (
 )
 from .match import mn_curve, mn_curve_2d, sorted_match
 from .split import Partition, split_and_match
-from .toeplitz import centrosymmetric_halves, fourier_coeffs, toeplitz_build
+from .toeplitz import fourier_coeffs, toeplitz_build, toeplitz_halves
 
 DEFAULT_TABLE_NS = "8,16,32,64,128,256,512,1024"
 DEFAULT_TABLE2D_NS = "900,1600,2500,3600,4900,6400,8100,10000"
@@ -99,7 +99,7 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     coeffs = fourier_coeffs(full, max(ns) - 1 if max(ns) > 1 else 1)
 
     def lam(n: int) -> np.ndarray:
-        halves = centrosymmetric_halves(toeplitz_build(coeffs, n))
+        halves = toeplitz_halves(coeffs, n)
         return np.sort(np.concatenate([eig_sym(h).values for h in halves]))
 
     lambdas = {n: lam(n) for n in dict.fromkeys(ns)}

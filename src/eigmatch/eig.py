@@ -15,23 +15,36 @@ inverse and two products were faster than two general solves.
 The tridiagonal path calls LAPACK ``dsterf`` (Pal-Walker-Kahan QR, values
 only), the same routine that ``scipy.linalg.eigh_tridiagonal(d, e,
 eigvals_only=True)`` reaches through ``stevd``, so the values are
-bit-identical to it.  scipy's
-f2py wrapper holds the interpreter lock for the whole solve, which serialises
-the threads of ``mn-table2d``.  Here ``dsterf`` is called through the C
-function pointer that scipy exports in ``scipy.linalg.cython_lapack``,
-wrapped as a ``ctypes`` foreign function, and a ctypes call releases the
-lock, so concurrent solves run on separate cores.  The pointer is bound, and
-scipy imported, on the first tridiagonal solve.  Its signature string is
-checked then: an unexpected one (for example 64-bit LAPACK integers) raises
-``ImportError`` instead of corrupting memory, and the failed binding is not
-cached.
+bit-identical to it.  scipy's f2py wrapper holds the interpreter lock for
+the whole solve, which serialises the threads of ``mn-table2d``.  Here
+``dsterf`` is called through the C function pointer that scipy exports in
+``scipy.linalg.cython_lapack``, wrapped as a ``ctypes`` foreign function,
+and a ctypes call releases the lock, so concurrent solves run on separate
+cores.  The pointer is bound on the first tridiagonal solve, and its
+signature string is checked then: an unexpected one (for example 64-bit
+LAPACK integers) raises ``ImportError`` instead of corrupting memory, and
+the failed binding is not cached.  Binding loads the ``cython_lapack``
+extension file alone, not the ``scipy.linalg`` package, whose ``__init__``
+imports every submodule (about 0.3 s).  A later ``import scipy.linalg``
+reuses the loaded extension from ``sys.modules`` but does not set it as the
+package attribute ``scipy.linalg.cython_lapack``; ``from scipy.linalg import
+cython_lapack`` still reaches it.
+
+Dense and pencil inputs must be finite: a NaN or infinity raises
+``ValueError`` before LAPACK sees it, as on the tridiagonal path.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import math
+import os
 import re
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +57,42 @@ _IMAG_RTOL = 1e-13  # a Hermitian matrix with imaginary parts below this is solv
 # dsterf(N, D, E, INFO); Cython spells ``double`` through its mangled typedef ``d``
 _DSTERF_SIGNATURE = re.compile(r"void \(int \*, (\w*_d|double) \*, (\w*_d|double) \*, int \*\)")
 
+_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
+# A load outside the import statement takes no import lock, and a second
+# thread's load would return the module before the first has initialised it.
+_BIND_LOCK = threading.Lock()
+
+
+def _load_cython_lapack():
+    """The ``scipy.linalg.cython_lapack`` extension, loaded without its package."""
+    module = sys.modules.get(_CYTHON_LAPACK)
+    if module is not None:
+        return module
+    import scipy
+
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "cython_lapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no {_CYTHON_LAPACK} extension in {directory}")
+    spec = importlib.util.spec_from_file_location(_CYTHON_LAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_CYTHON_LAPACK] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_CYTHON_LAPACK]
+        raise
+    return module
+
 
 @functools.cache
 def _bind_dsterf():
     # Concurrent first calls may each bind; the results are the same function.
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__["dsterf"]
+    with _BIND_LOCK:
+        capsule = _load_cython_lapack().__pyx_capi__["dsterf"]
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -71,7 +113,7 @@ class Spectrum:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1).copy()
-        if np.any(np.diff(v) < 0):
+        if not np.all(np.diff(v) >= 0):  # also rejects NaN
             raise ValueError("spectrum values must be ascending")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -82,8 +124,14 @@ class Spectrum:
 
 
 def _check_hermitian(A: np.ndarray, name: str = "matrix"):
-    """Entrywise |A - A^H| <= 1e-10 * max(1, max|A|), so the test scales with A."""
-    tol = _HERM_RTOL * max(1.0, float(np.max(np.abs(A))))
+    """Entrywise |A - A^H| <= 1e-10 * max(1, max|A|), so the test scales with A.
+
+    A NaN or infinity in A raises ValueError first.
+    """
+    peak = float(np.max(np.abs(A)))
+    if not math.isfinite(peak):
+        raise ValueError("array must not contain infs or NaNs")
+    tol = _HERM_RTOL * max(1.0, peak)
     if np.max(np.abs(A - A.conj().T)) > tol:
         raise ValueError(f"{name} is not Hermitian within {tol:.3g} entrywise")
 
@@ -121,7 +169,7 @@ def eig_sym_tridiag(diag, offdiag) -> Spectrum:
 
     Stays in band storage; intended for sizes up to 1e4 and beyond.  LAPACK
     works in place on private copies, and the solve releases the GIL.  The
-    first call with n >= 2 binds ``dsterf``, importing scipy.
+    first call with n >= 2 binds ``dsterf``, loading scipy's ``cython_lapack``.
     """
     d = np.array(diag, dtype=np.float64, order="C").reshape(-1)
     e = np.array(offdiag, dtype=np.float64, order="C").reshape(-1)

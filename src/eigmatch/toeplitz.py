@@ -10,9 +10,11 @@ So the symbol is sampled 32 times per panel whatever the order, the accuracy
 is that of the Legendre expansion for every k, and the cost grows linearly
 with the order.
 
-A real symmetric Toeplitz section is also centrosymmetric, so
-:func:`centrosymmetric_halves` splits its eigenproblem into two of half the
-size (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+A real symmetric Toeplitz section is also centrosymmetric, so its
+eigenproblem splits into two of half the size (Cantoni and Butler, Linear
+Algebra Appl. 13, 1976).  :func:`toeplitz_halves` builds both halves, and
+checks that the split applies, from the 2n - 1 coefficients alone: it never
+forms the n x n section, whose complex copy is 16 MiB at n = 1024.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ __all__ = [
     "fourier_coeffs",
     "block_fourier_coeffs",
     "toeplitz_build",
-    "centrosymmetric_halves",
     "block_toeplitz_build",
+    "toeplitz_halves",
 ]
 
 _LEGENDRE_TERMS = 32  # P_0..P_31 per panel, projected with as many Gauss nodes
@@ -66,8 +68,10 @@ class FourierCoeffs:
 
     ``data[k + order]`` is f_k: a complex scalar, or a complex (b, b) block
     for matrix-valued symbols.  Real even scalar symbols yield real data with
-    f_{-k} = f_k; Hermitian-valued symbols yield f_{-k} = f_k^H (both checked
-    by the test suite, not enforced here).
+    f_{-k} = f_k; Hermitian-valued symbols yield f_{-k} = f_k^H.  Neither is
+    enforced here.  :func:`toeplitz_halves` enforces the first, to its
+    tolerances, on the window f_{-(n-1)}..f_{n-1} it reads; the second is
+    checked by the test suite.
     """
 
     order: int
@@ -186,25 +190,32 @@ def block_fourier_coeffs(f: MatrixSymbol, order: int, oversample: float = 1.0) -
     return FourierCoeffs(order=order, data=np.concatenate([neg, pos]))
 
 
-def _section(c: FourierCoeffs, n: int, allow_truncation: bool) -> np.ndarray:
-    """[f_{i-j}] for i, j < n, shape (n, n) or (n, n, b, b), zero beyond the stored order."""
+def _window(c: FourierCoeffs, n: int, allow_truncation: bool) -> np.ndarray:
+    """f_{-(n-1)}..f_{n-1}, shape (2n-1,) or (2n-1, b, b), zero beyond the stored order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if c.order < n - 1 and not allow_truncation:
-        raise ValueError(
-            f"building T_{n} needs coefficients up to order {n - 1}, have {c.order} "
-            "(pass allow_truncation=True to zero-fill)"
-        )
+        raise ValueError(f"T_{n} needs coefficients up to order {n - 1}, have {c.order}")
     m = min(n - 1, c.order)
-    window = np.zeros((2 * n - 1,) + c.data.shape[1:], dtype=complex)  # f_{-(n-1)}..f_{n-1}
+    window = np.zeros((2 * n - 1,) + c.data.shape[1:], dtype=complex)
     window[n - 1 - m : n + m] = c.data[c.order - m : c.order + m + 1]
+    return window
+
+
+def _section(c: FourierCoeffs, n: int, allow_truncation: bool) -> np.ndarray:
+    """[f_{i-j}] for i, j < n, shape (n, n) or (n, n, b, b), zero beyond the stored order."""
+    window = _window(c, n, allow_truncation)
     # row i is f_i, f_{i-1}, ..., f_{i-n+1}: a length-n window of the reversed stack
     rows = np.lib.stride_tricks.sliding_window_view(window[::-1], n, axis=0)[::-1]
     return np.moveaxis(rows, -1, 1).copy()
 
 
 def toeplitz_build(c: FourierCoeffs, n: int, allow_truncation: bool = False) -> np.ndarray:
-    """The n-th Toeplitz section [f_{i-j}]_{i,j=1..n} of a scalar symbol."""
+    """The n-th Toeplitz section [f_{i-j}]_{i,j=1..n} of a scalar symbol.
+
+    Raises ValueError when the coefficients stop below order n - 1, unless
+    ``allow_truncation`` zero-fills the missing ones.
+    """
     if c.block_size != 1:
         raise ValueError("coefficients are blocks; use block_toeplitz_build")
     return _section(c, n, allow_truncation)
@@ -219,34 +230,42 @@ def block_toeplitz_build(c: FourierCoeffs, n: int, allow_truncation: bool = Fals
     return T.transpose(0, 2, 1, 3).reshape(n * b, n * b)
 
 
-def centrosymmetric_halves(T) -> tuple[np.ndarray, np.ndarray]:
-    """The half matrices T11 + T12 J and T11 - T12 J of a real symmetric Toeplitz section.
+def toeplitz_halves(c: FourierCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half matrices T11 + T12 J and T11 - T12 J of the real symmetric section T_n.
 
-    J is the exchange matrix.  A symmetric centrosymmetric matrix is
-    orthogonally similar to the direct sum of the two halves (Cantoni and
-    Butler, Linear Algebra Appl. 13, 1976), so its spectrum is the union of
-    theirs.  For odd n the middle row and column, scaled by sqrt(2), join the
-    first half, giving sizes (n+1)/2 and (n-1)/2.  Raises ValueError, rather
-    than falling back to a full solve, when T has an imaginary part above the
-    bound ``eig_sym`` drops, or is not symmetric and centrosymmetric within
-    its Hermitian tolerance.
+    J is the exchange matrix.  A symmetric Toeplitz matrix is centrosymmetric,
+    and so orthogonally similar to the direct sum of the two halves (Cantoni
+    and Butler, Linear Algebra Appl. 13, 1976): its spectrum is the union of
+    theirs.  With q = n // 2, T11 = [f_{i-j}] is a q x q Toeplitz block and
+    T12 J = [f_{i+j-n+1}] a Hankel one, both read from f_{-(n-1)}..f_{n-1}
+    without forming T_n.  For odd n the middle row and column, scaled by
+    sqrt(2), border the first half, giving sizes (n+1)/2 and (n-1)/2.  The
+    entries are those sliced from ``toeplitz_build(c, n).real``, bit for bit.
+
+    Raises ValueError for block coefficients, for n < 1 or coefficients
+    below order n - 1, for an imaginary part above the bound ``eig_sym``
+    drops, and for f_{-k} != f_k beyond the Hermitian tolerance (T_n is then
+    not symmetric, and since J T J = T^T for every Toeplitz matrix, not
+    centrosymmetric either).  Both bounds scale with max(1, max|Re f_k|).
     """
-    T = np.asarray(T)
-    if T.ndim != 2 or T.shape[0] != T.shape[1] or T.size == 0:
-        raise ValueError("matrix must be square and nonempty")
-    scale = max(1.0, float(np.max(np.abs(T.real))))
-    if not np.max(np.abs(T.imag)) <= _IMAG_RTOL * scale:
-        raise ValueError(f"matrix has imaginary parts above {_IMAG_RTOL * scale:.3g}")
-    T = T.real
-    # T - T^T and T - JTJ each hold every entry with both signs, so their
-    # largest entry is their largest absolute entry (or NaN)
-    skew = max(np.max(T - T.T), np.max(T - T[::-1, ::-1]))
-    if not skew <= _HERM_RTOL * scale:
-        raise ValueError(f"matrix is not symmetric and centrosymmetric within {_HERM_RTOL * scale:.3g}")
-    q = T.shape[0] // 2
-    flip = T[:q, ::-1][:, :q]  # T12 J
-    even, odd = T[:q, :q] + flip, T[:q, :q] - flip
-    if T.shape[0] % 2:
-        mid = math.sqrt(2.0) * T[:q, q : q + 1]
-        even = np.block([[even, mid], [mid.T, T[q : q + 1, q : q + 1]]])
-    return even, odd
+    if c.block_size != 1:
+        raise ValueError("coefficients are blocks; the centrosymmetric split needs scalars")
+    w = _window(c, n, allow_truncation=False)
+    scale = max(1.0, float(np.max(np.abs(w.real))))
+    if not np.max(np.abs(w.imag)) <= _IMAG_RTOL * scale:
+        raise ValueError(f"coefficients have imaginary parts above {_IMAG_RTOL * scale:.3g}")
+    w = w.real
+    # w - w[::-1] holds every difference f_k - f_{-k} with both signs, so its
+    # largest entry is its largest absolute entry (or NaN)
+    if not np.max(w - w[::-1]) <= _HERM_RTOL * scale:
+        raise ValueError(f"T_{n} is not symmetric and centrosymmetric within {_HERM_RTOL * scale:.3g}")
+    q = n // 2
+    windows = np.lib.stride_tricks.sliding_window_view
+    hankel = windows(w, q)[:q]  # [i, j] -> w[i + j] = f_{i+j-n+1}
+    toeplitz = windows(w[::-1], q)[n - 1 : n - 1 - q : -1]  # [i, j] -> w[n-1+i-j] = f_{i-j}
+    even = np.empty((n - q, n - q))
+    np.add(toeplitz, hankel, out=even[:q, :q])
+    if n % 2:
+        even[q, :q] = even[:q, q] = math.sqrt(2.0) * w[n - 1 - q : n - 1]  # sqrt(2) f_{i-q}
+        even[q, q] = w[n - 1]
+    return even, toeplitz - hankel

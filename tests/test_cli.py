@@ -76,6 +76,21 @@ def test_mn_table_n1_solves_an_empty_odd_half(example, monkeypatch):
     assert rows[0][0] == 1 and rows[0][1] == pytest.approx(expected[0][1], rel=0, abs=1e-15)
 
 
+def test_mn_table_never_builds_the_section(capsys, monkeypatch):
+    # the halves come straight from the coefficients; T_n itself is never formed
+    import eigmatch.cli as cli
+
+    argv = ("mn-table", "--example", "e3", "--ns", "1,8,9,64")
+    _, expected, _ = run_cli(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mn-table built a dense Toeplitz section")
+
+    monkeypatch.setattr(cli, "toeplitz_build", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+
+
 def test_mn_table2d_small_square(capsys):
     code, out, _ = run_cli(capsys, "mn-table2d", "--coef", "exp", "--ns", "900")
     assert code == 0

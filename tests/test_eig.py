@@ -1,5 +1,10 @@
 import ctypes
+import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -309,9 +314,75 @@ def test_gen_rejects_indefinite_mass():
         eig_gen_sym_def(K, M)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["A", "complex A", "K", "M"])
+def test_dense_solvers_reject_non_finite(bad, where):
+    laplacian = 2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
+    X = laplacian.astype(complex) if where == "complex A" else laplacian.copy()
+    X[1, 2] = X[2, 1] = complex(0.0, bad) if where == "complex A" else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic on the bad entry
+        with pytest.raises(ValueError, match="infs or NaNs") as raised:
+            if where == "K":
+                eig_gen_sym_def(X, np.eye(4))
+            elif where == "M":
+                eig_gen_sym_def(laplacian, X)
+            else:
+                eig_sym(X)
+    assert not isinstance(raised.value, NotPositiveDefiniteError)
+
+
 def test_spectrum_requires_ascending():
     with pytest.raises(ValueError):
         Spectrum(np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("values", [[1.0, math.nan, 0.5], [math.nan, 1.0], [0.0, math.nan]])
+def test_spectrum_rejects_nan(values):
+    with pytest.raises(ValueError, match="ascending"):
+        Spectrum(np.array(values))
+
+
+def test_tridiag_loads_cython_lapack_without_scipy_linalg():
+    # eight concurrent first calls, in a fresh interpreter, with a short switch
+    # interval: the extension is loaded once and the scipy.linalg package never
+    script = """
+import json, sys, threading
+import numpy as np
+from eigmatch.eig import eig_sym_tridiag
+
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+results = []
+
+def solve():
+    barrier.wait()
+    results.append(eig_sym_tridiag(np.full(3, 2.0), np.full(2, -1.0)).values.tolist())
+
+threads = [threading.Thread(target=solve) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+modules = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+# the package imported afterwards reuses the loaded extension
+from scipy.linalg import cython_lapack, eigh_tridiagonal
+reused = cython_lapack is sys.modules["scipy.linalg.cython_lapack"]
+scipy_values = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True).tolist()
+print(json.dumps({"alive": sum(t.is_alive() for t in threads), "results": results,
+                  "modules": modules, "reused": reused, "scipy_values": scipy_values}))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    report = json.loads(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                       text=True, check=True, timeout=120).stdout)
+    assert report["alive"] == 0
+    expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, 4) * math.pi / 4))
+    assert len(report["results"]) == 8
+    assert all(np.max(np.abs(np.array(r) - expected)) <= 1e-14 for r in report["results"])
+    assert report["modules"] == ["scipy.linalg.cython_lapack"]
+    assert report["reused"] and all(r == report["scipy_values"] for r in report["results"])
 
 
 def test_weyl_stability_property():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -24,9 +25,9 @@ from eigmatch.toeplitz import (
     _LEGENDRE_TERMS,
     _spherical_jn,
     block_toeplitz_build,
-    centrosymmetric_halves,
     fourier_coeffs,
     toeplitz_build,
+    toeplitz_halves,
 )
 
 
@@ -188,42 +189,81 @@ def test_toeplitz_build_truncation_flag():
     assert T[9, 0] == 0.0
 
 
-def _half_spectrum(T):
-    halves = centrosymmetric_halves(T)
-    return np.sort(np.concatenate([eig_sym(h).values for h in halves if h.size]))
+def _sliced_halves(T):
+    """T11 + T12 J and T11 - T12 J sliced from a dense real section: the reference."""
+    T = T.real
+    q = T.shape[0] // 2
+    flip = T[:q, ::-1][:, :q]
+    even, odd = T[:q, :q] + flip, T[:q, :q] - flip
+    if T.shape[0] % 2:
+        mid = math.sqrt(2.0) * T[:q, q : q + 1]
+        even = np.block([[even, mid], [mid.T, T[q : q + 1, q : q + 1]]])
+    return even, odd
+
+
+def _half_spectrum(c, n):
+    return np.sort(np.concatenate([eig_sym(h).values for h in toeplitz_halves(c, n)]))
+
+
+@functools.cache
+def _table_coeffs(example):
+    symbol = {"e2": plateau_ramp_symbol, "e3": cos_dip_ramp_symbol}[example]()
+    return fourier_coeffs(symbol, 1023)
+
+
+@pytest.mark.parametrize("example", ["e2", "e3"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 127, 1023, 1024])
+def test_toeplitz_halves_bit_identical_to_sliced_section(example, n):
+    c = _table_coeffs(example)
+    halves = toeplitz_halves(c, n)
+    for got, want in zip(halves, _sliced_halves(toeplitz_build(c, n))):
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 127, 1023, 1024])
 def test_centrosymmetric_halves_match_full_solve(n):
-    T = toeplitz_build(fourier_coeffs(plateau_ramp_symbol(), max(n - 1, 1)), n)
-    even, odd = centrosymmetric_halves(T)
+    c = fourier_coeffs(plateau_ramp_symbol(), max(n - 1, 1))
+    even, odd = toeplitz_halves(c, n)
     assert (even.shape, odd.shape) == (((n + 1) // 2,) * 2, ((n // 2),) * 2)
-    assert np.max(np.abs(_half_spectrum(T) - eig_sym(T).values)) <= 2e-12
+    assert np.max(np.abs(_half_spectrum(c, n) - eig_sym(toeplitz_build(c, n)).values)) <= 2e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 37, 50])
 def test_centrosymmetric_halves_of_random_symmetric_toeplitz(n):
-    c = np.random.default_rng(n).standard_normal(n)
-    T = c[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
-    assert np.max(np.abs(_half_spectrum(T) - eig_sym(T).values)) <= 1e-13 * n
+    pos = np.random.default_rng(n).standard_normal(n)  # f_0..f_{n-1}
+    c = FourierCoeffs(order=n - 1, data=np.concatenate([pos[:0:-1], pos]))
+    T = toeplitz_build(c, n).real
+    assert np.array_equal(T, pos[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))])
+    assert np.max(np.abs(_half_spectrum(c, n) - eig_sym(T).values)) <= 1e-13 * n
 
 
 def test_centrosymmetric_halves_reject_bad_input():
-    T = toeplitz_build(fourier_coeffs(cosine_symbol(2.0, -1.0), 5), 6).real
+    good = fourier_coeffs(cosine_symbol(2.0, -1.0), 5).data.real  # f_{-5}..f_5
+
+    def halves(data, n=6):
+        return toeplitz_halves(FourierCoeffs(order=5, data=data), n)
+
+    # f_{-k} = conj(f_k) keeps T Hermitian, but the split needs it real
+    hermitian = good + 1e-6j * np.sign(np.arange(-5, 6))
     with pytest.raises(ValueError, match="imaginary"):
-        centrosymmetric_halves(T + 1e-6j * np.triu(np.ones((6, 6)), 1)
-                               - 1e-6j * np.tril(np.ones((6, 6)), -1))
-    skew = T.copy()
-    skew[0, 1] += 1.0
-    lopsided = T + np.diag(np.arange(6.0))  # symmetric, not centrosymmetric
-    nan = T.copy()
-    nan[2, 3] = nan[3, 2] = math.nan
-    for bad in (skew, lopsided, nan):
+        halves(hermitian)
+    # below the bound eig_sym drops, the imaginary part is dropped here too
+    faint = good + 1e-14j * np.sign(np.arange(-5, 6))
+    assert all(np.array_equal(a, b) for a, b in zip(halves(faint), halves(good)))
+    skew = good.copy()
+    skew[5 + 1] += 1.0  # f_1 != f_{-1}
+    nan = good.copy()
+    nan[5 + 2] = nan[5 - 2] = math.nan
+    for bad in (skew, nan):
         with pytest.raises(ValueError, match="centrosymmetric"):
-            centrosymmetric_halves(bad)
-    for bad in (T[:, :5], np.zeros((0, 0))):
-        with pytest.raises(ValueError, match="square"):
-            centrosymmetric_halves(bad)
+            halves(bad)
+    with pytest.raises(ValueError, match="blocks"):
+        toeplitz_halves(c0_quadratic_block_coeffs(3), 4)
+    with pytest.raises(ValueError, match="order 6"):
+        halves(good, 7)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        halves(good, 0)
 
 
 def test_block_diagonal_symbol_interleaves_scalar_sections():
