@@ -7,6 +7,15 @@ significant digits, so identical invocations produce byte-identical files.
 
 Exit codes: 0 on success, 1 when a tolerance check fails (failing rows are
 listed on stderr), 2 on usage errors.
+
+``run`` executes each experiment with numpy's OpenBLAS on one thread and
+restores the previous count afterwards.  The dense solves here are at most
+a few hundred wide (the 512-wide Toeplitz halves, 159-wide spline
+matrices, one 900-wide e4p matrix): a second BLAS thread saves no wall
+time on them, and its worker busy-waits after every threaded call.  One
+thread also makes the CSV bytes independent of the machine's core count.
+The count is process state, so the runner sets it once rather than around
+each solve.  The tridiagonal solves use scipy's LAPACK and are unaffected.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 
 from . import problems
 from .core import RealMultiset, make_uniform_grid
-from .eig import Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag
+from .eig import Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag, one_blas_thread
 from .galerkin import (
     GridKind,
     assemble_KM,
@@ -91,9 +100,9 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     """Sorted-match curve of a Toeplitz family against its symbol on [0, pi].
 
     Each distinct n is solved once, as the two half-size problems of the
-    symmetric Toeplitz section.  The solves run serially: LAPACK already
-    threads each one, and a pool thread's own malloc arena would hold a
-    second set of solve buffers.
+    symmetric Toeplitz section.  The solves run serially: a pool gains
+    nothing at these sizes, and a pool thread's own malloc arena would hold
+    a second set of solve buffers.
     """
     full = _MN_EXAMPLES[example]()
     coeffs = fourier_coeffs(full, max(ns) - 1 if max(ns) > 1 else 1)
@@ -290,6 +299,9 @@ def _exp_mn_table_2d(params):
 
 def _exp_exactness(params):
     example = params["example"]
+    if example == "e1":
+        # rejects a non-finite a or b before the default tol is derived from them
+        problems.cosine_symbol(params["a"], params["b"])
     tol = params["tol"]
     if tol is None:
         tol = 1e-10 * (abs(params["a"]) + abs(params["b"])) if example == "e1" else 1e-8
@@ -365,12 +377,17 @@ EXPERIMENTS = {
 
 
 def run(spec: ExperimentSpec) -> int:
-    """Run a registered experiment, emit its CSV, and return the exit code."""
+    """Run a registered experiment, emit its CSV, and return the exit code.
+
+    The experiment runs with numpy's OpenBLAS on one thread (see the module
+    docstring); the previous count is restored however it ends.
+    """
     if spec.name not in EXPERIMENTS:
         print(f"unknown experiment {spec.name!r}", file=sys.stderr)
         return 2
     try:
-        header, rows, failures = EXPERIMENTS[spec.name](spec.params)
+        with one_blas_thread():
+            header, rows, failures = EXPERIMENTS[spec.name](spec.params)
     except ValueError as exc:  # bad parameter values (e.g. non-square n)
         print(f"eigmatch {spec.name}: {exc}", file=sys.stderr)
         return 2

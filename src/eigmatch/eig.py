@@ -32,10 +32,22 @@ cython_lapack`` still reaches it.
 
 Dense and pencil inputs must be finite: a NaN or infinity raises
 ``ValueError`` before LAPACK sees it, as on the tridiagonal path.
+
+``one_blas_thread`` pins the OpenBLAS that numpy vendors to one thread for
+the duration of a ``with`` block; the CLI runs every experiment inside one.
+At the package's sizes (at most a few hundred) a second thread saves no
+wall time, and OpenBLAS's idle workers busy-wait after each threaded call,
+about doubling the CPU time.  The setting is process-wide (OpenBLAS's
+thread-local setter changes it for every thread too), so it belongs to the
+caller that owns the run, not to each solve: a per-solve toggle would race
+between Python threads and make the round-off depend on timing.  The get
+and set functions are bound with ``ctypes`` on the first use, never at
+import; with another BLAS nothing is bound and the count is left alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib.machinery
@@ -105,6 +117,72 @@ def _bind_dsterf():
     return ctypes.CFUNCTYPE(None, int_p, double_p, double_p, int_p)(get_pointer(capsule, name))
 
 
+# C get/set pairs for the thread count of the OpenBLAS in numpy's wheels,
+# newest naming first (numpy 2.x, then the 64-bit and plain builds)
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _bind_blas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy vendors, or None.
+
+    Another BLAS (MKL, Accelerate, a system library) has no such pair here,
+    and its thread count is left alone.
+    """
+    import glob  # kept out of the CLI start, like the binding itself
+
+    package = np.__path__[0]
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(package), "numpy.libs", "*openblas*"))
+                   + glob.glob(os.path.join(package, ".dylibs", "*openblas*")))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by numpy: the same instance
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                return (ctypes.CFUNCTYPE(ctypes.c_int)((get_name, lib)),
+                        ctypes.CFUNCTYPE(None, ctypes.c_int)((set_name, lib)))
+    return None
+
+
+_THREADS_LOCK = threading.Lock()
+_one_thread_depth = 0
+_saved_threads = 0
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the count.
+
+    The count is process state, so overlapping scopes (nested, or in other
+    Python threads) share one setting: the first to enter saves the count
+    and the last to leave restores it.  Binds on the first use.
+    """
+    global _one_thread_depth, _saved_threads
+    pair = _bind_blas_threads()
+    if pair is None:
+        yield
+        return
+    get, set_ = pair
+    with _THREADS_LOCK:
+        if _one_thread_depth == 0:
+            _saved_threads = get()
+            set_(1)
+        _one_thread_depth += 1
+    try:
+        yield
+    finally:
+        with _THREADS_LOCK:
+            _one_thread_depth -= 1
+            if _one_thread_depth == 0:
+                set_(_saved_threads)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """All eigenvalues of a matrix, ascending."""
@@ -126,13 +204,17 @@ class Spectrum:
 def _check_hermitian(A: np.ndarray, name: str = "matrix"):
     """Entrywise |A - A^H| <= 1e-10 * max(1, max|A|), so the test scales with A.
 
-    A NaN or infinity in A raises ValueError first.
+    A NaN or infinity in A raises ValueError first.  For real A, A - A^T is
+    exactly antisymmetric in floating point, so its maximum is max|A - A^T|
+    and neither |A| nor |A - A^T| is formed.
     """
-    peak = float(np.max(np.abs(A)))
+    real = not np.iscomplexobj(A)
+    peak = max(float(A.max()), -float(A.min())) if real else float(np.max(np.abs(A)))
     if not math.isfinite(peak):
         raise ValueError("array must not contain infs or NaNs")
     tol = _HERM_RTOL * max(1.0, peak)
-    if np.max(np.abs(A - A.conj().T)) > tol:
+    asymmetry = np.max(A - A.T) if real else np.max(np.abs(A - A.conj().T))
+    if asymmetry > tol:
         raise ValueError(f"{name} is not Hermitian within {tol:.3g} entrywise")
 
 

@@ -64,7 +64,9 @@ def half(f: ScalarSymbol) -> ScalarSymbol:
 
 
 def cosine_symbol(a: float, b: float) -> ScalarSymbol:
-    """a + b*cos(theta) on [-pi, pi]."""
+    """a + b*cos(theta) on [-pi, pi]; a, b and a +- |b| must be finite."""
+    if not (math.isfinite(a - abs(b)) and math.isfinite(a + abs(b))):
+        raise ValueError(f"cosine symbol needs finite a, b and a +- |b|, got a={a!r}, b={b!r}")
     return ScalarSymbol(
         domain=_FULL_RECT,
         eval=lambda t: a + b * np.cos(t),

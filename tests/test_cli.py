@@ -306,9 +306,9 @@ def test_thread_count_capped_by_cpus_and_tasks(monkeypatch):
     assert _max_workers(1) == 1
 
 
-def _run_python(*args) -> str:
+def _run_python(*args, **env_extra) -> str:
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_extra, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, check=True).stdout
@@ -382,3 +382,75 @@ def test_non_square_n_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not a perfect square" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--a", "nan"], "a=nan, b=-2.0"),
+    (["--a", "nan", "--tol", "1e-8"], "a=nan, b=-2.0"),
+    (["--a", "1e308", "--b", "1e308"], "a=1e+308, b=1e+308"),
+    (["--b", "inf"], "a=2.0, b=inf"),
+])
+def test_non_finite_cosine_parameters_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, "exactness", "--example", "e1", "--ns", "10", *argv)
+    assert code == 2 and out == ""
+    assert f"cosine symbol needs finite a, b and a +- |b|, got {message}" in err
+    assert "tol" not in err and "declared_inf" not in err
+
+
+def _recording_experiment(get, seen, outcome):
+    def experiment(params):
+        seen.append(get())
+        if outcome == "usage":
+            raise ValueError("bad parameter")
+        if outcome == "raise":
+            raise RuntimeError("experiment crashed")
+        return ["n"], [["1"]], ["row 1"] if outcome == "fail" else []
+    return experiment
+
+
+@pytest.mark.parametrize("outcome,code", [("ok", 0), ("fail", 1), ("usage", 2)])
+def test_experiments_run_on_one_blas_thread(capsys, monkeypatch, blas_threads, outcome, code):
+    import eigmatch.cli as cli
+
+    seen = []
+    monkeypatch.setitem(cli.EXPERIMENTS, "counterexample",
+                        _recording_experiment(blas_threads, seen, outcome))
+    assert run_cli(capsys, "counterexample")[0] == code
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_blas_thread_count_restored_when_experiment_raises(monkeypatch, blas_threads):
+    import eigmatch.cli as cli
+
+    seen = []
+    monkeypatch.setitem(cli.EXPERIMENTS, "counterexample",
+                        _recording_experiment(blas_threads, seen, "raise"))
+    with pytest.raises(RuntimeError, match="experiment crashed"):
+        cli.run(cli.ExperimentSpec(name="counterexample", params={"ns": [10]}))
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_experiments_run_without_a_blas_binding(capsys, monkeypatch):
+    # MKL, Accelerate or a system BLAS: nothing is bound, results unchanged
+    import eigmatch.eig
+
+    monkeypatch.setattr(eigmatch.eig, "_bind_blas_threads", lambda: None)
+    code, out, _ = run_cli(capsys, "split-demo", "--n", "7")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,7,0.0000,5.55111512313e-16", "2,6,0.0000,1.33226762955e-15"]
+
+
+def test_cli_import_binds_no_blas():
+    out = _run_python("-c", "import eigmatch.cli, eigmatch.eig; "
+                      "print(eigmatch.eig._bind_blas_threads.cache_info().currsize)")
+    assert out.strip() == "0"
+
+
+def test_csv_independent_of_openblas_thread_count():
+    # with a second thread numpy's OpenBLAS rounded rows (6,0,17), (6,0,18) and (6,1,20) differently
+    argv = ["-m", "eigmatch.cli", "bspline-verify", "--family", "L", "--pmax", "6", "--nmax", "20"]
+    one, two = (_run_python(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert one == two
+    assert one.count("\n") == 1 + 11 * 19

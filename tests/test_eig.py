@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -71,6 +72,42 @@ def test_large_non_hermitian_matrix_still_rejected():
         eig_gen_sym_def(A, np.eye(2))
     with pytest.raises(ValueError, match="M is not Hermitian"):
         eig_gen_sym_def(np.eye(2), A)
+
+
+@pytest.mark.parametrize("peak", [1.0, 4.0, 0.5])
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+def test_real_hermitian_check_boundary(peak, entry):
+    # the real check takes max(A - A^T) without |.|, so both signs of the
+    # asymmetry must be caught; tol = 1e-10 * max(1, peak) is exact here
+    tol = 1e-10 * max(1.0, peak)
+    A = np.diag([peak, -peak])
+    A[entry] = tol
+    assert eig_sym(A).n == 2
+    assert eig_gen_sym_def(A, np.eye(2)).n == 2
+    A[entry] = np.nextafter(tol, 1.0)
+    with pytest.raises(ValueError, match=f"not Hermitian within {tol:.3g}"):
+        eig_sym(A)
+    with pytest.raises(ValueError, match="K is not Hermitian"):
+        eig_gen_sym_def(A, np.eye(2))
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+def test_complex_hermitian_check_boundary(entry):
+    A = np.diag([4.0, -4.0]).astype(complex)
+    A[entry] = 4e-10j  # |A - A^H| = 4e-10 = tol at both off-diagonal entries
+    assert eig_sym(A).n == 2
+    A[entry] = complex(0.0, np.nextafter(4e-10, 1.0))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_sym(A)
+
+
+def test_real_hermitian_check_peak_from_negative_entries():
+    # the scale comes from -min(A) when the largest magnitude is negative
+    A = np.array([[-1e6, 0.0], [5e-5, 1.0]])
+    assert eig_sym(A).n == 2
+    A[1, 0] = 2e-4
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_sym(A)
 
 
 def test_eig_sym_complex_hermitian():
@@ -229,6 +266,43 @@ def test_dsterf_bound_once():
     assert eigmatch.eig._bind_dsterf() is eigmatch.eig._bind_dsterf()
 
 
+def test_one_blas_thread_restores_the_count(blas_threads):
+    with eigmatch.eig.one_blas_thread():
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+    with pytest.raises(RuntimeError):
+        with eigmatch.eig.one_blas_thread():
+            raise RuntimeError
+    assert blas_threads() == 2
+
+
+def test_overlapping_blas_scopes_share_one_setting(blas_threads):
+    # the count is process-wide: only the outermost scope may restore it
+    get = blas_threads
+    one = eigmatch.eig.one_blas_thread
+    with one():
+        with one():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+
+    inner_entered, outer_left, seen = threading.Event(), threading.Event(), []
+
+    def other():
+        with one():
+            inner_entered.set()
+            outer_left.wait(5)
+            seen.append(get())
+
+    with ThreadPoolExecutor(1) as pool:
+        with one():
+            future = pool.submit(other)
+            assert inner_entered.wait(5)
+        outer_left.set()
+        future.result()
+    assert seen == [1] and get() == 2
+
+
 def test_empty_matrix_has_empty_spectrum():
     for empty in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):
         assert eig_sym(empty).n == 0
@@ -315,11 +389,13 @@ def test_gen_rejects_indefinite_mass():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["A", "complex A", "K", "M"])
+@pytest.mark.parametrize("where", ["A", "asymmetric A", "complex A", "K", "M"])
 def test_dense_solvers_reject_non_finite(bad, where):
     laplacian = 2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
     X = laplacian.astype(complex) if where == "complex A" else laplacian.copy()
-    X[1, 2] = X[2, 1] = complex(0.0, bad) if where == "complex A" else bad
+    X[1, 2] = complex(0.0, bad) if where == "complex A" else bad
+    if where != "asymmetric A":  # there the non-finite entry must be reported first
+        X[2, 1] = X[1, 2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any arithmetic on the bad entry
         with pytest.raises(ValueError, match="infs or NaNs") as raised:
