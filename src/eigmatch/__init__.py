@@ -3,9 +3,9 @@
 The package builds structured matrix families (Toeplitz sections, variable
 coefficient finite differences, spline Galerkin matrices), computes their
 spectra, and measures how closely the sorted eigenvalues track sorted samples
-of the describing symbol over asymptotically uniform grids, including the
-branch-splitting pipeline for matrix-valued symbols and the exact-eigenvalue
-grid formulas of the spline families.
+of the describing symbol over asymptotically uniform grids.  It also splits
+the spectrum of a matrix-valued symbol's family by branch before matching,
+and checks the exact-eigenvalue grid formulas of the spline families.
 """
 
 from .core import (
@@ -29,11 +29,11 @@ from .galerkin import (
     assemble_KM,
     bspline_deriv,
     bspline_eval,
-    count_grid_assignments,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,
     grid_points,
+    grid_size,
     iga_2d_matrix,
     infer_grid_assignment,
     make_basis,
@@ -44,42 +44,17 @@ from .galerkin import (
     symbol_h,
     verify_eig_formula,
 )
-from .match import (
-    MatchResult,
-    MonotonePiece,
-    NoPreimageError,
-    min_perm_match,
-    mn_curve,
-    mn_curve_2d,
-    preimage_grid,
-    sorted_match,
-)
-from .rearrange import (
-    QuantileInterpolant,
-    empirical_quantile,
-    essential_range,
-    quantile_eval,
-    quantile_oracle,
-)
+from .match import MatchResult, min_perm_match, mn_curve, sorted_match
+from .rearrange import QuantileInterpolant, empirical_quantile
 from .split import (
     DisplacementGraph,
     Partition,
     PartitionInvariantError,
-    concat_branches,
     graph_path,
     initial_split,
     refine_split,
-    restriction,
-    restriction_indices,
     split_and_match,
 )
-from .toeplitz import (
-    FourierCoeffs,
-    block_fourier_coeffs,
-    block_toeplitz_build,
-    fourier_coeffs,
-    toeplitz_build,
-    toeplitz_halves,
-)
+from .toeplitz import FourierCoeffs, fourier_coeffs, toeplitz_build, toeplitz_halves
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from .galerkin import (
     symbol_h,
     verify_eig_formula,
 )
-from .match import mn_curve, mn_curve_2d, sorted_match
+from .match import mn_curve, sorted_match
 from .split import Partition, split_and_match
 from .toeplitz import fourier_coeffs, toeplitz_build, toeplitz_halves
 
@@ -60,11 +60,20 @@ _MN_EXAMPLES = {
 
 
 def _max_workers(tasks: int) -> int:
-    """Pool size: EIGMATCH_THREADS if set, capped by the CPU and task counts."""
+    """Pool size: EIGMATCH_THREADS if set, capped by the CPU and task counts.
+
+    Raises ValueError, naming the variable, unless it is a positive integer.
+    """
     workers = os.cpu_count() or 1
     env = os.environ.get("EIGMATCH_THREADS")
     if env is not None:
-        workers = min(workers, int(env))
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"EIGMATCH_THREADS must be a positive integer, got {env!r}")
+        workers = min(workers, cap)
     return max(1, min(workers, tasks))
 
 
@@ -133,11 +142,12 @@ def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
         return eig_sym_tridiag(diag, off).values
 
     # Each distinct n once, largest (costliest) first: that keeps the workers'
-    # makespan short, and mn_curve_2d reads the rows in the requested order.
+    # makespan short, and mn_curve reads the rows in the requested order.
     distinct = sorted(set(ns), reverse=True)
     with ThreadPoolExecutor(max_workers=_max_workers(len(distinct))) as pool:
         lambdas = dict(zip(distinct, pool.map(lam, distinct)))
-    return mn_curve_2d(symbol, lambda n: (math.isqrt(n), math.isqrt(n)), lambdas, ns)
+    return mn_curve(symbol, lambda n: make_uniform_grid(symbol.domain, (math.isqrt(n),) * 2),
+                    lambdas, ns)
 
 
 def run_exactness_e1(ns: list[int], a: float, b: float) -> list[tuple[int, float]]:

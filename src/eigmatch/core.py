@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "grid_deviation",
     "restrict_mask",
     "count_grid_in_interval",
-    "as_values",
 ]
 
 
@@ -113,14 +112,6 @@ class AUGrid:
         """Points of the uniform grid a + i*(b-a)/n in the same index order."""
         return _uniform_points(self.rect, self.dims)
 
-    def flatten_index(self, i: Sequence[int]) -> int:
-        """Position of multi-index i (1-based components) in the row order."""
-        zero_based = tuple(int(c) - 1 for c in i)
-        return int(np.ravel_multi_index(zero_based, self.dims))
-
-    def unflatten_index(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(c) + 1 for c in np.unravel_index(int(flat), self.dims))
-
 
 def _lattice(dims) -> np.ndarray:
     """Multi-indices 1..n (componentwise) in lexicographic order, shape (N, d)."""
@@ -196,9 +187,6 @@ class RealMultiset:
     def __len__(self) -> int:
         return self.values.size
 
-    def sorted_values(self) -> np.ndarray:
-        return np.sort(self.values, kind="stable")
-
 
 def as_values(x) -> np.ndarray:
     """Coerce a RealMultiset or array-like into a 1-d float array of finite values."""
@@ -218,7 +206,7 @@ class ScalarSymbol:
     selects the subdomain Omega (default: the whole rectangle); whether Omega
     is regular enough (negligible boundary) is the caller's responsibility and
     is not checked here.  ``discontinuities`` lists breakpoints (1-d symbols)
-    used to split quadrature panels and monotone pieces.
+    used to split quadrature panels.
     """
 
     domain: Rect
@@ -291,9 +279,8 @@ class MatrixSymbol:
 class IntervalUnion:
     """Disjoint union of closed intervals [lo_1,hi_1] ∪ ... with hi_i < lo_{i+1}.
 
-    Represents essential ranges and their eps-expansions.  Membership uses
-    closed endpoints; the open/closed distinction of an expansion only differs
-    on a measure-zero set and is irrelevant for the finite diagnostics here.
+    Represents the target ranges of the branch split.  Membership uses closed
+    endpoints.
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -308,35 +295,9 @@ class IntervalUnion:
                 raise ValueError("intervals must be sorted and disjoint")
         object.__setattr__(self, "intervals", ivs)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "IntervalUnion":
-        """Build from possibly unsorted/overlapping pairs, merging as needed."""
-        pairs = sorted((float(lo), float(hi)) for lo, hi in pairs)
-        merged: list[list[float]] = []
-        for lo, hi in pairs:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged))
-
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=bool)
         for lo, hi in self.intervals:
             out |= (x >= lo) & (x <= hi)
         return out
-
-    def expand(self, eps: float) -> "IntervalUnion":
-        """The eps-expansion: every interval widened by eps, overlaps merged."""
-        if not eps >= 0:
-            raise ValueError(f"expansion radius must be nonnegative, got {eps}")
-        return IntervalUnion.from_pairs((lo - eps, hi + eps) for lo, hi in self.intervals)
-
-    @property
-    def lo(self) -> float:
-        return self.intervals[0][0]
-
-    @property
-    def hi(self) -> float:
-        return self.intervals[-1][1]

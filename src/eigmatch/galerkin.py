@@ -56,7 +56,6 @@ __all__ = [
     "grid_assign_L",
     "verify_eig_formula",
     "infer_grid_assignment",
-    "count_grid_assignments",
 ]
 
 
@@ -522,17 +521,23 @@ def verify_eig_formula(
     return err <= tol, err
 
 
-def _infer_grids(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int,
-                 tol: float) -> tuple[tuple[GridKind, ...] | None, int]:
-    """First passing grid assignment (or None) and the number of passing ones.
+def infer_grid_assignment(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int,
+                          tol: float) -> tuple[GridKind, ...] | None:
+    """Infer grids on which the branch samples equal the spectrum, or None.
+
+    Passing means the grids hold as many points as the spectrum and the
+    sorted samples are within ``tol`` of the sorted spectrum; the first
+    passing assignment in FULL < NO_ZERO < NO_PI < INTERIOR order per branch
+    is returned, in O(p + dim log dim) work.  The reconstruction is
+    empirical: it recovers a figure-encoded table, not a closed formula.
+    ``branches`` is as in :func:`verify_eig_formula`.
 
     The grid kinds share the interior samples and differ only in the
     endpoint values they keep.  Endpoint values chained within ``tol`` form
     clusters; the spectrum values within ``tol`` of a cluster, less the
     interior samples there, count the r members it keeps.  Branch by branch,
     the first kind that leaves every cluster able to reach its r gives the
-    lexicographically first assignment with these counts; if it passes, so
-    do the prod C(cluster size, r) assignments with them.  This presumes a
+    lexicographically first assignment with these counts.  This presumes a
     match well within ``tol`` and clusters more than ``tol`` apart; the
     final check holds regardless.
     """
@@ -556,7 +561,7 @@ def _infer_grids(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int
     need = (near(sorted_spec) - near(interior)).tolist()
     size = np.bincount(cluster).tolist()
     if any(not 0 <= r <= s for r, s in zip(need, size)):
-        return None, 0
+        return None
     cluster = cluster.tolist()
     still = list(need)  # members each cluster must still keep
     left = list(size)  # members on branches not yet assigned
@@ -575,31 +580,8 @@ def _infer_grids(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int
             still[c] -= g
         assignment.append(kind)
     if sum(grid_size(kind, n) for kind in assignment) != spectrum.n:
-        return None, 0
+        return None
     values = np.sort(_assignment_values(table, assignment), kind="stable")
     if not float(np.max(np.abs(values - sorted_spec))) <= tol:
-        return None, 0
-    return tuple(assignment), math.prod(math.comb(s, r) for s, r in zip(size, need))
-
-
-def infer_grid_assignment(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int,
-                          tol: float) -> tuple[GridKind, ...] | None:
-    """Infer grids on which the branch samples equal the spectrum, or None.
-
-    Passing means the grids hold as many points as the spectrum and the
-    sorted samples are within ``tol`` of the sorted spectrum; the first
-    passing assignment in FULL < NO_ZERO < NO_PI < INTERIOR order per
-    branch is read off the kept endpoint values in O(p + dim log dim) work.
-    The reconstruction is empirical: it recovers a figure-encoded table,
-    not a closed formula.  ``branches`` is as in :func:`verify_eig_formula`.
-    """
-    return _infer_grids(spectrum, branches, p, k, n, tol)[0]
-
-
-def count_grid_assignments(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int,
-                           tol: float) -> int:
-    """Number of assignments passing :func:`infer_grid_assignment`'s test.
-
-    More than 1 means tied endpoint values leave the assignment ambiguous.
-    """
-    return _infer_grids(spectrum, branches, p, k, n, tol)[1]
+        return None
+    return tuple(assignment)

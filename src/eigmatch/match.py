@@ -15,17 +15,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AUGrid, ScalarSymbol, as_values, make_uniform_grid, restrict_mask
+from .core import AUGrid, ScalarSymbol, as_values, restrict_mask
 
 __all__ = [
     "MatchResult",
-    "MonotonePiece",
-    "NoPreimageError",
     "sorted_match",
     "min_perm_match",
     "mn_curve",
-    "mn_curve_2d",
-    "preimage_grid",
 ]
 
 #: Exhaustive permutation search is factorial; refuse beyond this length.
@@ -111,141 +107,3 @@ def mn_curve(
             )
         rows.append((int(n), sorted_match(values, lam).m_n))
     return rows
-
-
-def mn_curve_2d(
-    symbol: ScalarSymbol,
-    dims_for_n: Callable[[int], tuple[int, ...]],
-    lambdas_by_n: Mapping[int, object],
-    ns: Sequence[int],
-) -> list[tuple[int, float]]:
-    """As :func:`mn_curve` on the uniform grid of the symbol's rectangle.
-
-    ``dims_for_n`` gives the per-axis point counts explicitly (e.g. (sqrt n,
-    sqrt n) for perfect squares); the flattening is lexicographic, so the
-    sample vector order matches the multi-index order of the grid.
-    """
-    return mn_curve(symbol, lambda n: make_uniform_grid(symbol.domain, dims_for_n(n)),
-                    lambdas_by_n, ns)
-
-
-@dataclass(frozen=True)
-class MonotonePiece:
-    """Restriction of a 1-d symbol to an interval where it is strictly monotone.
-
-    Piece boundaries are the local extrema and discontinuity points, supplied
-    by the caller; ``eval`` must be the analytic branch valid on the closed
-    interval [lo, hi].
-    """
-
-    lo: float
-    hi: float
-    direction: str
-    eval: Callable
-
-    def __post_init__(self):
-        if self.direction not in ("increasing", "decreasing"):
-            raise ValueError("direction must be 'increasing' or 'decreasing'")
-        if not self.lo < self.hi:
-            raise ValueError("piece requires lo < hi")
-
-    def value_range(self) -> tuple[float, float]:
-        va = float(self.eval(self.lo))
-        vb = float(self.eval(self.hi))
-        return (min(va, vb), max(va, vb))
-
-
-class NoPreimageError(ValueError):
-    """A target value has no preimage on any supplied monotone piece."""
-
-    def __init__(self, index: int, value: float):
-        self.index = index
-        self.value = value
-        super().__init__(f"no preimage for value {value!r} at grid position {index}")
-
-
-#: Bracketing inflation for piece value ranges (targets may sit on the edge).
-_RANGE_TOL = 1e-9
-#: Bisection tolerance in x.
-_ROOT_TOL = 1e-12
-
-
-def _bisect_piece(piece: MonotonePiece, target: float) -> float | None:
-    vlo, vhi = piece.value_range()
-    if target < vlo - _RANGE_TOL or target > vhi + _RANGE_TOL:
-        return None
-    increasing = piece.direction == "increasing"
-    lo, hi = piece.lo, piece.hi
-    flo = float(piece.eval(lo))
-    # Clamp onto the attained range so boundary targets resolve to endpoints.
-    t = min(max(target, vlo), vhi)
-    if (increasing and t <= flo) or (not increasing and t >= flo):
-        return lo
-    while hi - lo > _ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = float(piece.eval(mid))
-        if (fm >= t) == increasing:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def preimage_grid(
-    pieces: Sequence[MonotonePiece],
-    lambdas,
-    ref_grid: AUGrid,
-    snap_tol: float | None = None,
-) -> AUGrid:
-    """Recover a grid on which the given values are exact samples of f.
-
-    Each value is first rank-matched to a reference grid point (the i-th
-    smallest value goes with the point whose sample has rank i), then its
-    preimage is computed by bisection on every monotone piece whose value
-    range brackets it, keeping the root closest to the reference point
-    (ties break toward smaller x).  The recovered points are returned sorted
-    ascending, which can only shrink the deviation from the uniform grid.
-
-    ``snap_tol``, if given, replaces any recovered point farther than this
-    from its reference point by the reference point itself; the result then
-    interleaves exact preimages with reference points instead of being a grid
-    of exact preimages everywhere.
-    """
-    lam = as_values(lambdas)
-    if ref_grid.rect.d != 1:
-        raise ValueError("preimage grids are one-dimensional")
-    if lam.size != ref_grid.size:
-        raise ValueError(f"{lam.size} values vs {ref_grid.size} reference points")
-    thetas = ref_grid.points[:, 0]
-
-    def f(x):
-        for piece in pieces:
-            if piece.lo <= x <= piece.hi:
-                return float(piece.eval(x))
-        raise ValueError(f"point {x} not covered by any piece")
-
-    samples = np.array([f(t) for t in thetas])
-    sigma = np.argsort(samples, kind="stable")
-    lam_sorted = np.sort(lam, kind="stable")
-    # mu[i] = value rank-matched with reference point i
-    mu = np.empty_like(lam_sorted)
-    mu[sigma] = lam_sorted
-
-    xs = np.empty(lam.size)
-    for i, (theta, target) in enumerate(zip(thetas, mu)):
-        roots = []
-        for piece in pieces:
-            r = _bisect_piece(piece, target)
-            if r is not None:
-                roots.append(r)
-        if not roots:
-            raise NoPreimageError(i, float(target))
-        roots.sort()
-        dists = [abs(r - theta) for r in roots]
-        best = roots[int(np.argmin(dists))]  # argmin takes the first = smaller x on ties
-        if snap_tol is not None and abs(best - theta) > snap_tol:
-            best = theta
-        xs[i] = best
-
-    xs.sort()
-    return AUGrid(rect=ref_grid.rect, dims=ref_grid.dims, points=xs.reshape(-1, 1))

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .core import AUGrid, MatrixSymbol, Rect, ScalarSymbol, make_uniform_grid
-from .toeplitz import FourierCoeffs
 
 __all__ = [
     "half",
@@ -25,7 +24,6 @@ __all__ = [
     "plateau_ramp_symbol",
     "cos_dip_ramp_symbol",
     "cos_dip_min",
-    "cos_dip_argmin",
     "endpoint_indicator",
     "fd_coefficients",
     "fd_symbol_2d",
@@ -34,9 +32,7 @@ __all__ = [
     "iga2d_symbol",
     "c0_quadratic_matrix",
     "c0_quadratic_symbol",
-    "c0_quadratic_symbol_full",
     "c0_quadratic_branches",
-    "c0_quadratic_block_coeffs",
     "eigen_angle_grid",
     "uniform_pi_grid",
     "truncated_uniform_pi_grid",
@@ -96,9 +92,7 @@ def plateau_ramp_symbol() -> ScalarSymbol:
     )
 
 
-#: Interior minimizer of cos(2t) + cos(3t) on (0, pi/2): cos t = (-1+sqrt(10))/6.
-cos_dip_argmin = math.acos((-1.0 + math.sqrt(10.0)) / 6.0)
-#: The corresponding minimum value -25/54 - 10*sqrt(10)/27.
+#: Minimum of cos(2t) + cos(3t) on (0, pi/2), at cos t = (-1+sqrt(10))/6.
 cos_dip_min = -25.0 / 54.0 - 10.0 * math.sqrt(10.0) / 27.0
 
 
@@ -220,11 +214,6 @@ def c0_quadratic_symbol() -> MatrixSymbol:
     return MatrixSymbol(interval=(0.0, math.pi), k=2, eval=_c0_quadratic_eval)
 
 
-def c0_quadratic_symbol_full() -> MatrixSymbol:
-    """Same symbol on [-pi, pi], for Fourier coefficient computations."""
-    return MatrixSymbol(interval=(-math.pi, math.pi), k=2, eval=_c0_quadratic_eval)
-
-
 def c0_quadratic_branches():
     """Closed-form ascending branch functions (lambda_1, lambda_2) of the symbol."""
 
@@ -237,19 +226,6 @@ def c0_quadratic_branches():
         return 2.0 - (2.0 / 3.0) * np.cos(t) + (2.0 / 3.0) * np.sqrt(3.0 + np.cos(t) ** 2)
 
     return f1, f2
-
-
-def c0_quadratic_block_coeffs(order: int = 1) -> FourierCoeffs:
-    """Exact Fourier blocks of the symbol: f_0, f_1 (and zeros beyond)."""
-    if order < 1:
-        raise ValueError("order must be >= 1 to hold the nonzero blocks")
-    data = np.zeros((2 * order + 1, 2, 2), dtype=complex)
-    f0 = np.array([[4.0, -2.0], [-2.0, 8.0]]) / 3.0
-    f1 = np.array([[0.0, -2.0], [0.0, -2.0]]) / 3.0
-    data[order] = f0
-    data[order + 1] = f1
-    data[order - 1] = f1.conj().T
-    return FourierCoeffs(order=order, data=data)
 
 
 # ---------------------------------------------------------------------------

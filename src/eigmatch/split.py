@@ -14,7 +14,7 @@ Given a multiset distributed as a k-branch matrix symbol, the pipeline is:
 
 Branch values always come from one stacked evaluation of the symbol over an
 array of angles (``MatrixSymbol.branch_samples``), never angle by angle; the
-branch value ranges used for repair and as default targets come from one
+branch value ranges used for repair and as target ranges come from one
 513-angle probe of the symbol's interval.
 """
 
@@ -26,21 +26,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AUGrid, IntervalUnion, MatrixSymbol, Rect, ScalarSymbol, as_values
+from .core import AUGrid, IntervalUnion, MatrixSymbol, as_values
 from .match import MatchResult, sorted_match
 
 __all__ = [
     "Partition",
     "DisplacementGraph",
     "PartitionInvariantError",
-    "concat_branches",
-    "restriction",
-    "restriction_indices",
     "initial_split",
     "graph_path",
     "refine_split",
     "split_and_match",
 ]
+
+
+#: Widening of each branch's sampled value range into its split target range.
+_TARGET_PAD = 1e-9
 
 
 class PartitionInvariantError(RuntimeError):
@@ -72,10 +73,6 @@ class Partition:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "provenance", prov)
 
-    @property
-    def parts(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.values[self.provenance == j] for j in range(self.k))
-
     def cardinalities(self) -> np.ndarray:
         return np.bincount(self.provenance, minlength=self.k)
 
@@ -95,60 +92,6 @@ def _segment_angles(ms: MatrixSymbol, ys: np.ndarray) -> tuple[np.ndarray, np.nd
 def _probe(ms: MatrixSymbol) -> np.ndarray:
     """Branch values at 513 equispaced angles of the interval, shape (513, k)."""
     return ms.branch_samples(np.linspace(*ms.interval, 513))
-
-
-def concat_branches(ms: MatrixSymbol) -> ScalarSymbol:
-    """Concatenate the resized branch functions into one symbol on [0, 1].
-
-    Segment j (of k) of [0, 1] carries branch j stretched from the original
-    interval, so the result has the same distribution as the matrix symbol.
-    Declared bounds are estimated from a dense branch sampling, padded by the
-    largest observed local variation.
-    """
-
-    def tilde(y):
-        y = np.asarray(y, dtype=float)
-        flat = y.reshape(-1)
-        outside = ~((flat >= 0.0) & (flat <= 1.0))
-        if outside.any():
-            raise ValueError(
-                f"concatenated symbol is defined on [0, 1], got {flat[np.argmax(outside)]}"
-            )
-        xs, seg = _segment_angles(ms, flat)
-        out = ms.branch_samples(xs)[np.arange(flat.size), seg]
-        return out.reshape(y.shape) if y.ndim else float(out[0])
-
-    probe = _probe(ms)
-    pad = float(np.max(np.abs(np.diff(probe, axis=0))))
-    return ScalarSymbol(
-        domain=Rect(np.array([0.0]), np.array([1.0])),
-        eval=tilde,
-        declared_inf=float(probe.min()) - pad,
-        declared_sup=float(probe.max()) + pad,
-        discontinuities=tuple(j / ms.k for j in range(1, ms.k)),
-    )
-
-
-def restriction_indices(n: int, E: IntervalUnion) -> np.ndarray:
-    """0-based indices i-1 for i in 1..n with i/(n+1) inside E.
-
-    The count of selected indices is the number of points of the embedded
-    uniform grid {i/(n+1)} falling in E.
-    """
-    i = np.arange(1, n + 1)
-    return np.nonzero(E.contains(i / (n + 1)))[0]
-
-
-def restriction(A: np.ndarray, E: IntervalUnion) -> np.ndarray:
-    """Principal submatrix of A keeping rows/columns with i/(n+1) in E.
-
-    An empty selection yields a 0 x 0 matrix, not an error.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    sel = restriction_indices(A.shape[0], E)
-    return A[np.ix_(sel, sel)]
 
 
 def _repair_cardinalities(labels: np.ndarray, target: np.ndarray, sorted_vals: np.ndarray,
@@ -376,26 +319,24 @@ def split_and_match(
     ms: MatrixSymbol,
     reference: Partition,
     grids: Sequence[AUGrid],
-    target_ranges: Sequence[IntervalUnion] | None = None,
-    delta: float = 1e-9,
 ) -> list[MatchResult]:
     """Full pipeline: initial split, displacement repair, per-branch matching.
 
     ``grids`` supplies one grid in the symbol's interval per branch, sized to
-    that branch's cardinality.  Target ranges default to the sampled value
-    range of each branch expanded by ``delta``.
+    that branch's cardinality.  Each branch's target range is its sampled
+    value range widened by ``_TARGET_PAD``.
     """
     if len(grids) != ms.k:
         raise ValueError(f"expected {ms.k} per-branch grids, got {len(grids)}")
     cards = reference.cardinalities()
     init = initial_split(lambdas, ms, cards)
 
-    if target_ranges is None:
-        probe = _probe(ms)
-        target_ranges = [
-            IntervalUnion(((float(probe[:, j].min()) - delta, float(probe[:, j].max()) + delta),))
-            for j in range(ms.k)
-        ]
+    probe = _probe(ms)
+    target_ranges = [
+        IntervalUnion(((float(probe[:, j].min()) - _TARGET_PAD,
+                        float(probe[:, j].max()) + _TARGET_PAD),))
+        for j in range(ms.k)
+    ]
     refined = refine_split(init, target_ranges, reference)
 
     results = []

@@ -1,4 +1,4 @@
-"""Fourier coefficients of generating functions and (block) Toeplitz sections.
+"""Fourier coefficients of generating functions and their Toeplitz sections.
 
 Coefficients are computed by Filon-Legendre quadrature (Iserles and Nørsett,
 Proc. R. Soc. A 461, 2005).  The declared breakpoints of the symbol cut
@@ -25,15 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatrixSymbol, ScalarSymbol
+from .core import ScalarSymbol
 from .eig import _HERM_RTOL, _IMAG_RTOL
 
 __all__ = [
     "FourierCoeffs",
     "fourier_coeffs",
-    "block_fourier_coeffs",
     "toeplitz_build",
-    "block_toeplitz_build",
     "toeplitz_halves",
 ]
 
@@ -64,14 +62,12 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """Coefficients f_k for |k| <= order.
+    """Complex scalar coefficients f_k for |k| <= order.
 
-    ``data[k + order]`` is f_k: a complex scalar, or a complex (b, b) block
-    for matrix-valued symbols.  Real even scalar symbols yield real data with
-    f_{-k} = f_k; Hermitian-valued symbols yield f_{-k} = f_k^H.  Neither is
-    enforced here.  :func:`toeplitz_halves` enforces the first, to its
-    tolerances, on the window f_{-(n-1)}..f_{n-1} it reads; the second is
-    checked by the test suite.
+    ``data[k + order]`` is f_k.  Real even symbols yield real data with
+    f_{-k} = f_k.  That is not enforced here; :func:`toeplitz_halves`
+    enforces it, to its tolerances, on the window f_{-(n-1)}..f_{n-1} it
+    reads.
     """
 
     order: int
@@ -79,43 +75,26 @@ class FourierCoeffs:
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)
-        if data.shape[0] != 2 * self.order + 1:
-            raise ValueError(f"expected {2 * self.order + 1} coefficients, got {data.shape[0]}")
-        if data.ndim not in (1, 3) or (data.ndim == 3 and data.shape[1] != data.shape[2]):
-            raise ValueError("coefficients must be scalars or square blocks")
+        if data.ndim != 1:
+            raise ValueError(f"coefficients must be a 1-d array, got shape {data.shape}")
+        if data.size != 2 * self.order + 1:
+            raise ValueError(f"expected {2 * self.order + 1} coefficients, got {data.size}")
         data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
-    @property
-    def block_size(self) -> int:
-        return 1 if self.data.ndim == 1 else self.data.shape[1]
-
-    def coeff(self, k: int):
+    def __getitem__(self, k: int) -> complex:
         """f_k, zero outside the stored order."""
-        if abs(k) > self.order:
-            if self.data.ndim == 1:
-                return 0.0 + 0.0j
-            b = self.block_size
-            return np.zeros((b, b), dtype=complex)
-        return self.data[k + self.order]
-
-    def __getitem__(self, k: int):
-        return self.coeff(k)
+        return self.data[k + self.order] if abs(k) <= self.order else 0.0 + 0.0j
 
 
-def _breakpoints(symbol: ScalarSymbol | MatrixSymbol) -> np.ndarray:
-    if isinstance(symbol, MatrixSymbol):
-        lo, hi = symbol.interval
-        disc: tuple[float, ...] = ()
-    else:
-        if symbol.domain.d != 1:
-            raise ValueError("Fourier coefficients require a 1-d symbol")
-        lo, hi = float(symbol.domain.a[0]), float(symbol.domain.b[0])
-        disc = symbol.discontinuities
+def _breakpoints(symbol: ScalarSymbol) -> np.ndarray:
+    if symbol.domain.d != 1:
+        raise ValueError("Fourier coefficients require a 1-d symbol")
+    lo, hi = float(symbol.domain.a[0]), float(symbol.domain.b[0])
     if not (abs(lo + math.pi) < 1e-12 and abs(hi - math.pi) < 1e-12):
         raise ValueError("generating functions live on [-pi, pi]")
-    pts = sorted({lo, hi, *(t for t in disc if lo < t < hi)})
+    pts = sorted({lo, hi, *(t for t in symbol.discontinuities if lo < t < hi)})
     return np.asarray(pts, dtype=float)
 
 
@@ -154,7 +133,7 @@ def _filon_coeffs(breaks: np.ndarray, order: int, oversample: float, evaluate) -
     is projected onto P_0..P_31 with a 32-node Gauss rule, and
     int_{-1}^{1} P_m(x) e^{-i k h x} dx = 2 (-i)^m j_m(k h) (DLMF 10.54.2)
     integrates every term exactly.  ``evaluate`` maps the N nodes to an array
-    of N values or an (N, b, b) stack.
+    of N values.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -183,51 +162,23 @@ def fourier_coeffs(f: ScalarSymbol, order: int, oversample: float = 1.0) -> Four
     return FourierCoeffs(order=order, data=np.concatenate([np.conj(pos[:0:-1]), pos]))
 
 
-def block_fourier_coeffs(f: MatrixSymbol, order: int, oversample: float = 1.0) -> FourierCoeffs:
-    """Entrywise coefficients of a Hermitian matrix-valued symbol on [-pi, pi]."""
-    pos = _filon_coeffs(_breakpoints(f), order, oversample, f.matrices)
-    neg = np.conj(np.transpose(pos[:0:-1], (0, 2, 1)))  # f_{-k} = f_k^H
-    return FourierCoeffs(order=order, data=np.concatenate([neg, pos]))
-
-
-def _window(c: FourierCoeffs, n: int, allow_truncation: bool) -> np.ndarray:
-    """f_{-(n-1)}..f_{n-1}, shape (2n-1,) or (2n-1, b, b), zero beyond the stored order."""
+def _window(c: FourierCoeffs, n: int) -> np.ndarray:
+    """The stored f_{-(n-1)}..f_{n-1}, shape (2n-1,): a read-only view."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if c.order < n - 1 and not allow_truncation:
+    if c.order < n - 1:
         raise ValueError(f"T_{n} needs coefficients up to order {n - 1}, have {c.order}")
-    m = min(n - 1, c.order)
-    window = np.zeros((2 * n - 1,) + c.data.shape[1:], dtype=complex)
-    window[n - 1 - m : n + m] = c.data[c.order - m : c.order + m + 1]
-    return window
+    return c.data[c.order - n + 1 : c.order + n]
 
 
-def _section(c: FourierCoeffs, n: int, allow_truncation: bool) -> np.ndarray:
-    """[f_{i-j}] for i, j < n, shape (n, n) or (n, n, b, b), zero beyond the stored order."""
-    window = _window(c, n, allow_truncation)
-    # row i is f_i, f_{i-1}, ..., f_{i-n+1}: a length-n window of the reversed stack
-    rows = np.lib.stride_tricks.sliding_window_view(window[::-1], n, axis=0)[::-1]
-    return np.moveaxis(rows, -1, 1).copy()
+def toeplitz_build(c: FourierCoeffs, n: int) -> np.ndarray:
+    """The n-th Toeplitz section [f_{i-j}]_{i,j=1..n}, complex.
 
-
-def toeplitz_build(c: FourierCoeffs, n: int, allow_truncation: bool = False) -> np.ndarray:
-    """The n-th Toeplitz section [f_{i-j}]_{i,j=1..n} of a scalar symbol.
-
-    Raises ValueError when the coefficients stop below order n - 1, unless
-    ``allow_truncation`` zero-fills the missing ones.
+    Raises ValueError for n < 1 or coefficients below order n - 1.
     """
-    if c.block_size != 1:
-        raise ValueError("coefficients are blocks; use block_toeplitz_build")
-    return _section(c, n, allow_truncation)
-
-
-def block_toeplitz_build(c: FourierCoeffs, n: int, allow_truncation: bool = False) -> np.ndarray:
-    """The n-th block Toeplitz section, an (n*b) x (n*b) Hermitian matrix."""
-    T = _section(c, n, allow_truncation)
-    if T.ndim == 2:
-        return T
-    b = c.block_size
-    return T.transpose(0, 2, 1, 3).reshape(n * b, n * b)
+    window = _window(c, n)
+    # row i is f_i, f_{i-1}, ..., f_{i-n+1}: a length-n window of the reversed stack
+    return np.lib.stride_tricks.sliding_window_view(window[::-1], n)[::-1].copy()
 
 
 def toeplitz_halves(c: FourierCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,15 +193,13 @@ def toeplitz_halves(c: FourierCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
     sqrt(2), border the first half, giving sizes (n+1)/2 and (n-1)/2.  The
     entries are those sliced from ``toeplitz_build(c, n).real``, bit for bit.
 
-    Raises ValueError for block coefficients, for n < 1 or coefficients
-    below order n - 1, for an imaginary part above the bound ``eig_sym``
-    drops, and for f_{-k} != f_k beyond the Hermitian tolerance (T_n is then
-    not symmetric, and since J T J = T^T for every Toeplitz matrix, not
-    centrosymmetric either).  Both bounds scale with max(1, max|Re f_k|).
+    Raises ValueError for n < 1 or coefficients below order n - 1, for an
+    imaginary part above the bound ``eig_sym`` drops, and for f_{-k} != f_k
+    beyond the Hermitian tolerance (T_n is then not symmetric, and since
+    J T J = T^T for every Toeplitz matrix, not centrosymmetric either).  Both
+    bounds scale with max(1, max|Re f_k|).
     """
-    if c.block_size != 1:
-        raise ValueError("coefficients are blocks; the centrosymmetric split needs scalars")
-    w = _window(c, n, allow_truncation=False)
+    w = _window(c, n)
     scale = max(1.0, float(np.max(np.abs(w.real))))
     if not np.max(np.abs(w.imag)) <= _IMAG_RTOL * scale:
         raise ValueError(f"coefficients have imaginary parts above {_IMAG_RTOL * scale:.3g}")

@@ -306,6 +306,15 @@ def test_thread_count_capped_by_cpus_and_tasks(monkeypatch):
     assert _max_workers(1) == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_bad_threads_env_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("EIGMATCH_THREADS", value)
+    code, out, err = run_cli(capsys, "mn-table2d", "--coef", "exp", "--ns", "900")
+    assert code == 2 and out == ""
+    assert err == (f"eigmatch mn-table2d: EIGMATCH_THREADS must be a positive integer, "
+                   f"got {value!r}\n")
+
+
 def _run_python(*args, **env_extra) -> str:
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, **env_extra, PYTHONPATH=os.pathsep.join(

@@ -112,18 +112,6 @@ def test_restrict_mask_disk_quadrant_brute_force():
     assert idx == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
-@pytest.mark.parametrize("dims", [(7,), (4, 5), (3, 4, 5), (20, 20, 20)])
-def test_flatten_unflatten_identity(dims):
-    g = make_uniform_grid(Rect(np.zeros(len(dims)), np.ones(len(dims))), dims)
-    for flat in range(0, g.size, max(1, g.size // 257)):
-        mi = g.unflatten_index(flat)
-        assert g.flatten_index(mi) == flat
-    # row order of multi_indices agrees with the flat order
-    mis = g.multi_indices()
-    assert g.flatten_index(tuple(mis[0])) == 0
-    assert g.flatten_index(tuple(mis[-1])) == g.size - 1
-
-
 def test_count_grid_in_interval_examples():
     assert count_grid_in_interval(0.0, 1.0, 0.0, 2.5) == 3
     assert count_grid_in_interval(0.3, 0.1, 0.0, 1.0) == 11
@@ -153,7 +141,6 @@ def test_real_multiset_validation():
         RealMultiset(np.array([1.0, np.inf]))
     ms = RealMultiset([3.0, 1.0, 2.0])
     assert len(ms) == 3
-    assert np.allclose(ms.sorted_values(), [1.0, 2.0, 3.0])
     assert np.allclose(ms.values, [3.0, 1.0, 2.0])  # insertion order kept
 
 
@@ -161,29 +148,16 @@ def test_interval_union():
     u = IntervalUnion(((0.0, 1.0), (2.0, 3.0)))
     assert u.contains(0.5) and u.contains(1.0) and not u.contains(1.5)
     assert np.array_equal(u.contains(np.array([0.0, 1.7, 2.2])), [True, False, True])
-    assert u.lo == 0.0 and u.hi == 3.0
-    merged = u.expand(0.6)
-    assert merged.intervals == ((-0.6, 3.6),)
     with pytest.raises(ValueError):
         IntervalUnion(((0.0, 1.0), (0.5, 2.0)))
     with pytest.raises(ValueError):
         IntervalUnion(((1.0, 0.0),))
-    assert IntervalUnion.from_pairs([(2.0, 3.0), (0.0, 1.0), (0.5, 1.5)]).intervals == (
-        (0.0, 1.5),
-        (2.0, 3.0),
-    )
 
 
 @pytest.mark.parametrize("pair", [(math.nan, math.nan), (0.0, math.nan), (math.nan, 1.0)])
 def test_interval_union_rejects_nan_endpoints(pair):
     with pytest.raises(ValueError, match="empty interval"):
         IntervalUnion((pair,))
-
-
-@pytest.mark.parametrize("eps", [math.nan, -0.1])
-def test_interval_union_expand_rejects_nan_and_negative_radius(eps):
-    with pytest.raises(ValueError, match="nonnegative"):
-        IntervalUnion(((0.0, 1.0),)).expand(eps)
 
 
 def test_matrix_symbol_rejects_non_hermitian_values():
@@ -229,14 +203,10 @@ def diag_nan_beyond_half(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
 def test_matrix_symbol_rejects_non_finite_values(bad):
-    from eigmatch.split import concat_branches
-
     sym = diag_nan_beyond_half(bad)
     assert np.array_equal(sym.branch_samples([0.25]), [[-0.25, 0.25]])
     with pytest.raises(ValueError, match=r"not finite at theta=0\.7"):
         sym.branch_samples([0.1, 0.7, 0.9])
-    with pytest.raises(ValueError, match="not finite"):
-        concat_branches(sym)
 
 
 def test_matrix_symbol_rejects_wrong_stack_shape():

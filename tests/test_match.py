@@ -4,26 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from eigmatch.core import AUGrid, Rect, ScalarSymbol, grid_deviation, make_uniform_grid
-from eigmatch.eig import eig_sym
-from eigmatch.match import (
-    MonotonePiece,
-    NoPreimageError,
-    min_perm_match,
-    mn_curve,
-    preimage_grid,
-    sorted_match,
-)
+from eigmatch.core import Rect, ScalarSymbol, make_uniform_grid
+from eigmatch.match import min_perm_match, mn_curve, sorted_match
 from eigmatch.problems import (
-    cos_dip_argmin,
-    cos_dip_ramp_symbol,
     cosine_eigs_exact,
     cosine_symbol,
     endpoint_indicator,
     eigen_angle_grid,
     half,
 )
-from eigmatch.toeplitz import fourier_coeffs, toeplitz_build
 
 from property_suites import sorted_pair_suite, min_perm_suite, sorted_rearrangement_suite
 
@@ -159,69 +148,3 @@ def test_mn_curve_on_disk_domain_rejects_full_grid_size():
     grid_for_n = lambda n: make_uniform_grid(symbol.domain, (n, n))
     with pytest.raises(ValueError, match="n=10: 75 grid samples inside the domain vs 100"):
         mn_curve(symbol, grid_for_n, {10: np.zeros(100)}, [10])
-
-
-def _cosine_pieces(a, b):
-    direction = "increasing" if b < 0 else "decreasing"
-    return [MonotonePiece(0.0, math.pi, direction, lambda t: a + b * np.cos(t))]
-
-
-def test_preimage_grid_recovers_cosine_angles():
-    a, b, n = 2.0, -2.0, 40
-    lam = cosine_eigs_exact(a, b, n)
-    ref = make_uniform_grid(Rect(np.array([0.0]), np.array([math.pi])), (n,))
-    g = preimage_grid(_cosine_pieces(a, b), lam, ref)
-    expected = np.arange(1, n + 1) * math.pi / (n + 1)
-    assert np.max(np.abs(g.points[:, 0] - expected)) <= 1e-10
-    # deviation of the recovered grid, computed directly: max_i |i*pi/(n+1) - i*pi/n|
-    assert grid_deviation(g) == pytest.approx(math.pi / (n + 1), abs=1e-10)
-
-
-def test_preimage_grid_strictly_increasing_exact_samples():
-    rng = np.random.default_rng(3)
-    n = 25
-    f = lambda x: x + 0.2 * np.sin(x)
-    pts = np.sort(rng.uniform(0.0, math.pi, size=n))
-    ref = AUGrid(rect=Rect(np.array([0.0]), np.array([math.pi])), dims=(n,),
-                 points=pts.reshape(-1, 1))
-    g = preimage_grid([MonotonePiece(0.0, math.pi, "increasing", f)], f(pts), ref)
-    assert np.max(np.abs(g.points[:, 0] - pts)) <= 1e-10
-
-
-def _cos_dip_pieces():
-    dip = lambda t: np.cos(2.0 * t) + np.cos(3.0 * t)
-    return [
-        MonotonePiece(0.0, cos_dip_argmin, "decreasing", dip),
-        MonotonePiece(cos_dip_argmin, math.pi / 2, "increasing", dip),
-        MonotonePiece(math.pi / 2, math.pi, "increasing", lambda t: np.asarray(t, float)),
-    ]
-
-
-def test_preimage_grid_cos_dip_deviation_decreases():
-    symbol = cos_dip_ramp_symbol()
-    coeffs = fourier_coeffs(symbol, 255)
-    rect = Rect(np.array([0.0]), np.array([math.pi]))
-    devs = []
-    for n in (64, 128, 256):
-        lam = eig_sym(toeplitz_build(coeffs, n)).values
-        ref = make_uniform_grid(rect, (n,))
-        devs.append(grid_deviation(preimage_grid(_cos_dip_pieces(), lam, ref)))
-    assert all(d <= 0.4 for d in devs)
-    assert devs[0] > devs[1] > devs[2]
-
-
-def test_preimage_grid_reports_unreachable_value():
-    ref = make_uniform_grid(Rect(np.array([0.0]), np.array([math.pi])), (3,))
-    with pytest.raises(NoPreimageError) as err:
-        preimage_grid(_cosine_pieces(2.0, -2.0), [0.1, 2.0, 9.0], ref)
-    assert err.value.value == 9.0
-    assert 0 <= err.value.index < 3
-
-
-def test_preimage_grid_snap_tolerance():
-    # with snapping at 0, every recovered point collapses to its reference point
-    a, b, n = 2.0, -2.0, 12
-    lam = cosine_eigs_exact(a, b, n)
-    ref = make_uniform_grid(Rect(np.array([0.0]), np.array([math.pi])), (n,))
-    g = preimage_grid(_cosine_pieces(a, b), lam, ref, snap_tol=0.0)
-    assert np.allclose(np.sort(g.points[:, 0]), np.sort(ref.points[:, 0]))

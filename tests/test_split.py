@@ -8,7 +8,6 @@ from eigmatch.core import IntervalUnion, MatrixSymbol
 from eigmatch.eig import eig_sym
 from eigmatch.match import sorted_match
 from eigmatch.problems import (
-    c0_quadratic_branches,
     c0_quadratic_matrix,
     c0_quadratic_symbol,
     truncated_uniform_pi_grid,
@@ -17,12 +16,9 @@ from eigmatch.problems import (
 from eigmatch.split import (
     DisplacementGraph,
     Partition,
-    concat_branches,
     graph_path,
     initial_split,
     refine_split,
-    restriction,
-    restriction_indices,
     split_and_match,
 )
 
@@ -43,65 +39,6 @@ def low_branch(t):
 
 def high_branch(t):
     return 3.0 + np.cos(t)
-
-
-def test_concat_branches_diagonal_symbol():
-    tilde = concat_branches(diag_symbol(low_branch, high_branch))
-    ys = np.array([0.1, 0.3, 0.49])
-    assert np.allclose(tilde.eval(ys), low_branch(math.pi * 2 * ys), atol=1e-12)
-    ys = np.array([0.55, 0.8, 0.99])
-    assert np.allclose(tilde.eval(ys), high_branch(math.pi * (2 * ys - 1)), atol=1e-12)
-
-
-def test_concat_branches_block_symbol_midpoints():
-    f1, f2 = c0_quadratic_branches()
-    tilde = concat_branches(c0_quadratic_symbol())
-    assert tilde.eval(np.array([0.25]))[0] == pytest.approx(float(f1(math.pi / 2)), abs=1e-12)
-    assert tilde.eval(np.array([0.75]))[0] == pytest.approx(float(f2(math.pi / 2)), abs=1e-12)
-
-
-def test_concat_branches_constant_symbol():
-    c = 2.75
-    sym = MatrixSymbol(interval=(0.0, 1.0), k=3, eval=lambda t: np.broadcast_to(c * np.eye(3), (t.size, 3, 3)))
-    tilde = concat_branches(sym)
-    assert np.allclose(tilde.eval(np.linspace(0, 1, 33)), c)
-
-
-def test_concat_branches_scalar_input_and_domain_check():
-    tilde = concat_branches(diag_symbol(low_branch, high_branch))
-    assert tilde.eval(0.5) == pytest.approx(high_branch(0.0), abs=1e-12)  # boundary: upper
-    for bad in (1.5, -0.1, math.nan):
-        with pytest.raises(ValueError, match=r"defined on \[0, 1\]"):
-            tilde.eval(np.array([0.2, bad]))
-
-
-def test_restriction_full_interval_is_identity():
-    rng = np.random.default_rng(8)
-    A = rng.normal(size=(6, 6))
-    E = IntervalUnion(((0.0, 1.0),))
-    assert np.array_equal(restriction(A, E), A)
-    assert restriction_indices(6, E).size == 6
-
-
-def test_restriction_half_interval_small_case():
-    # n = 3 embeds indices at 1/4, 1/2, 3/4: [0, 1/2] keeps the first two
-    A = np.arange(9.0).reshape(3, 3)
-    E = IntervalUnion(((0.0, 0.5),))
-    assert np.array_equal(restriction_indices(3, E), [0, 1])
-    assert np.array_equal(restriction(A, E), A[:2, :2])
-
-
-def test_restriction_diagonal_spectrum():
-    d = np.array([5.0, -1.0, 3.0, 7.0, 2.0])
-    E = IntervalUnion(((0.5, 1.0),))
-    sub = restriction(np.diag(d), E)
-    sel = restriction_indices(5, E)
-    assert np.array_equal(np.sort(np.diag(sub)), np.sort(d[sel]))
-
-
-def test_restriction_empty_selection():
-    E = IntervalUnion(((2.0, 3.0),))
-    assert restriction(np.eye(4), E).shape == (0, 0)
 
 
 def test_initial_split_single_branch():
@@ -222,15 +159,6 @@ def test_split_and_match_block_family_exact(n):
     assert res[1].m_n <= 1e-8
 
 
-def test_split_and_match_rejects_nan_delta():
-    n = 20
-    values = eig_sym(c0_quadratic_matrix(n)).values
-    reference = Partition(values, np.concatenate([np.zeros(n, int), np.ones(n - 1, int)]), 2)
-    grids = [uniform_pi_grid(n), truncated_uniform_pi_grid(n)]
-    with pytest.raises(ValueError, match="empty interval"):
-        split_and_match(values, c0_quadratic_symbol(), reference, grids, delta=math.nan)
-
-
 def test_split_and_match_decoupled_diagonal_case():
     n = 16
     sym = diag_symbol(low_branch, high_branch)
@@ -247,7 +175,7 @@ def test_split_and_match_decoupled_diagonal_case():
 def test_partition_conservation_is_structural():
     values = np.array([4.0, 4.0, 1.0])
     part = Partition(values, [1, 0, 1], 2)
-    merged = np.sort(np.concatenate(part.parts))
+    merged = np.sort(np.concatenate([values[part.provenance == j] for j in range(part.k)]))
     assert np.array_equal(merged, np.sort(values))
 
 

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from eigmatch.eig import eig_sym
-from eigmatch.match import sorted_match
 from eigmatch.problems import (
-    c0_quadratic_block_coeffs,
-    c0_quadratic_branches,
-    c0_quadratic_symbol,
-    c0_quadratic_symbol_full,
     cos_dip_ramp_symbol,
     cosine_eigs_exact,
     cosine_symbol,
@@ -18,13 +13,10 @@ from eigmatch.problems import (
     half,
     plateau_ramp_symbol,
 )
-from eigmatch.split import initial_split
 from eigmatch.toeplitz import (
     FourierCoeffs,
-    block_fourier_coeffs,
     _LEGENDRE_TERMS,
     _spherical_jn,
-    block_toeplitz_build,
     fourier_coeffs,
     toeplitz_build,
     toeplitz_halves,
@@ -180,13 +172,19 @@ def test_spectrum_within_declared_range(n):
         assert spec.values[-1] <= symbol.declared_sup + 1e-9
 
 
-def test_toeplitz_build_truncation_flag():
+def test_toeplitz_build_rejects_short_coefficients():
     table = fourier_coeffs(cosine_symbol(1.0, 1.0), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order 9, have 3"):
         toeplitz_build(table, 10)
-    T = toeplitz_build(table, 10, allow_truncation=True)
-    assert T.shape == (10, 10)
-    assert T[9, 0] == 0.0
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        toeplitz_build(table, 0)
+    assert toeplitz_build(table, 4).shape == (4, 4)
+
+
+@pytest.mark.parametrize("shape", [(), (3, 1), (3, 1, 1), (3, 2, 2)])
+def test_fourier_coeffs_reject_data_that_is_not_1d(shape):
+    with pytest.raises(ValueError, match="1-d"):
+        FourierCoeffs(order=1, data=np.zeros(shape, dtype=complex))
 
 
 def _sliced_halves(T):
@@ -258,62 +256,7 @@ def test_centrosymmetric_halves_reject_bad_input():
     for bad in (skew, nan):
         with pytest.raises(ValueError, match="centrosymmetric"):
             halves(bad)
-    with pytest.raises(ValueError, match="blocks"):
-        toeplitz_halves(c0_quadratic_block_coeffs(3), 4)
     with pytest.raises(ValueError, match="order 6"):
         halves(good, 7)
     with pytest.raises(ValueError, match="n must be >= 1"):
         halves(good, 0)
-
-
-def test_block_diagonal_symbol_interleaves_scalar_sections():
-    # diag(f1, f2) with scalar cosine symbols: the block section is a
-    # permutation of the two scalar sections, so the spectrum is their union
-    n = 12
-    c1 = fourier_coeffs(cosine_symbol(2.0, -2.0), n - 1)
-    c2 = fourier_coeffs(cosine_symbol(5.0, 1.0), n - 1)
-    data = np.zeros((2 * (n - 1) + 1, 2, 2), dtype=complex)
-    data[:, 0, 0] = c1.data
-    data[:, 1, 1] = c2.data
-    blocks = FourierCoeffs(order=n - 1, data=data)
-    spec = eig_sym(block_toeplitz_build(blocks, n))
-    union = np.sort(
-        np.concatenate(
-            [
-                eig_sym(toeplitz_build(c1, n)).values,
-                eig_sym(toeplitz_build(c2, n)).values,
-            ]
-        )
-    )
-    assert np.max(np.abs(spec.values - union)) <= 1e-11
-
-
-def test_zero_block_symbol_gives_zero_matrix():
-    blocks = FourierCoeffs(order=3, data=np.zeros((7, 3, 3), dtype=complex))
-    assert not np.any(block_toeplitz_build(blocks, 4))
-
-
-def test_block_coefficients_match_closed_form():
-    table = block_fourier_coeffs(c0_quadratic_symbol_full(), 4)
-    exact = c0_quadratic_block_coeffs(4)
-    assert np.max(np.abs(table.data - exact.data)) <= 1e-12
-    for k in range(1, 5):  # Hermitian-valued symbol: negative blocks are adjoints
-        assert np.allclose(table[-k], table[k].conj().T, atol=1e-14)
-
-
-def test_block_section_spectrum_tracks_branch_unions():
-    # the 2n x 2n block sections differ from the Galerkin matrix by a
-    # boundary truncation, so per-branch matches are small and shrink with n
-    blocks = c0_quadratic_block_coeffs(1)
-    f1, f2 = c0_quadratic_branches()
-    history = []
-    for n in (16, 32, 64):
-        spec = eig_sym(block_toeplitz_build(blocks, n, allow_truncation=True))
-        part = initial_split(spec.values, c0_quadratic_symbol(), [n, n])
-        theta = np.arange(1, n + 1) * math.pi / n
-        m1 = sorted_match(f1(theta), part.values[part.provenance == 0]).m_n
-        m2 = sorted_match(f2(theta), part.values[part.provenance == 1]).m_n
-        history.append((m1, m2))
-    assert all(m1 <= 0.12 and m2 <= 0.12 for m1, m2 in history)
-    assert history[0] > history[1] > history[2]
-    assert max(history[-1]) <= 0.03
