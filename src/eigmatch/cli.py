@@ -15,7 +15,8 @@ matrices, one 900-wide e4p matrix): a second BLAS thread saves no wall
 time on them, and its worker busy-waits after every threaded call.  One
 thread also makes the CSV bytes independent of the machine's core count.
 The count is process state, so the runner sets it once rather than around
-each solve.  The tridiagonal solves use scipy's LAPACK and are unaffected.
+each solve.  The tridiagonal solves (``dsterf``) are single-threaded
+LAPACK and are unaffected.
 """
 
 from __future__ import annotations
@@ -60,11 +61,16 @@ _MN_EXAMPLES = {
 
 
 def _max_workers(tasks: int) -> int:
-    """Pool size: EIGMATCH_THREADS if set, capped by the CPU and task counts.
+    """Pool size: EIGMATCH_THREADS if set, capped by the usable CPU and task counts.
 
-    Raises ValueError, naming the variable, unless it is a positive integer.
+    The usable CPUs are the process's affinity set where the platform has
+    one (``taskset``, a cpuset), else all of them.  Raises ValueError,
+    naming the variable, unless it is a positive integer.
     """
-    workers = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     env = os.environ.get("EIGMATCH_THREADS")
     if env is not None:
         try:
@@ -127,8 +133,9 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
 def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
     """Sorted-match curve of the finite-difference family, tridiagonal solver.
 
-    The solves run on a thread pool: ``eig_sym_tridiag`` releases the
-    interpreter lock, so they proceed on separate cores.
+    The solves run on a thread pool: with ``dsterf`` bound from numpy's
+    OpenBLAS, ``eig_sym_tridiag`` releases the interpreter lock, so they
+    proceed on separate cores.
     """
     a = problems.fd_coefficients[coef]
     symbol = problems.fd_symbol_2d(a)

@@ -13,22 +13,18 @@ L^-1 K L^-H (the LAPACK *sygv reduction), forming L^-1 explicitly: one
 inverse and two products were faster than two general solves.
 
 The tridiagonal path calls LAPACK ``dsterf`` (Pal-Walker-Kahan QR, values
-only), the same routine that ``scipy.linalg.eigh_tridiagonal(d, e,
-eigvals_only=True)`` reaches through ``stevd``, so the values are
-bit-identical to it.  scipy's f2py wrapper holds the interpreter lock for
-the whole solve, which serialises the threads of ``mn-table2d``.  Here
-``dsterf`` is called through the C function pointer that scipy exports in
-``scipy.linalg.cython_lapack``, wrapped as a ``ctypes`` foreign function,
-and a ctypes call releases the lock, so concurrent solves run on separate
-cores.  The pointer is bound on the first tridiagonal solve, and its
-signature string is checked then: an unexpected one (for example 64-bit
-LAPACK integers) raises ``ImportError`` instead of corrupting memory, and
-the failed binding is not cached.  Binding loads the ``cython_lapack``
-extension file alone, not the ``scipy.linalg`` package, whose ``__init__``
-imports every submodule (about 0.3 s).  A later ``import scipy.linalg``
-reuses the loaded extension from ``sys.modules`` but does not set it as the
-package attribute ``scipy.linalg.cython_lapack``; ``from scipy.linalg import
-cython_lapack`` still reaches it.
+only), the routine that ``scipy.linalg.eigh_tridiagonal(d, e,
+eigvals_only=True)`` reaches too, so the values are bit-identical to it.
+It is bound with ``ctypes`` from the OpenBLAS that numpy's wheels vendor and
+have already loaded (``scipy_dsterf_64_`` in numpy 2, ``dsterf_64_`` in the
+numpy 1.x ILP64 wheels, both with 64-bit LAPACK integers), so no second
+LAPACK is loaded, and a ctypes call releases the interpreter lock, so the
+concurrent solves of ``mn-table2d`` run on separate cores.  Where numpy
+vendors no such library (conda, MKL, Accelerate builds), the binding falls
+back to scipy's public ``scipy.linalg.lapack.dsterf``: the same routine and
+the same values, but its wrapper holds the lock for the whole solve, so
+there the solves run one at a time.  Either is bound on the first
+tridiagonal solve, never at import.
 
 Dense and pencil inputs must be finite: a NaN or infinity raises
 ``ValueError`` before LAPACK sees it, as on the tridiagonal path.
@@ -50,12 +46,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import math
 import os
-import re
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -65,57 +57,6 @@ __all__ = ["Spectrum", "NotPositiveDefiniteError", "eig_sym", "eig_sym_tridiag",
 
 _HERM_RTOL = 1e-10
 _IMAG_RTOL = 1e-13  # a Hermitian matrix with imaginary parts below this is solved as real
-
-# dsterf(N, D, E, INFO); Cython spells ``double`` through its mangled typedef ``d``
-_DSTERF_SIGNATURE = re.compile(r"void \(int \*, (\w*_d|double) \*, (\w*_d|double) \*, int \*\)")
-
-_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
-# A load outside the import statement takes no import lock, and a second
-# thread's load would return the module before the first has initialised it.
-_BIND_LOCK = threading.Lock()
-
-
-def _load_cython_lapack():
-    """The ``scipy.linalg.cython_lapack`` extension, loaded without its package."""
-    module = sys.modules.get(_CYTHON_LAPACK)
-    if module is not None:
-        return module
-    import scipy
-
-    directory = os.path.join(scipy.__path__[0], "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, "cython_lapack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise ImportError(f"no {_CYTHON_LAPACK} extension in {directory}")
-    spec = importlib.util.spec_from_file_location(_CYTHON_LAPACK, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_CYTHON_LAPACK] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_CYTHON_LAPACK]
-        raise
-    return module
-
-
-@functools.cache
-def _bind_dsterf():
-    # Concurrent first calls may each bind; the results are the same function.
-    with _BIND_LOCK:
-        capsule = _load_cython_lapack().__pyx_capi__["dsterf"]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    name = get_name(capsule)
-    if not _DSTERF_SIGNATURE.fullmatch(name.decode()):
-        raise ImportError(f"scipy's dsterf has an unexpected signature {name.decode()!r}")
-    int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    # CFUNCTYPE (not PYFUNCTYPE): the call releases the GIL
-    return ctypes.CFUNCTYPE(None, int_p, double_p, double_p, int_p)(get_pointer(capsule, name))
-
 
 # C get/set pairs for the thread count of the OpenBLAS in numpy's wheels,
 # newest naming first (numpy 2.x, then the 64-bit and plain builds)
@@ -127,27 +68,74 @@ _OPENBLAS_THREAD_FUNCS = (
 
 
 @functools.cache
-def _bind_blas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy vendors, or None.
+def _numpy_openblas():
+    """The OpenBLAS shared library numpy vendors, as a ``ctypes.CDLL``, or None.
 
-    Another BLAS (MKL, Accelerate, a system library) has no such pair here,
-    and its thread count is left alone.
+    Another BLAS (MKL, Accelerate, a system library) is not vendored there.
     """
-    import glob  # kept out of the CLI start, like the binding itself
+    import glob  # kept out of the CLI start, like the bindings themselves
 
     package = np.__path__[0]
     paths = sorted(glob.glob(os.path.join(os.path.dirname(package), "numpy.libs", "*openblas*"))
                    + glob.glob(os.path.join(package, ".dylibs", "*openblas*")))
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)  # already loaded by numpy: the same instance
+            return ctypes.CDLL(path)  # already loaded by numpy: the same instance
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                return (ctypes.CFUNCTYPE(ctypes.c_int)((get_name, lib)),
-                        ctypes.CFUNCTYPE(None, ctypes.c_int)((set_name, lib)))
     return None
+
+
+@functools.cache
+def _bind_blas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy vendors, or None.
+
+    Without such a pair the thread count is left alone.
+    """
+    lib = _numpy_openblas()
+    if lib is None:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            return (ctypes.CFUNCTYPE(ctypes.c_int)((get_name, lib)),
+                    ctypes.CFUNCTYPE(None, ctypes.c_int)((set_name, lib)))
+    return None
+
+
+# dsterf in numpy's OpenBLAS, newest naming first; both take 64-bit integers
+_DSTERF_NAMES = ("scipy_dsterf_64_", "dsterf_64_")
+
+
+@functools.cache
+def _bind_dsterf():
+    """``solve(d, e) -> info``: dsterf on float64 C arrays, d overwritten in place.
+
+    On success d holds the eigenvalues ascending and e is destroyed.  Bound
+    from numpy's OpenBLAS, else from scipy.  Concurrent first calls may each
+    bind; the results are equivalent.
+    """
+    lib = _numpy_openblas()
+    name = next((n for n in _DSTERF_NAMES if lib is not None and hasattr(lib, n)), None)
+    if name is None:
+        from scipy.linalg.lapack import dsterf  # holds the GIL for the solve
+
+        def solve(d, e):
+            values, info = dsterf(d, e, overwrite_d=True, overwrite_e=True)
+            d[:] = values
+            return info
+
+        return solve
+    int_p, double_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    # CFUNCTYPE (not PYFUNCTYPE): the call releases the GIL
+    dsterf = ctypes.CFUNCTYPE(None, int_p, double_p, double_p, int_p)((name, lib))
+
+    def solve(d, e):
+        n, info = ctypes.c_int64(d.size), ctypes.c_int64(0)
+        dsterf(ctypes.byref(n), d.ctypes.data_as(double_p), e.ctypes.data_as(double_p),
+               ctypes.byref(info))
+        return info.value
+
+    return solve
 
 
 _THREADS_LOCK = threading.Lock()
@@ -251,7 +239,7 @@ def eig_sym_tridiag(diag, offdiag) -> Spectrum:
 
     Stays in band storage; intended for sizes up to 1e4 and beyond.  LAPACK
     works in place on private copies, and the solve releases the GIL.  The
-    first call with n >= 2 binds ``dsterf``, loading scipy's ``cython_lapack``.
+    first call with n >= 2 binds ``dsterf``.
     """
     d = np.array(diag, dtype=np.float64, order="C").reshape(-1)
     e = np.array(offdiag, dtype=np.float64, order="C").reshape(-1)
@@ -261,12 +249,9 @@ def eig_sym_tridiag(diag, offdiag) -> Spectrum:
         raise ValueError("array must not contain infs or NaNs")
     if d.size == 1:
         return Spectrum(d)
-    n, info = ctypes.c_int(d.size), ctypes.c_int(0)
-    double_p = ctypes.POINTER(ctypes.c_double)
-    _bind_dsterf()(ctypes.byref(n), d.ctypes.data_as(double_p), e.ctypes.data_as(double_p),
-                   ctypes.byref(info))
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"dsterf failed to converge (info={info.value})")
+    info = _bind_dsterf()(d, e)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed to converge (info={info})")
     return Spectrum(d)
 
 

@@ -146,6 +146,11 @@ def initial_split(lambdas, ms: MatrixSymbol, cards) -> Partition:
     sample of the concatenated branch functions over {i/d_n}; cardinalities
     are then repaired to exactly ``cards``.
     """
+    return _initial_split(lambdas, ms, cards, _probe(ms))
+
+
+def _initial_split(lambdas, ms: MatrixSymbol, cards, probe: np.ndarray) -> Partition:
+    """``initial_split`` with the symbol's ``_probe`` already taken."""
     v = as_values(lambdas)
     L = np.asarray(cards, dtype=int).reshape(-1)
     if L.size != ms.k:
@@ -163,7 +168,6 @@ def initial_split(lambdas, ms: MatrixSymbol, cards) -> Partition:
     order_vals = np.argsort(v, kind="stable")
     sorted_vals = v[order_vals]
 
-    probe = _probe(ms)
     branch_ranges = np.stack([probe.min(axis=0), probe.max(axis=0)], axis=1)
     rank_labels = _repair_cardinalities(rank_labels, L, sorted_vals, branch_ranges)
 
@@ -328,10 +332,8 @@ def split_and_match(
     """
     if len(grids) != ms.k:
         raise ValueError(f"expected {ms.k} per-branch grids, got {len(grids)}")
-    cards = reference.cardinalities()
-    init = initial_split(lambdas, ms, cards)
-
     probe = _probe(ms)
+    init = _initial_split(lambdas, ms, reference.cardinalities(), probe)
     target_ranges = [
         IntervalUnion(((float(probe[:, j].min()) - _TARGET_PAD,
                         float(probe[:, j].max()) + _TARGET_PAD),))

@@ -1,6 +1,6 @@
 import pytest
 
-from eigmatch.eig import _bind_blas_threads
+from eigmatch.eig import _DSTERF_NAMES, _bind_blas_threads, _numpy_openblas
 
 
 @pytest.fixture
@@ -14,3 +14,10 @@ def blas_threads():
     set_(2)
     yield get
     set_(old)
+
+
+@pytest.fixture
+def numpy_dsterf():
+    """Whether numpy's vendored OpenBLAS exports dsterf, so that no solve needs scipy."""
+    lib = _numpy_openblas()
+    return lib is not None and any(hasattr(lib, name) for name in _DSTERF_NAMES)

@@ -297,13 +297,23 @@ def test_mn_table_starts_no_thread(monkeypatch, capsys):
 
 def test_thread_count_capped_by_cpus_and_tasks(monkeypatch):
     monkeypatch.setenv("EIGMATCH_THREADS", str(10**9))
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert _max_workers(3) == min(cpus, 3)
     assert _max_workers(10**6) == cpus
     monkeypatch.setenv("EIGMATCH_THREADS", "1")
     assert _max_workers(8) == 1
     monkeypatch.delenv("EIGMATCH_THREADS")
     assert _max_workers(1) == 1
+
+
+def test_default_thread_count_follows_cpu_affinity(monkeypatch):
+    # a run pinned to one CPU (taskset, a cpuset) must not oversubscribe it
+    monkeypatch.delenv("EIGMATCH_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert _max_workers(8) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _max_workers(8) == 8
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "abc"])
@@ -324,8 +334,8 @@ def _run_python(*args, **env_extra) -> str:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # importing scipy.linalg would add about 0.3 s to every run; the dense and
-    # pencil solves are numpy's, and only the tridiagonal solve binds scipy
+    # importing scipy.linalg would add about 0.3 s to every run; every solve
+    # is numpy's or binds numpy's OpenBLAS
     out = _run_python("-c", "import sys, eigmatch.cli; "
                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
@@ -342,7 +352,7 @@ _SCIPY_FREE_STEPS = [
 ]
 
 
-def test_only_the_tridiagonal_solve_loads_scipy():
+def test_no_cli_step_loads_scipy(numpy_dsterf):
     script = """
 import contextlib, io, json, sys
 from eigmatch.cli import main
@@ -364,8 +374,9 @@ print(json.dumps(report))
 """
     report = json.loads(_run_python("-c", script, json.dumps(_SCIPY_FREE_STEPS)))
     assert report["codes"] == [0] * (len(_SCIPY_FREE_STEPS) + 1)
-    assert report["scipy_after"] == [False] * len(_SCIPY_FREE_STEPS) + [True]
-    # the rows dsterf gave when it was bound at import
+    # without numpy's OpenBLAS, the tridiagonal solve falls back to scipy
+    assert report["scipy_after"] == [False] * len(_SCIPY_FREE_STEPS) + [not numpy_dsterf]
+    # the same rows whichever library dsterf binds from
     assert report["mn_table2d"] == ("n,M_n,M_n_full\n900,0.0684,0.0684420962491\n"
                                     "1600,0.0559,0.0559256023132\n")
 

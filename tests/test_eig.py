@@ -1,4 +1,3 @@
-import ctypes
 import json
 import math
 import os
@@ -11,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import cython_lapack
+import scipy.linalg.lapack
 
 import eigmatch.eig
 from eigmatch import problems
@@ -193,10 +192,7 @@ def test_tridiag_rejects_non_finite_1x1():
 
 def test_tridiag_reports_lapack_failure(monkeypatch):
     # dsterf sets INFO > 0 when it fails to converge; no finite input is known to do so
-    def failing(n, d, e, info):
-        info._obj.value = 3
-
-    monkeypatch.setattr(eigmatch.eig, "_bind_dsterf", lambda: failing)
+    monkeypatch.setattr(eigmatch.eig, "_bind_dsterf", lambda: lambda d, e: 3)
     with pytest.raises(np.linalg.LinAlgError, match="info=3"):
         eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0))
 
@@ -229,36 +225,31 @@ def test_tridiag_concurrent_calls_match_serial():
 
 
 @pytest.fixture
-def fake_dsterf_signature(monkeypatch):
-    """Install a dsterf capsule with a given signature and an empty binding cache."""
-    new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
-                                    ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+def scipy_fallback(monkeypatch):
+    """Bind dsterf as on a numpy without a vendored OpenBLAS; count scipy's calls."""
+    calls = []
+    dsterf = scipy.linalg.lapack.dsterf
 
-    def install(signature: bytes):
-        pointer = ctypes.cast(eigmatch.eig._bind_dsterf(), ctypes.c_void_p)
-        eigmatch.eig._bind_dsterf.cache_clear()
-        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsterf", new_capsule(pointer, signature, None))
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dsterf(*args, **kwargs)
 
-    yield install
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", counting)
+    monkeypatch.setattr(eigmatch.eig, "_numpy_openblas", lambda: None)
+    eigmatch.eig._bind_dsterf.cache_clear()
+    yield calls
     eigmatch.eig._bind_dsterf.cache_clear()
 
 
-def test_unexpected_dsterf_signature_fails_at_first_call(fake_dsterf_signature):
-    # an ILP64 build would export 64-bit integer arguments
-    fake_dsterf_signature(b"void (__pyx_t_int64 *, double *, double *, __pyx_t_int64 *)")
-    for _ in range(2):
-        with pytest.raises(ImportError, match="unexpected signature"):
-            eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0))
-
-
-def test_failed_dsterf_binding_is_not_cached(monkeypatch, fake_dsterf_signature):
-    fake_dsterf_signature(b"void (long *, double *, double *, long *)")
-    with pytest.raises(ImportError, match="unexpected signature"):
-        eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0))
-    monkeypatch.undo()  # the real capsule is back
-    expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, 5) * math.pi / 5))
-    values = eig_sym_tridiag(np.full(4, 2.0), np.full(3, -1.0)).values
-    assert np.max(np.abs(values - expected)) <= 1e-13
+def test_scipy_fallback_is_bit_identical(scipy_fallback):
+    rng = np.random.default_rng(14)
+    cases = [fd_matrix(problems.fd_coefficients[coef], 900) for coef in sorted(problems.fd_coefficients)]
+    cases += [(rng.normal(size=n), rng.normal(size=n - 1)) for n in (2, 5, 501)]
+    for d, e in cases:
+        d0, e0 = d.copy(), e.copy()
+        assert np.array_equal(eig_sym_tridiag(d, e).values, _scipy_tridiag(d, e))
+        assert np.array_equal(d, d0) and np.array_equal(e, e0)
+    assert len(scipy_fallback) == len(cases)
 
 
 def test_dsterf_bound_once():
@@ -419,9 +410,10 @@ def test_spectrum_rejects_nan(values):
         Spectrum(np.array(values))
 
 
-def test_tridiag_loads_cython_lapack_without_scipy_linalg():
+def test_concurrent_first_tridiag_calls_load_no_scipy(numpy_dsterf):
     # eight concurrent first calls, in a fresh interpreter, with a short switch
-    # interval: the extension is loaded once and the scipy.linalg package never
+    # interval: each gets the right values, and with numpy's OpenBLAS bound
+    # no scipy module (and so no second OpenBLAS) is loaded
     script = """
 import json, sys, threading
 import numpy as np
@@ -440,13 +432,9 @@ for t in threads:
     t.start()
 for t in threads:
     t.join(timeout=60)
-modules = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
-# the package imported afterwards reuses the loaded extension
-from scipy.linalg import cython_lapack, eigh_tridiagonal
-reused = cython_lapack is sys.modules["scipy.linalg.cython_lapack"]
-scipy_values = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True).tolist()
+modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"alive": sum(t.is_alive() for t in threads), "results": results,
-                  "modules": modules, "reused": reused, "scipy_values": scipy_values}))
+                  "modules": modules}))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -454,11 +442,10 @@ print(json.dumps({"alive": sum(t.is_alive() for t in threads), "results": result
     report = json.loads(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                        text=True, check=True, timeout=120).stdout)
     assert report["alive"] == 0
-    expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, 4) * math.pi / 4))
-    assert len(report["results"]) == 8
-    assert all(np.max(np.abs(np.array(r) - expected)) <= 1e-14 for r in report["results"])
-    assert report["modules"] == ["scipy.linalg.cython_lapack"]
-    assert report["reused"] and all(r == report["scipy_values"] for r in report["results"])
+    expected = _scipy_tridiag(np.full(3, 2.0), np.full(2, -1.0)).tolist()
+    assert report["results"] == [expected] * 8
+    if numpy_dsterf:
+        assert report["modules"] == []
 
 
 def test_weyl_stability_property():

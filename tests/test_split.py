@@ -209,3 +209,19 @@ def test_cardinality_repair_fallback_without_adjacent_run():
     out = _repair_cardinalities(labels, target, sorted_vals, branch_ranges)
     assert np.array_equal(out, [0, 0, 1, 2, 2])
     assert np.array_equal(np.bincount(out, minlength=3), target)
+
+
+def test_split_and_match_probes_the_symbol_once(monkeypatch):
+    import eigmatch.split
+    from eigmatch.cli import run_split_demo
+
+    calls = []
+    probe = eigmatch.split._probe
+
+    def counting(ms):
+        calls.append(ms)
+        return probe(ms)
+
+    monkeypatch.setattr(eigmatch.split, "_probe", counting)
+    run_split_demo(50)
+    assert len(calls) == 1
