@@ -61,25 +61,15 @@ _MN_EXAMPLES = {
 
 
 def _max_workers(tasks: int) -> int:
-    """Pool size: EIGMATCH_THREADS if set, capped by the usable CPU and task counts.
+    """Pool size: the usable CPU count, capped by the task count.
 
     The usable CPUs are the process's affinity set where the platform has
-    one (``taskset``, a cpuset), else all of them.  Raises ValueError,
-    naming the variable, unless it is a positive integer.
+    one (``taskset``, a cpuset), else all of them.
     """
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
     else:
         workers = os.cpu_count() or 1
-    env = os.environ.get("EIGMATCH_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"EIGMATCH_THREADS must be a positive integer, got {env!r}")
-        workers = min(workers, cap)
     return max(1, min(workers, tasks))
 
 
@@ -248,18 +238,19 @@ def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
 
     def one(p, k, n):
         K, M = assemble_KM(n, p, k)
+        theta = grid_points(GridKind.FULL, n)
         if family == "M":
             spectrum = eig_sym(n * M)
-            branches = lambda t: np.linalg.eigvalsh(symbol_h(p, k, t))
+            branches = np.linalg.eigvalsh(symbol_h(p, k, theta))
             assignment = [grid_assign_M(p, k, j) for j in range(1, p - k + 1)]
         elif family == "L":
             spectrum = Spectrum(eig_gen_sym_def(K, M).values / n**2)
-            branches = lambda t: symbol_e_branches(p, k, t)
+            branches = symbol_e_branches(p, k, theta)
             assignment = [grid_assign_L(p, k, j) for j in range(1, p - k + 1)]
         else:
             spectrum = eig_sym(K / n)
             # one branch table serves both the inference and the check
-            branches = np.linalg.eigvalsh(symbol_f(p, k, grid_points(GridKind.FULL, n)))
+            branches = np.linalg.eigvalsh(symbol_f(p, k, theta))
             assignment = infer_grid_assignment(spectrum, branches, p, k, n, tol)
             if assignment is None:
                 return (p, k, n, math.inf, False)
@@ -279,7 +270,7 @@ def run_grid_infer(pmax: int, nmax: int, tol: float):
         for n in probe_ns:
             K, _ = assemble_KM(n, p, k)
             spectrum = eig_sym(K / n)
-            branches = lambda t: np.linalg.eigvalsh(symbol_f(p, k, t))
+            branches = np.linalg.eigvalsh(symbol_f(p, k, grid_points(GridKind.FULL, n)))
             found.append(infer_grid_assignment(spectrum, branches, p, k, n, tol))
         stable = all(a is not None and a == found[0] for a in found)
         label = "+".join(kind.value for kind in found[0]) if found[0] else "none"

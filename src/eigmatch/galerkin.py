@@ -14,11 +14,10 @@ Galerkin integrals use Gauss-Legendre with p+1 nodes per knot span, which is
 exact for the degree <= 2p piecewise-polynomial integrands, so the assembled
 matrices agree with the symbolic ones to rounding error.
 
-The block symbols take a scalar angle or an array of angles.  Branch
-callables handed to the verification and inference routines follow one
-contract: an array of N angles in, an (N, number of branches) array of
-ascending branch values out.  Those routines also take that array itself,
-evaluated on the full grid, in place of the callable.
+The block symbols take a scalar angle or an array of angles.  The
+verification and inference routines take the branch values as a table: the
+ascending branch values at the n+1 angles of the full grid, shape
+(n+1, number of branches).
 """
 
 from __future__ import annotations
@@ -403,22 +402,30 @@ class GridKind(Enum):
     INTERIOR = "interior"
 
 
+# Whether each grid kind keeps lambda_j(0) and lambda_j(pi), in the order
+# inference prefers the kinds.
+_KIND_KEEPS = {
+    GridKind.FULL: (True, True),
+    GridKind.NO_ZERO: (False, True),
+    GridKind.NO_PI: (True, False),
+    GridKind.INTERIOR: (False, False),
+}
+
+
+def _kind_rows(kind: GridKind) -> slice:
+    """The rows of the full grid {i*pi/n : i = 0..n} that ``kind`` keeps."""
+    keep_zero, keep_pi = _KIND_KEEPS[kind]
+    return slice(0 if keep_zero else 1, None if keep_pi else -1)
+
+
 def grid_points(kind: GridKind, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = np.arange(n + 1) * math.pi / n
-    if kind is GridKind.FULL:
-        return base
-    if kind is GridKind.NO_ZERO:
-        return base[1:]
-    if kind is GridKind.NO_PI:
-        return base[:-1]
-    return base[1:-1]
+    return (np.arange(n + 1) * math.pi / n)[_kind_rows(kind)]
 
 
 def grid_size(kind: GridKind, n: int) -> int:
-    return {GridKind.FULL: n + 1, GridKind.NO_ZERO: n,
-            GridKind.NO_PI: n, GridKind.INTERIOR: n - 1}[kind]
+    return n - 1 + sum(_KIND_KEEPS[kind])
 
 
 def _check_branch_index(p: int, k: int, j: int):
@@ -460,43 +467,22 @@ def grid_assign_L(p: int, k: int, j: int) -> GridKind:
 # Exact-eigenvalue verification
 # ---------------------------------------------------------------------------
 
-# A branch callable (angles in, (angles, branches) values out) or its table
-# on the full grid.
-_Branches = Callable[[np.ndarray], np.ndarray] | np.ndarray
-
-
-def _branch_table(branches: _Branches, n: int) -> np.ndarray:
-    """Branch values on the full grid, shape (n+1, number of branches)."""
-    if callable(branches):
-        branches = branches(grid_points(GridKind.FULL, n))
+def _branch_table(branches: np.ndarray, n: int) -> np.ndarray:
+    """The branch table as floats, checked to be (n+1, number of branches)."""
     table = np.asarray(branches, dtype=float)
     if table.ndim != 2 or table.shape[0] != n + 1:
-        raise ValueError(f"branch function returned shape {table.shape} for {n + 1} "
+        raise ValueError(f"branch table has shape {table.shape} for {n + 1} "
                          "angles, expected (angles, branches)")
     return table
 
 
-# Whether each grid kind keeps lambda_j(0) and lambda_j(pi), in the order
-# inference prefers the kinds.
-_KIND_KEEPS = {
-    GridKind.FULL: (True, True),
-    GridKind.NO_ZERO: (False, True),
-    GridKind.NO_PI: (True, False),
-    GridKind.INTERIOR: (False, False),
-}
-
-
 def _assignment_values(table: np.ndarray, assignment: Sequence[GridKind]) -> np.ndarray:
-    parts = []
-    for j, kind in enumerate(assignment):
-        keep_zero, keep_pi = _KIND_KEEPS[kind]
-        parts.append(table[0 if keep_zero else 1:None if keep_pi else -1, j])
-    return np.concatenate(parts)
+    return np.concatenate([table[_kind_rows(kind), j] for j, kind in enumerate(assignment)])
 
 
 def verify_eig_formula(
     spectrum: Spectrum,
-    branches: _Branches,
+    branches: np.ndarray,
     assignment: Sequence[GridKind],
     n: int,
     tol: float,
@@ -505,9 +491,8 @@ def verify_eig_formula(
 
     Forms the multiset {lambda_j(theta) : theta in grid(assignment[j])},
     sorted-matches it against the spectrum, and reports (max_error <= tol,
-    max_error).  ``branches`` is called once with the n+1 angles of the full
-    grid and must return their ascending branch values, shape (n+1, m); an
-    array of that shape is taken as the table, so one table can serve both
+    max_error).  ``branches`` holds the ascending branch values at the n+1
+    angles of the full grid, shape (n+1, m), so one table can serve both
     inference and verification.
     """
     table = _branch_table(branches, n)
@@ -521,7 +506,7 @@ def verify_eig_formula(
     return err <= tol, err
 
 
-def infer_grid_assignment(spectrum: Spectrum, branches: _Branches, p: int, k: int, n: int,
+def infer_grid_assignment(spectrum: Spectrum, branches: np.ndarray, p: int, k: int, n: int,
                           tol: float) -> tuple[GridKind, ...] | None:
     """Infer grids on which the branch samples equal the spectrum, or None.
 
@@ -544,7 +529,7 @@ def infer_grid_assignment(spectrum: Spectrum, branches: _Branches, p: int, k: in
     table = _branch_table(branches, n)
     m = table.shape[1]
     if m != p - k:
-        raise ValueError(f"branch function returns {m} values, expected {p - k}")
+        raise ValueError(f"branch table has {m} branches, expected {p - k}")
     sorted_spec = np.sort(spectrum.values, kind="stable")
     interior = np.sort(table[1:-1].ravel())
     ends = np.concatenate([table[0], table[-1]])  # lambda_j(0) at j, lambda_j(pi) at m + j

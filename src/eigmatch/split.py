@@ -2,9 +2,10 @@
 
 Given a multiset distributed as a k-branch matrix symbol, the pipeline is:
 
-1. ``initial_split`` rank-matches the sorted values against sorted samples of
-   the concatenated branch functions, giving a partition with the requested
-   cardinalities whose parts track the branches in distribution.
+1. ``initial_split`` samples branch j on its own grid, ranks all the samples
+   together with the values, and gives each value the branch of the sample
+   of the same rank.  Part j thus holds exactly as many values as branch j
+   has grid points, and the parts track the branches in distribution.
 2. ``refine_split`` moves the stray elements (those outside their branch's
    target range) into place through chains of single-element displacements;
    the displacement graph of the current partition against a clean reference
@@ -12,10 +13,11 @@ Given a multiset distributed as a k-branch matrix symbol, the pipeline is:
    exactly one stray element without disturbing the cardinalities.
 3. Per-branch sorted matching then proceeds exactly as in the scalar case.
 
-Branch values always come from one stacked evaluation of the symbol over an
-array of angles (``MatrixSymbol.branch_samples``), never angle by angle; the
-branch value ranges used for repair and as target ranges come from one
-513-angle probe of the symbol's interval.
+Branch values always come from stacked evaluations of the symbol over arrays
+of angles (``MatrixSymbol.branch_samples``), never angle by angle: one over
+the points of all branch grids, which serves both the initial split and the
+per-branch matching, and one 513-angle probe of the symbol's interval, which
+gives the target ranges.
 """
 
 from __future__ import annotations
@@ -77,103 +79,43 @@ class Partition:
         return np.bincount(self.provenance, minlength=self.k)
 
 
-def _segment_angles(ms: MatrixSymbol, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and branch labels of points ys of [0, 1] under the concatenation.
-
-    Segment j covers [j/k, (j+1)/k) (half-open, last segment closed), so a
-    point landing exactly on a boundary belongs to the upper segment, and
-    carries branch j stretched from the symbol's interval.
-    """
-    a, b = ms.interval
-    seg = np.minimum((ys * ms.k).astype(int), ms.k - 1)
-    return a + (b - a) * (ms.k * ys - seg), seg
-
-
 def _probe(ms: MatrixSymbol) -> np.ndarray:
     """Branch values at 513 equispaced angles of the interval, shape (513, k)."""
     return ms.branch_samples(np.linspace(*ms.interval, 513))
 
 
-def _repair_cardinalities(labels: np.ndarray, target: np.ndarray, sorted_vals: np.ndarray,
-                          branch_ranges: np.ndarray) -> np.ndarray:
-    """Adjust rank labels to exact per-part counts.
+def _split(v: np.ndarray, ms: MatrixSymbol,
+           grids: Sequence[AUGrid]) -> tuple[Partition, Partition]:
+    """``initial_split`` of the values v, and the branch samples it ranked.
 
-    First pass moves single elements across adjacent run boundaries whenever
-    that transfers from a surplus part to a deficit part; if parts without an
-    adjacent run remain underfull, elements are pulled from surplus parts by
-    closeness of their value to the deficit part's sampled value range.
+    The samples come back as a partition by branch, so that per-branch
+    matching reuses them instead of evaluating the symbol again.
     """
-    lab = labels.copy()
-    k = target.size
-    counts = np.bincount(lab, minlength=k)
-    moved = True
-    while not np.array_equal(counts, target) and moved:
-        moved = False
-        for pos in range(lab.size - 1):
-            u, v = lab[pos], lab[pos + 1]
-            if u == v:
-                continue
-            if counts[u] > target[u] and counts[v] < target[v]:
-                lab[pos] = v
-            elif counts[v] > target[v] and counts[u] < target[u]:
-                lab[pos + 1] = u
-            else:
-                continue
-            counts = np.bincount(lab, minlength=k)
-            moved = True
-            break
-    guard = lab.size * k + 1
-    while not np.array_equal(counts, target):
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("cardinality repair failed to terminate")
-        t = int(np.nonzero(counts < target)[0][0])
-        lo, hi = branch_ranges[t]
-        surplus = np.nonzero(counts[lab] > target[lab])[0]
-        dist = np.maximum.reduce([lo - sorted_vals[surplus], sorted_vals[surplus] - hi,
-                                  np.zeros(surplus.size)])
-        pick = surplus[int(np.argmin(dist))]
-        counts[lab[pick]] -= 1
-        lab[pick] = t
-        counts[t] += 1
-    return lab
+    if len(grids) != ms.k:
+        raise ValueError(f"expected {ms.k} per-branch grids, got {len(grids)}")
+    if any(grid.rect.d != 1 for grid in grids):
+        raise ValueError("branch grids are one-dimensional")
+    sizes = [grid.size for grid in grids]
+    if sum(sizes) != v.size:
+        raise ValueError(f"branch grids hold {sum(sizes)} points, there are {v.size} values")
+    branch = np.repeat(np.arange(ms.k), sizes)
+    points = np.concatenate([grid.points[:, 0] for grid in grids])
+    samples = ms.branch_samples(points)[np.arange(v.size), branch]
+    provenance = np.empty(v.size, dtype=int)
+    provenance[np.argsort(v, kind="stable")] = branch[np.argsort(samples, kind="stable")]
+    return Partition(v, provenance, ms.k), Partition(samples, branch, ms.k)
 
 
-def initial_split(lambdas, ms: MatrixSymbol, cards) -> Partition:
+def initial_split(lambdas, ms: MatrixSymbol, grids: Sequence[AUGrid]) -> Partition:
     """Rank-based first split of a multiset into per-branch parts.
 
-    The i-th smallest value is assigned the branch of the i-th smallest
-    sample of the concatenated branch functions over {i/d_n}; cardinalities
-    are then repaired to exactly ``cards``.
+    Branch j is sampled on ``grids[j]``; all the samples are ranked together
+    with the values, and the i-th smallest value goes to the branch of the
+    i-th smallest sample.  Part j therefore holds exactly ``grids[j].size``
+    values.  Raises ValueError unless there is one 1-d grid per branch and
+    the grids hold as many points in total as there are values.
     """
-    return _initial_split(lambdas, ms, cards, _probe(ms))
-
-
-def _initial_split(lambdas, ms: MatrixSymbol, cards, probe: np.ndarray) -> Partition:
-    """``initial_split`` with the symbol's ``_probe`` already taken."""
-    v = as_values(lambdas)
-    L = np.asarray(cards, dtype=int).reshape(-1)
-    if L.size != ms.k:
-        raise ValueError(f"expected {ms.k} cardinalities, got {L.size}")
-    if np.any(L < 0) or L.sum() != v.size:
-        raise ValueError(f"cardinalities {L.tolist()} do not sum to {v.size}")
-    d_n, k = v.size, ms.k
-
-    xs, seg = _segment_angles(ms, np.arange(1, d_n + 1) / d_n)
-    samples = ms.branch_samples(xs)[np.arange(d_n), seg]
-
-    order_samples = np.argsort(samples, kind="stable")
-    rank_labels = seg[order_samples]
-
-    order_vals = np.argsort(v, kind="stable")
-    sorted_vals = v[order_vals]
-
-    branch_ranges = np.stack([probe.min(axis=0), probe.max(axis=0)], axis=1)
-    rank_labels = _repair_cardinalities(rank_labels, L, sorted_vals, branch_ranges)
-
-    provenance = np.empty(d_n, dtype=int)
-    provenance[order_vals] = rank_labels
-    return Partition(values=v, provenance=provenance, k=k)
+    return _split(as_values(lambdas), ms, grids)[0]
 
 
 @dataclass(frozen=True)
@@ -327,27 +269,18 @@ def split_and_match(
     """Full pipeline: initial split, displacement repair, per-branch matching.
 
     ``grids`` supplies one grid in the symbol's interval per branch, sized to
-    that branch's cardinality.  Each branch's target range is its sampled
-    value range widened by ``_TARGET_PAD``.
+    that branch's cardinality; the branch samples on them serve both the
+    initial split and the matching.  Each branch's target range is its
+    sampled value range widened by ``_TARGET_PAD``.
     """
-    if len(grids) != ms.k:
-        raise ValueError(f"expected {ms.k} per-branch grids, got {len(grids)}")
+    init, samples = _split(as_values(lambdas), ms, grids)
     probe = _probe(ms)
-    init = _initial_split(lambdas, ms, reference.cardinalities(), probe)
     target_ranges = [
         IntervalUnion(((float(probe[:, j].min()) - _TARGET_PAD,
                         float(probe[:, j].max()) + _TARGET_PAD),))
         for j in range(ms.k)
     ]
     refined = refine_split(init, target_ranges, reference)
-
-    results = []
-    for j, grid in enumerate(grids):
-        part = refined.values[refined.provenance == j]
-        if grid.rect.d != 1:
-            raise ValueError("branch grids are one-dimensional")
-        if grid.size != part.size:
-            raise ValueError(f"branch {j}: grid has {grid.size} points, part has {part.size}")
-        samples = ms.branch_samples(grid.points[:, 0])[:, j]
-        results.append(sorted_match(samples, part))
-    return results
+    return [sorted_match(samples.values[samples.provenance == j],
+                         refined.values[refined.provenance == j])
+            for j in range(ms.k)]

@@ -239,7 +239,8 @@ def test_duplicate_ns_solved_once(capsys, monkeypatch, argv, binding, solved):
         sizes.append(spectrum.n)
         return spectrum
 
-    monkeypatch.setenv("EIGMATCH_THREADS", "1")  # one worker: calls arrive in submission order
+    # one usable CPU, so one worker: calls arrive in submission order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli, binding, counted)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -277,7 +278,7 @@ def test_threads_env_override(monkeypatch, capsys):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setenv("EIGMATCH_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
     code, out, _ = run_cli(capsys, "mn-table2d", "--coef", "exp", "--ns", "900,1600")
     assert code == 0 and pools == [1]
@@ -295,34 +296,20 @@ def test_mn_table_starts_no_thread(monkeypatch, capsys):
     assert code == 0 and out.splitlines()[1].startswith("8,0.0851,")
 
 
-def test_thread_count_capped_by_cpus_and_tasks(monkeypatch):
-    monkeypatch.setenv("EIGMATCH_THREADS", str(10**9))
+def test_thread_count_capped_by_cpus_and_tasks():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert _max_workers(3) == min(cpus, 3)
     assert _max_workers(10**6) == cpus
-    monkeypatch.setenv("EIGMATCH_THREADS", "1")
-    assert _max_workers(8) == 1
-    monkeypatch.delenv("EIGMATCH_THREADS")
     assert _max_workers(1) == 1
 
 
 def test_default_thread_count_follows_cpu_affinity(monkeypatch):
     # a run pinned to one CPU (taskset, a cpuset) must not oversubscribe it
-    monkeypatch.delenv("EIGMATCH_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert _max_workers(8) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _max_workers(8) == 8
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "abc"])
-def test_bad_threads_env_is_usage_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("EIGMATCH_THREADS", value)
-    code, out, err = run_cli(capsys, "mn-table2d", "--coef", "exp", "--ns", "900")
-    assert code == 2 and out == ""
-    assert err == (f"eigmatch mn-table2d: EIGMATCH_THREADS must be a positive integer, "
-                   f"got {value!r}\n")
 
 
 def _run_python(*args, **env_extra) -> str:

@@ -376,7 +376,7 @@ def test_assigned_grid_sizes_sum_to_dimension(family, n):
 
 def _mass_spectrum_and_branches(p, k, n):
     K, M = assemble_KM(n, p, k)
-    return eig_sym(n * M), (lambda t: np.linalg.eigvalsh(symbol_h(p, k, t)))
+    return eig_sym(n * M), np.linalg.eigvalsh(symbol_h(p, k, grid_points(GridKind.FULL, n)))
 
 
 def test_verify_mass_family_small_case():
@@ -421,7 +421,7 @@ def test_infer_quadratic_c0_assignment():
     n = 10
     K, _ = assemble_KM(n, 2, 0)
     spectrum = eig_sym(K / n)
-    branches = lambda t: np.linalg.eigvalsh(symbol_f(2, 0, t))
+    branches = np.linalg.eigvalsh(symbol_f(2, 0, grid_points(GridKind.FULL, n)))
     assert infer_grid_assignment(spectrum, branches, 2, 0, n, 1e-8) == (
         GridKind.NO_ZERO,
         GridKind.INTERIOR,
@@ -443,9 +443,8 @@ _ORACLE_ROWS = {
 }
 
 
-def _search_grid_assignments(spectrum, branches, m, n, tol):
+def _search_grid_assignments(spectrum, table, m, n, tol):
     """Reference: try all 4^m assignments; (first passing, number passing)."""
-    table = np.asarray(branches(grid_points(GridKind.FULL, n)), dtype=float)
     sorted_spec = np.sort(spectrum.values)
     passing = []
     for assignment in itertools.product(list(GridKind), repeat=m):
@@ -460,7 +459,7 @@ def _search_grid_assignments(spectrum, branches, m, n, tol):
 
 def _stiffness_spectrum_and_branches(p, k, n):
     K, _ = assemble_KM(n, p, k)
-    return eig_sym(K / n), (lambda t: np.linalg.eigvalsh(symbol_f(p, k, t)))
+    return eig_sym(K / n), np.linalg.eigvalsh(symbol_f(p, k, grid_points(GridKind.FULL, n)))
 
 
 def _assert_inference_matches_search(spectrum, branches, p, k, n, tol=1e-8):
@@ -501,30 +500,17 @@ _SYNTHETIC_BRANCHES = {
 @pytest.mark.parametrize("name", sorted(_SYNTHETIC_BRANCHES))
 @pytest.mark.parametrize("n", [2, 5])
 def test_infer_synthetic_ties_match_exhaustive_search(name, n):
-    branches = _SYNTHETIC_BRANCHES[name]
-    table = branches(grid_points(GridKind.FULL, n))
+    table = _SYNTHETIC_BRANCHES[name](grid_points(GridKind.FULL, n))
     counts = set()
     for truth in itertools.product(list(GridKind), repeat=3):
         values = np.concatenate([table[_ORACLE_ROWS[kind], j] for j, kind in enumerate(truth)])
         if values.size == 0:
             continue
         found, count = _assert_inference_matches_search(
-            Spectrum(np.sort(values)), branches, 3, 0, n)
+            Spectrum(np.sort(values)), table, 3, 0, n)
         assert found is not None
         counts.add(count)
     assert max(counts) > 1  # the ties make some spectra ambiguous
-
-
-def test_precomputed_branch_table_equals_callable():
-    p, k, n = 5, 1, 9
-    spectrum, branches = _stiffness_spectrum_and_branches(p, k, n)
-    table = branches(grid_points(GridKind.FULL, n))
-    found = infer_grid_assignment(spectrum, branches, p, k, n, 1e-8)
-    assert infer_grid_assignment(spectrum, table, p, k, n, 1e-8) == found
-    assert (verify_eig_formula(spectrum, table, found, n, 1e-8)
-            == verify_eig_formula(spectrum, branches, found, n, 1e-8))
-    with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
-        infer_grid_assignment(spectrum, table[1:], p, k, n, 1e-8)
 
 
 def test_single_branch_has_unique_feasible_assignment():
@@ -542,7 +528,7 @@ def test_pencil_family_small_case():
     p, k, n = 4, 1, 6
     K, M = assemble_KM(n, p, k)
     spectrum = Spectrum(eig_gen_sym_def(K, M).values / n**2)
-    branches = lambda t: symbol_e_branches(p, k, t)
+    branches = symbol_e_branches(p, k, grid_points(GridKind.FULL, n))
     assignment = [grid_assign_L(p, k, j) for j in range(1, p - k + 1)]
     ok, err = verify_eig_formula(spectrum, branches, assignment, n, 1e-8)
     assert ok, err
@@ -550,13 +536,14 @@ def test_pencil_family_small_case():
 
 def test_branch_table_requires_one_row_per_angle():
     p, k, n = 3, 0, 7
-    spectrum, _ = _mass_spectrum_and_branches(p, k, n)
+    spectrum, table = _mass_spectrum_and_branches(p, k, n)
     assignment = [grid_assign_M(p, k, j) for j in range(1, p - k + 1)]
-    transposed = lambda t: np.linalg.eigvalsh(symbol_h(p, k, t)).T
     with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
-        verify_eig_formula(spectrum, transposed, assignment, n, 1e-8)
+        verify_eig_formula(spectrum, table.T, assignment, n, 1e-8)
     with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
-        infer_grid_assignment(spectrum, lambda t: np.ones(t.size), p, k, n, 1e-8)
+        infer_grid_assignment(spectrum, table[1:], p, k, n, 1e-8)
+    with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
+        infer_grid_assignment(spectrum, np.ones(n + 1), p, k, n, 1e-8)
 
 
 def test_kept_basis_functions_vanish_at_boundary():

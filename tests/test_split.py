@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eigmatch.core import IntervalUnion, MatrixSymbol
+from eigmatch.core import IntervalUnion, MatrixSymbol, Rect, make_uniform_grid
 from eigmatch.eig import eig_sym
 from eigmatch.match import sorted_match
 from eigmatch.problems import (
@@ -44,7 +44,8 @@ def high_branch(t):
 def test_initial_split_single_branch():
     sym = MatrixSymbol(interval=(0.0, 1.0), k=1,
                        eval=lambda t: np.sin(t).reshape(-1, 1, 1))
-    part = initial_split([0.3, 0.1, 0.2], sym, [3])
+    grid = make_uniform_grid(Rect(np.array([0.0]), np.array([1.0])), (3,))
+    part = initial_split([0.3, 0.1, 0.2], sym, [grid])
     assert np.array_equal(part.provenance, [0, 0, 0])
 
 
@@ -54,7 +55,7 @@ def test_initial_split_separated_branches_threshold():
     lam = np.concatenate([low_branch(rng.uniform(0, math.pi, 11)),
                           high_branch(rng.uniform(0, math.pi, 10))])
     lam = rng.permutation(lam)
-    part = initial_split(lam, sym, [11, 10])
+    part = initial_split(lam, sym, [uniform_pi_grid(11), uniform_pi_grid(10)])
     # threshold oracle: everything below the midpoint gap goes to branch 0
     assert np.array_equal(part.provenance, np.where(lam < 1.5, 0, 1))
 
@@ -62,15 +63,23 @@ def test_initial_split_separated_branches_threshold():
 def test_initial_split_block_family_splits_at_rank():
     n = 20
     values = eig_sym(c0_quadratic_matrix(n)).values  # ascending, 2n-1 of them
-    part = initial_split(values, c0_quadratic_symbol(), [n, n - 1])
+    grids = [uniform_pi_grid(n), truncated_uniform_pi_grid(n)]
+    part = initial_split(values, c0_quadratic_symbol(), grids)
     assert np.array_equal(part.provenance, np.concatenate([np.zeros(n, int), np.ones(n - 1, int)]))
     assert np.array_equal(part.cardinalities(), [n, n - 1])
 
 
 def test_initial_split_validates_cardinalities():
+    # the grids carry the cardinalities: one 1-d grid per branch, as many
+    # points in total as there are values
     sym = diag_symbol(low_branch, high_branch)
-    with pytest.raises(ValueError):
-        initial_split([1.0, 2.0, 3.0], sym, [1, 1])
+    square = make_uniform_grid(Rect(np.zeros(2), np.full(2, math.pi)), (1, 2))
+    with pytest.raises(ValueError, match="expected 2 per-branch grids, got 1"):
+        initial_split([1.0, 2.0, 3.0], sym, [uniform_pi_grid(3)])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        initial_split([1.0, 2.0, 3.0], sym, [uniform_pi_grid(1), square])
+    with pytest.raises(ValueError, match="hold 4 points, there are 3 values"):
+        initial_split([1.0, 2.0, 3.0], sym, [uniform_pi_grid(2), uniform_pi_grid(2)])
 
 
 def test_graph_path_trivial_self_path():
@@ -196,19 +205,35 @@ def test_refine_split_three_cycle_displacement():
     assert np.array_equal(out.provenance, reference.provenance)
 
 
-def test_cardinality_repair_fallback_without_adjacent_run():
-    # parts 0 and 2 form the only runs; part 1's deficit cannot be fixed by
-    # an adjacent-run boundary move, so the value-based fallback pulls the
-    # surplus element closest to part 1's sampled range
-    from eigmatch.split import _repair_cardinalities
+def test_split_and_match_repairs_stray_elements(monkeypatch):
+    # branches cos t and 1/2 + cos t overlap on [-1/2, 1]; the first part's
+    # values are squeezed towards -1, so the rank split hands one value below
+    # -1/2 to the second branch, whose range starts at -1/2
+    import eigmatch.split
 
-    labels = np.array([0, 0, 0, 2, 2])
-    target = np.array([2, 1, 2])
-    sorted_vals = np.array([1.0, 2.0, 3.0, 10.0, 11.0])
-    branch_ranges = np.array([[0.0, 4.0], [5.0, 8.0], [9.0, 12.0]])
-    out = _repair_cardinalities(labels, target, sorted_vals, branch_ranges)
-    assert np.array_equal(out, [0, 0, 1, 2, 2])
-    assert np.array_equal(np.bincount(out, minlength=3), target)
+    n = 8
+    sym = diag_symbol(np.cos, lambda t: 0.5 + np.cos(t))
+    ranges = [IntervalUnion(((-1.0 - 1e-9, 1.0 + 1e-9),)),
+              IntervalUnion(((-0.5 - 1e-9, 1.5 + 1e-9),))]
+    theta = uniform_pi_grid(n).points[:, 0]
+    lam = np.concatenate([-1.0 + 0.5 * (1.0 + np.cos(theta)), 0.5 + np.cos(theta)])
+    reference = Partition(lam, np.repeat([0, 1], n), 2)
+    grids = [uniform_pi_grid(n), uniform_pi_grid(n)]
+
+    init = initial_split(lam, sym, grids)
+    assert not all(np.all(rng.contains(lam[init.provenance == j])) for j, rng in enumerate(ranges))
+
+    parts = []
+
+    def recording(samples, values):
+        parts.append(np.asarray(values))
+        return sorted_match(samples, values)
+
+    monkeypatch.setattr(eigmatch.split, "sorted_match", recording)
+    split_and_match(lam, sym, reference, grids)
+    assert [part.size for part in parts] == reference.cardinalities().tolist()
+    assert all(np.all(rng.contains(part)) for rng, part in zip(ranges, parts))
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.sort(lam))
 
 
 def test_split_and_match_probes_the_symbol_once(monkeypatch):
