@@ -12,7 +12,6 @@ from .core import (
     AUGrid,
     IntervalUnion,
     MatrixSymbol,
-    RealMultiset,
     Rect,
     ScalarSymbol,
     count_grid_in_interval,
@@ -22,13 +21,10 @@ from .core import (
 )
 from .eig import NotPositiveDefiniteError, Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag
 from .galerkin import (
-    BSplineBasis,
     GridKind,
     ReferenceBlocks,
     alpha,
     assemble_KM,
-    bspline_deriv,
-    bspline_eval,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,
@@ -36,7 +32,6 @@ from .galerkin import (
     grid_size,
     iga_2d_matrix,
     infer_grid_assignment,
-    make_basis,
     reference_blocks,
     seq_a,
     symbol_e_branches,

@@ -26,12 +26,11 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import problems
-from .core import RealMultiset, make_uniform_grid
+from .core import make_uniform_grid
 from .eig import Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag, one_blas_thread
 from .galerkin import (
     GridKind,
@@ -184,7 +183,7 @@ def run_exactness_e5(ns: list[int]) -> list[tuple[int, float]]:
 
 def run_counterexample(ns: list[int]) -> list[tuple[int, float]]:
     symbol = problems.endpoint_indicator()
-    lambdas = {n: RealMultiset(np.zeros(n)) for n in ns}
+    lambdas = {n: np.zeros(n) for n in ns}
     return mn_curve(symbol, lambda n: make_uniform_grid(symbol.domain, (n,)), lambdas, ns)
 
 
@@ -282,15 +281,6 @@ def run_grid_infer(pmax: int, nmax: int, tol: float):
 # Experiment registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named experiment with its parameter map and optional output path."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-    output: str | None = None
-
-
 def _mn_rows(rows: list[tuple[int, float]]) -> list[list[str]]:
     return [[str(n), f"{m:.4f}", f"{m:.12g}"] for n, m in rows]
 
@@ -384,22 +374,25 @@ EXPERIMENTS = {
 }
 
 
-def run(spec: ExperimentSpec) -> int:
+def run(name: str, params: dict, output: str | None = None) -> int:
     """Run a registered experiment, emit its CSV, and return the exit code.
 
-    The experiment runs with numpy's OpenBLAS on one thread (see the module
-    docstring); the previous count is restored however it ends.
+    ``params`` maps the subcommand's option names to their parsed values, as
+    :func:`main` builds them; the CSV goes to the file ``output``, or to
+    stdout when it is None.  The experiment runs with numpy's OpenBLAS on
+    one thread (see the module docstring); the previous count is restored
+    however it ends.
     """
-    if spec.name not in EXPERIMENTS:
-        print(f"unknown experiment {spec.name!r}", file=sys.stderr)
+    if name not in EXPERIMENTS:
+        print(f"unknown experiment {name!r}", file=sys.stderr)
         return 2
     try:
         with one_blas_thread():
-            header, rows, failures = EXPERIMENTS[spec.name](spec.params)
+            header, rows, failures = EXPERIMENTS[name](params)
     except ValueError as exc:  # bad parameter values (e.g. non-square n)
-        print(f"eigmatch {spec.name}: {exc}", file=sys.stderr)
+        print(f"eigmatch {name}: {exc}", file=sys.stderr)
         return 2
-    _emit(spec.output, header, rows)
+    _emit(output, header, rows)
     return _report_failures(failures)
 
 
@@ -451,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     params = {key: value for key, value in vars(args).items()
               if key not in ("command", "output")}
-    return run(ExperimentSpec(name=args.command, params=params, output=args.output))
+    return run(args.command, params, args.output)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "Rect",
     "AUGrid",
-    "RealMultiset",
     "ScalarSymbol",
     "MatrixSymbol",
     "IntervalUnion",
@@ -68,10 +67,6 @@ class Rect:
     @property
     def d(self) -> int:
         return self.a.size
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.b - self.a
 
 
 @dataclass(frozen=True)
@@ -160,6 +155,9 @@ def count_grid_in_interval(x0: float, h: float, alpha: float, beta: float) -> in
     magnitudes involved, so endpoints sitting on the grid are not lost to
     rounding.  Used as a test oracle throughout.
     """
+    if not all(math.isfinite(v) for v in (x0, h, alpha, beta)):
+        raise ValueError(f"need finite x0, h, alpha and beta, got x0={x0!r}, h={h!r}, "
+                         f"alpha={alpha!r}, beta={beta!r}")
     if h <= 0:
         raise ValueError(f"stepsize must be positive, got {h}")
     if alpha > beta:
@@ -170,28 +168,8 @@ def count_grid_in_interval(x0: float, h: float, alpha: float, beta: float) -> in
     return int(math.floor(q + slack)) + 1
 
 
-@dataclass(frozen=True)
-class RealMultiset:
-    """Finite multiset of real numbers, stored in insertion order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _readonly(np.asarray(self.values, dtype=float).reshape(-1))
-        if v.size < 1:
-            raise ValueError("multiset must contain at least one value")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("multiset values must be finite")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def as_values(x) -> np.ndarray:
-    """Coerce a RealMultiset or array-like into a 1-d float array of finite values."""
-    if isinstance(x, RealMultiset):
-        return x.values
+    """Coerce an array-like into a 1-d float array of finite values."""
     v = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
@@ -206,19 +184,16 @@ class ScalarSymbol:
     selects the subdomain Omega (default: the whole rectangle); whether Omega
     is regular enough (negligible boundary) is the caller's responsibility and
     is not checked here.  ``discontinuities`` lists breakpoints (1-d symbols)
-    used to split quadrature panels.
+    used to split quadrature panels.  The symbol's range is not stored: the
+    matching compares samples, never bounds.
     """
 
     domain: Rect
     eval: Callable
-    declared_inf: float
-    declared_sup: float
     membership: Callable | None = None
     discontinuities: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.declared_inf <= self.declared_sup:
-            raise ValueError("declared_inf must not exceed declared_sup")
         object.__setattr__(self, "discontinuities", tuple(float(t) for t in self.discontinuities))
 
     def sample(self, points: np.ndarray) -> np.ndarray:

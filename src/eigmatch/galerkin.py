@@ -9,7 +9,8 @@ Covers three matrix families used by the experiments:
   which the scaled matrices have exactly the branch samples as eigenvalues.
 
 B-splines are evaluated with the knot-span table recursion, batched over
-arrays of points: one pass covers every quadrature node of an assembly.  All
+arrays of points: one pass covers every quadrature node of an assembly.  The
+basis stays private; the module exposes the assembled matrices.  All
 Galerkin integrals use Gauss-Legendre with p+1 nodes per knot span, which is
 exact for the degree <= 2p piecewise-polynomial integrands, so the assembled
 matrices agree with the symbolic ones to rounding error.
@@ -34,12 +35,8 @@ from .eig import Spectrum, _pencil_eigvalsh
 from .match import sorted_match
 
 __all__ = [
-    "BSplineBasis",
     "ReferenceBlocks",
     "GridKind",
-    "make_basis",
-    "bspline_eval",
-    "bspline_deriv",
     "reference_blocks",
     "symbol_f",
     "symbol_h",
@@ -109,56 +106,20 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return gx, gw
 
 
-@dataclass(frozen=True)
-class BSplineBasis:
-    """Degree-p, smoothness-C^k spline space data on [0, 1].
-
-    The open knot vector has boundary knots of multiplicity p+1 and interior
-    knots i/n of multiplicity p-k.  The full basis holds n(p-k)+k+1 functions;
-    Galerkin assembly drops the first and last (they do not vanish at the
-    boundary), leaving dim = n(p-k)+k-1.
-    """
-
-    p: int
-    k: int
-    n: int
-    knots: np.ndarray
-    dim: int
-
-    @property
-    def dim_full(self) -> int:
-        return self.knots.size - self.p - 1
-
-
-def make_basis(n: int, p: int, k: int) -> BSplineBasis:
+def _check_degrees(p: int, k: int):
     if p < 1 or not 0 <= k <= p - 1:
         raise ValueError(f"need p >= 1 and 0 <= k <= p-1, got p={p}, k={k}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    knots = np.concatenate(
+
+
+def _open_knots(n: int, p: int, k: int) -> np.ndarray:
+    """Open knot vector of the degree-p, C^k spline space on [0, 1] with n elements.
+
+    Boundary knots have multiplicity p+1 and the interior knots i/n
+    multiplicity p-k, so the full basis holds n(p-k)+k+1 functions.
+    """
+    return np.concatenate(
         [np.zeros(p + 1), np.repeat(np.arange(1, n) / n, p - k), np.ones(p + 1)]
     )
-    knots.setflags(write=False)
-    return BSplineBasis(p=p, k=k, n=n, knots=knots, dim=n * (p - k) + k - 1)
-
-
-def _check_basis_point(basis: BSplineBasis, i: int, x: float):
-    if not 0 <= i < basis.dim_full:
-        raise ValueError(f"basis index {i} out of range [0, {basis.dim_full})")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-
-
-def bspline_eval(basis: BSplineBasis, i: int, x: float) -> float:
-    """Value of the i-th full-basis function (0-based, boundary included)."""
-    _check_basis_point(basis, i, x)
-    return float(_full_rows(basis.knots, basis.p, x, deriv=False)[0, i])
-
-
-def bspline_deriv(basis: BSplineBasis, i: int, x: float) -> float:
-    """First derivative of the i-th full-basis function at x."""
-    _check_basis_point(basis, i, x)
-    return float(_full_rows(basis.knots, basis.p, x, deriv=True)[0, i])
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +169,7 @@ def _reference_values(p: int, k: int, ts: np.ndarray, deriv: bool) -> np.ndarray
 @lru_cache(maxsize=None)
 def reference_blocks(p: int, k: int) -> ReferenceBlocks:
     """Stiffness and mass blocks of the reference basis, exactly integrated."""
-    if p < 1 or not 0 <= k <= p - 1:
-        raise ValueError(f"need p >= 1 and 0 <= k <= p-1, got p={p}, k={k}")
+    _check_degrees(p, k)
     _, _, eta = _reference_knots(p, k)
     gx, gw = _gauss_legendre(p + 1)
     Kblocks, Mblocks = [], []
@@ -293,13 +253,13 @@ def assemble_KM(n: int, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    basis = make_basis(n, p, k)
-    dim = basis.dim
+    _check_degrees(p, k)
+    dim = n * (p - k) + k - 1  # the first and last basis functions are dropped
     gx, gw = _gauss_legendre(p + 1)
     h = 1.0 / n
     xs = (np.arange(n)[:, None] + 0.5 + 0.5 * gx) * h
     w = 0.5 * h * gw
-    spans, values, derivs = _basis_table(basis.knots, p, xs)
+    spans, values, derivs = _basis_table(_open_knots(n, p, k), p, xs)
     shape = (n, p + 1, p + 1)  # (element, node, local function)
     V, D = values.reshape(shape), derivs.reshape(shape)
     Ke = np.einsum("q,eqa,eqb->eab", w, D, D)
@@ -418,13 +378,18 @@ def _kind_rows(kind: GridKind) -> slice:
     return slice(0 if keep_zero else 1, None if keep_pi else -1)
 
 
-def grid_points(kind: GridKind, n: int) -> np.ndarray:
+def _check_grid_n(n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
+
+
+def grid_points(kind: GridKind, n: int) -> np.ndarray:
+    _check_grid_n(n)
     return (np.arange(n + 1) * math.pi / n)[_kind_rows(kind)]
 
 
 def grid_size(kind: GridKind, n: int) -> int:
+    _check_grid_n(n)
     return n - 1 + sum(_KIND_KEEPS[kind])
 
 

@@ -72,6 +72,8 @@ def min_perm_match(samples, lambdas) -> float:
     t = as_values(lambdas)
     if s.size != t.size:
         raise ValueError(f"size mismatch: {s.size} vs {t.size}")
+    if s.size < 1:
+        raise ValueError("need at least one value per side")
     if s.size > MAX_EXHAUSTIVE:
         raise ValueError(f"exhaustive mode supports length <= {MAX_EXHAUSTIVE}, got {s.size}")
     s_list = s.tolist()

@@ -50,8 +50,8 @@ _FULL_RECT = Rect(np.array([-math.pi]), np.array([math.pi]))
 def half(f: ScalarSymbol) -> ScalarSymbol:
     """Restriction of an even generating function on [-pi, pi] to [0, pi].
 
-    Keeps the evaluator and the declared bounds (evenness leaves the range
-    unchanged, and is not checked) and the breakpoints inside (0, pi).
+    Keeps the evaluator (evenness is not checked) and the breakpoints inside
+    (0, pi).
     """
     if f.domain.d != 1 or (f.domain.a[0], f.domain.b[0]) != (-math.pi, math.pi):
         raise ValueError("half() restricts generating functions on [-pi, pi]")
@@ -63,12 +63,7 @@ def cosine_symbol(a: float, b: float) -> ScalarSymbol:
     """a + b*cos(theta) on [-pi, pi]; a, b and a +- |b| must be finite."""
     if not (math.isfinite(a - abs(b)) and math.isfinite(a + abs(b))):
         raise ValueError(f"cosine symbol needs finite a, b and a +- |b|, got a={a!r}, b={b!r}")
-    return ScalarSymbol(
-        domain=_FULL_RECT,
-        eval=lambda t: a + b * np.cos(t),
-        declared_inf=a - abs(b),
-        declared_sup=a + abs(b),
-    )
+    return ScalarSymbol(domain=_FULL_RECT, eval=lambda t: a + b * np.cos(t))
 
 
 def cosine_eigs_exact(a: float, b: float, n: int) -> np.ndarray:
@@ -86,8 +81,6 @@ def plateau_ramp_symbol() -> ScalarSymbol:
     return ScalarSymbol(
         domain=_FULL_RECT,
         eval=_plateau_ramp,
-        declared_inf=1.0,
-        declared_sup=1.0 + _HALF_PI,
         discontinuities=(-_HALF_PI, _HALF_PI),
     )
 
@@ -110,8 +103,6 @@ def cos_dip_ramp_symbol() -> ScalarSymbol:
     return ScalarSymbol(
         domain=_FULL_RECT,
         eval=_cos_dip_ramp,
-        declared_inf=cos_dip_min,
-        declared_sup=math.pi,
         discontinuities=(-_HALF_PI, _HALF_PI),
     )
 
@@ -121,8 +112,6 @@ def endpoint_indicator() -> ScalarSymbol:
     return ScalarSymbol(
         domain=Rect(np.array([0.0]), np.array([1.0])),
         eval=lambda x: (np.asarray(x, dtype=float) == 1.0).astype(float),
-        declared_inf=0.0,
-        declared_sup=1.0,
     )
 
 
@@ -139,15 +128,9 @@ fd_coefficients = {
 
 def fd_symbol_2d(a) -> ScalarSymbol:
     """a(x) * (2 - 2 cos(theta)) on [0, 1] x [0, pi]."""
-    xs = np.linspace(0.0, 1.0, 4097)
-    av = np.asarray(a(xs), dtype=float)
-    lo = min(0.0, 4.0 * float(av.min()))
-    hi = max(0.0, 4.0 * float(av.max()))
     return ScalarSymbol(
         domain=Rect(np.array([0.0, 0.0]), np.array([1.0, math.pi])),
         eval=lambda x, t: np.asarray(a(x), dtype=float) * (2.0 - 2.0 * np.cos(t)),
-        declared_inf=lo,
-        declared_sup=hi,
     )
 
 
@@ -170,8 +153,6 @@ def iga2d_symbol() -> ScalarSymbol:
     return ScalarSymbol(
         domain=Rect(np.array([0.0, 0.0]), np.array([math.pi, math.pi])),
         eval=lambda t1, t2: iga2d_kappa(t1) * iga2d_mu(t2) + iga2d_mu(t1) * iga2d_kappa(t2),
-        declared_inf=0.0,
-        declared_sup=1.5,
     )
 
 

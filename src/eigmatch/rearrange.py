@@ -27,12 +27,11 @@ class QuantileInterpolant:
     sorted_samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.sorted_samples, dtype=float).reshape(-1)
+        s = as_values(self.sorted_samples).copy()
         if s.size < 2:
             raise ValueError("need at least two samples")
-        if np.any(np.diff(s) < 0):
+        if not np.all(np.diff(s) >= 0):
             raise ValueError("samples must be sorted ascending")
-        s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "sorted_samples", s)
 

@@ -125,21 +125,19 @@ def _spherical_jn(omega: np.ndarray) -> np.ndarray:
     return out
 
 
-def _filon_coeffs(breaks: np.ndarray, order: int, oversample: float, evaluate) -> np.ndarray:
+def _filon_coeffs(breaks: np.ndarray, order: int, evaluate) -> np.ndarray:
     """f_k for 0 <= k <= order, stacked on the first axis, by Filon-Legendre quadrature.
 
-    Each breakpoint interval of length L is cut into
-    ceil(oversample L / _MAX_PANEL) equal panels theta = c + h x.  On each, f
-    is projected onto P_0..P_31 with a 32-node Gauss rule, and
+    Each breakpoint interval of length L is cut into ceil(L / _MAX_PANEL)
+    equal panels theta = c + h x.  On each, f is projected onto P_0..P_31
+    with a 32-node Gauss rule, and
     int_{-1}^{1} P_m(x) e^{-i k h x} dx = 2 (-i)^m j_m(k h) (DLMF 10.54.2)
     integrates every term exactly.  ``evaluate`` maps the N nodes to an array
     of N values.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if not (math.isfinite(oversample) and oversample >= 1.0):
-        raise ValueError(f"oversample must be finite and >= 1, got {oversample}")
-    edges = np.concatenate([np.linspace(a, b, math.ceil(oversample * (b - a) / _MAX_PANEL) + 1)[:-1]
+    edges = np.concatenate([np.linspace(a, b, math.ceil((b - a) / _MAX_PANEL) + 1)[:-1]
                             for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
     c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     x, project = _gauss_legendre()
@@ -152,13 +150,13 @@ def _filon_coeffs(breaks: np.ndarray, order: int, oversample: float, evaluate) -
     return np.einsum("pk,pke->ke", phase, moments).reshape((order + 1,) + shape)
 
 
-def fourier_coeffs(f: ScalarSymbol, order: int, oversample: float = 1.0) -> FourierCoeffs:
+def fourier_coeffs(f: ScalarSymbol, order: int) -> FourierCoeffs:
     """All coefficients f_k = (1/2pi) int f(theta) e^{-ik.theta} dtheta, |k| <= order.
 
-    Negative orders follow from f real via f_{-k} = conj(f_k).  ``oversample``
-    multiplies the panel count; doubling it is the convergence check.
+    Negative orders follow from f real via f_{-k} = conj(f_k).  The panels
+    are at most ``_MAX_PANEL`` wide; halving it is the convergence check.
     """
-    pos = _filon_coeffs(_breakpoints(f), order, oversample, f.sample)
+    pos = _filon_coeffs(_breakpoints(f), order, f.sample)
     return FourierCoeffs(order=order, data=np.concatenate([np.conj(pos[:0:-1]), pos]))
 
 

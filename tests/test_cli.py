@@ -369,18 +369,18 @@ print(json.dumps(report))
 
 
 def test_programmatic_experiment_registry(capsys):
-    from eigmatch.cli import ExperimentSpec, run
+    from eigmatch.cli import run
 
-    code = run(ExperimentSpec(name="counterexample", params={"ns": [10]}))
+    code = run("counterexample", {"ns": [10]})
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[1] == "10,1.0000,1"
 
 
 def test_unknown_experiment_is_usage_error(capsys):
-    from eigmatch.cli import ExperimentSpec, run
+    from eigmatch.cli import run
 
-    assert run(ExperimentSpec(name="bogus")) == 2
+    assert run("bogus", {}) == 2
     assert "unknown experiment" in capsys.readouterr().err
 
 
@@ -434,7 +434,7 @@ def test_blas_thread_count_restored_when_experiment_raises(monkeypatch, blas_thr
     monkeypatch.setitem(cli.EXPERIMENTS, "counterexample",
                         _recording_experiment(blas_threads, seen, "raise"))
     with pytest.raises(RuntimeError, match="experiment crashed"):
-        cli.run(cli.ExperimentSpec(name="counterexample", params={"ns": [10]}))
+        cli.run("counterexample", {"ns": [10]})
     assert seen == [1]
     assert blas_threads() == 2
 

@@ -10,8 +10,6 @@ from eigmatch.galerkin import (
     GridKind,
     alpha,
     assemble_KM,
-    bspline_deriv,
-    bspline_eval,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,
@@ -19,7 +17,6 @@ from eigmatch.galerkin import (
     grid_size,
     iga_2d_matrix,
     infer_grid_assignment,
-    make_basis,
     reference_blocks,
     seq_a,
     symbol_e_branches,
@@ -27,7 +24,8 @@ from eigmatch.galerkin import (
     symbol_h,
     verify_eig_formula,
 )
-from eigmatch.galerkin import _reference_values  # test oracle uses the raw basis
+# the oracles use the raw basis
+from eigmatch.galerkin import _full_rows, _open_knots, _reference_values
 from eigmatch.core import make_uniform_grid
 from eigmatch.match import sorted_match
 from eigmatch.problems import c0_quadratic_matrix, iga2d_symbol
@@ -76,41 +74,34 @@ def test_iga_2d_rejects_tiny_n():
 # B-spline basis
 # ---------------------------------------------------------------------------
 
+def _basis_rows(n, p, k, xs, deriv=False):
+    """Every full-basis function (boundary included) at each point, shape (N, nf)."""
+    return _full_rows(_open_knots(n, p, k), p, np.asarray(xs, dtype=float), deriv)
+
+
 @pytest.mark.parametrize("p,k", [(1, 0), (2, 0), (3, 1), (5, 1), (8, 0), (8, 1)])
 def test_partition_of_unity(p, k):
-    basis = make_basis(6, p, k)
     rng = np.random.default_rng(10)
-    for x in rng.uniform(0, 1, size=100):
-        total = sum(bspline_eval(basis, i, x) for i in range(basis.dim_full))
-        assert total == pytest.approx(1.0, abs=1e-12)
+    rows = _basis_rows(6, p, k, rng.uniform(0, 1, size=100))
+    assert rows.shape[1] == 6 * (p - k) + k + 1
+    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_degree_one_hats():
     n = 8
-    basis = make_basis(n, 1, 0)
-    for i in range(basis.dim_full):
-        assert bspline_eval(basis, i, i / n) == pytest.approx(1.0, abs=1e-14)
+    rows = _basis_rows(n, 1, 0, np.arange(n + 1) / n)
+    assert np.max(np.abs(rows - np.eye(n + 1))) <= 1e-14
 
 
 def test_derivative_against_central_differences():
-    basis = make_basis(5, 4, 1)
+    n, p, k = 5, 4, 1
     h = 1e-6
     rng = np.random.default_rng(12)
     xs = rng.uniform(0.05, 0.95, size=40)
-    knots = np.unique(basis.knots)
+    knots = np.unique(_open_knots(n, p, k))
     xs = xs[np.min(np.abs(xs[:, None] - knots[None, :]), axis=1) > 1e-3]
-    for i in range(basis.dim_full):
-        for x in xs:
-            fd = (bspline_eval(basis, i, x + h) - bspline_eval(basis, i, x - h)) / (2 * h)
-            assert bspline_deriv(basis, i, x) == pytest.approx(fd, abs=1e-5)
-
-
-def test_basis_index_validation():
-    basis = make_basis(4, 2, 0)
-    with pytest.raises(ValueError):
-        bspline_eval(basis, basis.dim_full, 0.5)
-    with pytest.raises(ValueError):
-        bspline_deriv(basis, -1, 0.5)
+    fd = (_basis_rows(n, p, k, xs + h) - _basis_rows(n, p, k, xs - h)) / (2 * h)
+    assert np.allclose(_basis_rows(n, p, k, xs, deriv=True), fd, rtol=0, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +247,19 @@ def test_assembly_symmetric_positive_definite(p, k, n):
 
 
 def _assembly_oracle(n, p, k):
-    """K and M from a per-node loop over the scalar basis functions."""
-    basis = make_basis(n, p, k)
+    """K and M from a per-node loop over the full basis rows at each node."""
+    t = _open_knots(n, p, k)
+    dim_full = t.size - p - 1
+    dim = dim_full - 2
     gx, gw = np.polynomial.legendre.leggauss(p + 1)
-    K = np.zeros((basis.dim, basis.dim))
-    M = np.zeros((basis.dim, basis.dim))
-    t = basis.knots
+    K = np.zeros((dim, dim))
+    M = np.zeros((dim, dim))
     for e in range(n):
         for x, w in zip((e + 0.5 + 0.5 * gx) / n, 0.5 * gw / n):
             # kept functions whose support [t_i, t_{i+p+1}] holds x
-            alive = [i for i in range(1, basis.dim_full - 1) if t[i] < x < t[i + p + 1]]
-            v = np.array([bspline_eval(basis, i, x) for i in alive])
-            d = np.array([bspline_deriv(basis, i, x) for i in alive])
+            alive = [i for i in range(1, dim_full - 1) if t[i] < x < t[i + p + 1]]
+            v = _basis_rows(n, p, k, [x])[0, alive]
+            d = _basis_rows(n, p, k, [x], deriv=True)[0, alive]
             rows = np.array(alive) - 1
             K[np.ix_(rows, rows)] += w * np.outer(d, d)
             M[np.ix_(rows, rows)] += w * np.outer(v, v)
@@ -286,6 +278,12 @@ def test_assembly_matches_per_node_oracle(p, k, n):
 def test_assembly_rejects_single_element():
     with pytest.raises(ValueError):
         assemble_KM(1, 2, 0)
+
+
+@pytest.mark.parametrize("p,k", [(0, 0), (3, 3), (3, -1)])
+def test_assembly_rejects_bad_degree_or_smoothness(p, k):
+    with pytest.raises(ValueError, match=f"need p >= 1 and 0 <= k <= p-1, got p={p}, k={k}"):
+        assemble_KM(5, p, k)
 
 
 @pytest.mark.parametrize("p,k", [(2, 0), (3, 0), (3, 1), (5, 1), (6, 0), (6, 1)])
@@ -346,6 +344,15 @@ def test_grid_points_examples():
     for kind, count in [(GridKind.FULL, 9), (GridKind.NO_ZERO, 8),
                         (GridKind.NO_PI, 8), (GridKind.INTERIOR, 7)]:
         assert grid_points(kind, 8).size == count == grid_size(kind, 8)
+
+
+@pytest.mark.parametrize("kind", list(GridKind))
+@pytest.mark.parametrize("n", [0, -3])
+def test_grid_size_rejects_n_below_one_like_grid_points(kind, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        grid_points(kind, n)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        grid_size(kind, n)
 
 
 def test_grid_assignment_examples():
@@ -547,8 +554,7 @@ def test_branch_table_requires_one_row_per_angle():
 
 
 def test_kept_basis_functions_vanish_at_boundary():
-    basis = make_basis(5, 3, 1)
-    for i in range(1, basis.dim_full - 1):  # assembly keeps these
-        assert bspline_eval(basis, i, 0.0) == 0.0
-        assert bspline_eval(basis, i, 1.0) == 0.0
-    assert basis.dim == basis.dim_full - 2
+    n, p, k = 5, 3, 1
+    rows = _basis_rows(n, p, k, [0.0, 1.0])
+    assert np.all(rows[:, 1:-1] == 0.0)  # assembly keeps these
+    assert assemble_KM(n, p, k)[0].shape[0] == rows.shape[1] - 2

@@ -66,6 +66,8 @@ def test_min_perm_match_examples():
     assert min_perm_match([0.0, 1.0, 2.0], [2.1, 0.05, 0.9]) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         min_perm_match(np.zeros(10), np.zeros(10))
+    with pytest.raises(ValueError, match="need at least one value per side"):
+        min_perm_match([], [])
 
 
 def test_min_perm_equals_sorted_on_random_sevens():
@@ -123,8 +125,6 @@ def disk_symbol():
     return ScalarSymbol(
         domain=Rect(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         eval=lambda x, y: x**2 + y**2,
-        declared_inf=0.0,
-        declared_sup=2.0,
         membership=lambda x, y: x**2 + y**2 <= 1.0,
     )
 

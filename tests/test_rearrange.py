@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eigmatch.rearrange import empirical_quantile
+from eigmatch.rearrange import QuantileInterpolant, empirical_quantile
 
 from property_suites import quantile_integral_suite, quantile_measure_suite
 
@@ -47,6 +47,17 @@ def test_quantile_eval_identity_at_midpoint():
     # interpolant is the identity itself
     q = empirical_quantile(np.linspace(0.0, 1.0, 11))
     assert q(0.5) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("samples,message", [
+    ([0.0, 1.0, math.nan], "finite"),
+    ([0.0, math.inf], "finite"),
+    ([-math.inf, 0.0], "finite"),
+    ([1.0, 0.0], "ascending"),
+])
+def test_quantile_interpolant_rejects_non_finite_or_unsorted_samples(samples, message):
+    with pytest.raises(ValueError, match=message):
+        QuantileInterpolant(np.array(samples))
 
 
 def test_quantile_eval_domain_check():
