@@ -25,6 +25,7 @@ from .galerkin import (
     ReferenceBlocks,
     alpha,
     assemble_KM,
+    assemble_KM_sweep,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,

@@ -35,6 +35,7 @@ from .eig import Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag, one_blas_t
 from .galerkin import (
     GridKind,
     assemble_KM,
+    assemble_KM_sweep,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,
@@ -228,35 +229,45 @@ def _check_spline_args(pmax: int, nmax: int, tol: float):
 def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
     """Exact-eigenvalue check of a spline matrix family over (p, k, n).
 
-    Rows run serially: assembly and branch tables are batched numpy, so a
-    thread pool only adds contention for the interpreter lock.
+    Each (p, k) is one batch over n = 2..nmax: :func:`assemble_KM_sweep`
+    builds every n's matrices from one B-spline table pass, and one symbol
+    evaluation on the concatenated full grids gives every n's branch table
+    (the stiffness table serves both the inference and the check).  Only
+    the eigensolve and the check run per row.  Rows run serially: a thread
+    pool only adds contention for the interpreter lock.
     """
     if family not in ("K", "M", "L"):
         raise ValueError(f"unknown family {family!r}")
     _check_spline_args(pmax, nmax, tol)
+    ns = list(range(2, nmax + 1))
+    theta = np.concatenate([grid_points(GridKind.FULL, n) for n in ns])
+    bounds = np.cumsum([n + 1 for n in ns])[:-1]  # row n's table: its n+1 angles
 
-    def one(p, k, n):
-        K, M = assemble_KM(n, p, k)
-        theta = grid_points(GridKind.FULL, n)
+    rows = []
+    for p, k in _pk_pairs(pmax):
+        branch_js = range(1, p - k + 1)
         if family == "M":
-            spectrum = eig_sym(n * M)
-            branches = np.linalg.eigvalsh(symbol_h(p, k, theta))
-            assignment = [grid_assign_M(p, k, j) for j in range(1, p - k + 1)]
+            tables = np.linalg.eigvalsh(symbol_h(p, k, theta))
+            assignment = [grid_assign_M(p, k, j) for j in branch_js]
         elif family == "L":
-            spectrum = Spectrum(eig_gen_sym_def(K, M).values / n**2)
-            branches = symbol_e_branches(p, k, theta)
-            assignment = [grid_assign_L(p, k, j) for j in range(1, p - k + 1)]
+            tables = symbol_e_branches(p, k, theta)
+            assignment = [grid_assign_L(p, k, j) for j in branch_js]
         else:
-            spectrum = eig_sym(K / n)
-            # one branch table serves both the inference and the check
-            branches = np.linalg.eigvalsh(symbol_f(p, k, theta))
-            assignment = infer_grid_assignment(spectrum, branches, p, k, n, tol)
-            if assignment is None:
-                return (p, k, n, math.inf, False)
-        ok, err = verify_eig_formula(spectrum, branches, assignment, n, tol)
-        return (p, k, n, err, ok)
-
-    return [one(p, k, n) for p, k in _pk_pairs(pmax) for n in range(2, nmax + 1)]
+            tables = np.linalg.eigvalsh(symbol_f(p, k, theta))
+        for n, (K, M), branches in zip(ns, assemble_KM_sweep(ns, p, k), np.split(tables, bounds)):
+            if family == "M":
+                spectrum = eig_sym(n * M)
+            elif family == "L":
+                spectrum = Spectrum(eig_gen_sym_def(K, M).values / n**2)
+            else:
+                spectrum = eig_sym(K / n)
+                assignment = infer_grid_assignment(spectrum, branches, p, k, n, tol)
+                if assignment is None:
+                    rows.append((p, k, n, math.inf, False))
+                    continue
+            ok, err = verify_eig_formula(spectrum, branches, assignment, n, tol)
+            rows.append((p, k, n, err, ok))
+    return rows
 
 
 def run_grid_infer(pmax: int, nmax: int, tol: float):

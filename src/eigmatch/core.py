@@ -165,6 +165,9 @@ def count_grid_in_interval(x0: float, h: float, alpha: float, beta: float) -> in
     q = (beta - alpha) / h
     scale = max(abs(x0), abs(alpha), abs(beta)) / h
     slack = 16 * np.finfo(float).eps * (q + scale)
+    if not math.isfinite(q + slack):
+        raise ValueError(f"too many grid steps to count: h={h!r} in [{alpha!r}, {beta!r}] "
+                         f"from x0={x0!r}")
     return int(math.floor(q + slack)) + 1
 
 

@@ -9,8 +9,9 @@ Covers three matrix families used by the experiments:
   which the scaled matrices have exactly the branch samples as eigenvalues.
 
 B-splines are evaluated with the knot-span table recursion, batched over
-arrays of points: one pass covers every quadrature node of an assembly.  The
-basis stays private; the module exposes the assembled matrices.  All
+arrays of points and knot vectors: one pass covers every quadrature node of
+an assembly, or of a whole sweep over n (``assemble_KM_sweep``).  The basis
+stays private; the module exposes the assembled matrices.  All
 Galerkin integrals use Gauss-Legendre with p+1 nodes per knot span, which is
 exact for the degree <= 2p piecewise-polynomial integrands, so the assembled
 matrices agree with the symbolic ones to rounding error.
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "symbol_h",
     "symbol_e_branches",
     "assemble_KM",
+    "assemble_KM_sweep",
     "fd_matrix",
     "iga_2d_matrix",
     "seq_a",
@@ -59,21 +61,31 @@ __all__ = [
 # B-spline evaluation (knot-span table algorithm, batched over points)
 # ---------------------------------------------------------------------------
 
-def _basis_table(knots: np.ndarray, p: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _basis_table(knots_list: Sequence[np.ndarray], p: int,
+                 xs_list: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Knot spans and the p+1 B-spline values and derivatives alive on them.
 
-    Runs the Cox-de Boor table recursion over all points at once.  For
-    points x of shape (N,) returns (spans, values, derivs): ``spans[q]``
-    satisfies knots[s] <= x[q] < knots[s+1], clamped into the basis domain,
-    and row q of ``values``/``derivs`` (shape (N, p+1)) holds functions
-    spans[q]-p .. spans[q].
+    Takes a list of knot vectors and a matching list of point arrays, and
+    runs the Cox-de Boor table recursion once over all the points.  Returns
+    (spans, values, derivs) concatenated in list order: for point q of
+    ``xs_list[i]``, ``spans[q]`` satisfies t[s] <= x[q] < t[s+1] in
+    ``knots_list[i]``, clamped into that basis domain, and row q of
+    ``values``/``derivs`` (shape (N, p+1)) holds functions spans[q]-p ..
+    spans[q].  Every point is computed as if alone, so batching changes no bit.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    nf = knots.size - p - 1
-    spans = np.clip(np.searchsorted(knots, x, side="right") - 1, p, nf - 1)
+    xs = [np.asarray(x, dtype=float).reshape(-1) for x in xs_list]
+    spans = np.concatenate([
+        np.clip(np.searchsorted(t, x, side="right") - 1, p, t.size - p - 2)
+        for t, x in zip(knots_list, xs)
+    ])
+    # spans into the concatenated knot vectors
+    starts = np.cumsum([0] + [t.size for t in knots_list[:-1]])
+    at = spans + np.repeat(starts, [x.size for x in xs])
+    knots = np.concatenate(knots_list)
+    x = np.concatenate(xs)
     offsets = np.arange(1, p + 1)[:, None]
-    left = x - knots[spans + 1 - offsets]  # left[j-1] = x - t_{s+1-j}
-    right = knots[spans + offsets] - x  # right[j-1] = t_{s+j} - x
+    left = x - knots[at + 1 - offsets]  # left[j-1] = x - t_{s+1-j}
+    right = knots[at + offsets] - x  # right[j-1] = t_{s+j} - x
     values = np.ones((1, x.size))
     for j in range(1, p + 1):
         # ratio[r] = N_{s-j+1+r, j-1}(x) / (t_{s+r+1} - t_{s+r+1-j}), r = 0..j-1
@@ -91,7 +103,7 @@ def _basis_table(knots: np.ndarray, p: int, x) -> tuple[np.ndarray, np.ndarray, 
 
 def _full_rows(knots: np.ndarray, p: int, x, deriv: bool) -> np.ndarray:
     """Every basis function (or derivative) at every point, shape (N, nf)."""
-    spans, values, derivs = _basis_table(knots, p, x)
+    spans, values, derivs = _basis_table([knots], p, [x])
     out = np.zeros((spans.size, knots.size - p - 1))
     cols = spans[:, None] - p + np.arange(p + 1)
     np.put_along_axis(out, cols, derivs if deriv else values, axis=1)
@@ -241,37 +253,61 @@ def symbol_e_branches(p: int, k: int, theta) -> np.ndarray:
 # Galerkin assembly on [0, 1]
 # ---------------------------------------------------------------------------
 
+def assemble_KM_sweep(ns: Sequence[int], p: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stiffness and mass matrices of the boundary-vanishing spline basis, per n.
+
+    Yields (K, M) for each n of ``ns`` in order, as :func:`assemble_KM`
+    builds them, bit for bit.  Element-wise Gauss-Legendre assembly with p+1
+    nodes per element: one B-spline table pass covers the n(p+1) nodes of
+    every n, and one contraction forms every element block.  Each n's
+    blocks are scattered with one ``add.at`` only when its pair is
+    requested, so a caller that drops each pair holds one n's matrices at a
+    time; the two dropped boundary functions land in a pad row/column that
+    is sliced off.
+    The arguments are checked at the call, before the first pair.
+    """
+    ns = list(ns)
+    if any(n < 2 for n in ns):
+        raise ValueError("n must be >= 2")
+    _check_degrees(p, k)
+    if not ns:
+        return iter(())
+    gx, gw = _gauss_legendre(p + 1)
+    h = [1.0 / n for n in ns]
+    xs = [(np.arange(n)[:, None] + 0.5 + 0.5 * gx) * hn for n, hn in zip(ns, h)]
+    w = np.repeat([0.5 * hn * gw for hn in h], ns, axis=0)  # (element, node)
+    spans, values, derivs = _basis_table([_open_knots(n, p, k) for n in ns], p, xs)
+    shape = (-1, p + 1, p + 1)  # (element, node, local function)
+    V, D = values.reshape(shape), derivs.reshape(shape)
+    Ke = np.einsum("eq,eqa,eqb->eab", w, D, D)
+    Me = np.einsum("eq,eqa,eqb->eab", w, V, V)
+    first = spans.reshape(-1, p + 1)[:, :1] - p - 1  # matrix index of local function 0
+    return _scatter_KM(ns, p, k, first, Ke, Me)
+
+
+def _scatter_KM(ns, p, k, first, Ke, Me):
+    """Scatter each n's element blocks into its (K, M), one n per ``next``."""
+    start = 0
+    for n in ns:
+        dim = n * (p - k) + k - 1  # the first and last basis functions are dropped
+        local = first[start:start + n] + np.arange(p + 1)
+        local = np.where((local >= 0) & (local < dim), local, dim)
+        rows, cols = local[:, :, None], local[:, None, :]
+        K = np.zeros((dim + 1, dim + 1))
+        M = np.zeros((dim + 1, dim + 1))
+        np.add.at(K, (rows, cols), Ke[start:start + n])
+        np.add.at(M, (rows, cols), Me[start:start + n])
+        start += n
+        yield K[:dim, :dim], M[:dim, :dim]
+
+
 def assemble_KM(n: int, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Stiffness and mass matrices of the boundary-vanishing spline basis.
 
-    Element-wise Gauss-Legendre assembly with p+1 nodes per element; both
-    matrices are symmetric and positive definite of size n(p-k)+k-1.  The
-    basis is evaluated at all n(p+1) nodes in one table pass, the element
-    blocks are formed in one contraction and scattered in one ``add.at``;
-    the two dropped boundary functions land in a pad row/column that is
-    sliced off.
+    Both matrices are symmetric and positive definite of size n(p-k)+k-1.
+    The one-element case of :func:`assemble_KM_sweep`.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    _check_degrees(p, k)
-    dim = n * (p - k) + k - 1  # the first and last basis functions are dropped
-    gx, gw = _gauss_legendre(p + 1)
-    h = 1.0 / n
-    xs = (np.arange(n)[:, None] + 0.5 + 0.5 * gx) * h
-    w = 0.5 * h * gw
-    spans, values, derivs = _basis_table(_open_knots(n, p, k), p, xs)
-    shape = (n, p + 1, p + 1)  # (element, node, local function)
-    V, D = values.reshape(shape), derivs.reshape(shape)
-    Ke = np.einsum("q,eqa,eqb->eab", w, D, D)
-    Me = np.einsum("q,eqa,eqb->eab", w, V, V)
-    local = spans.reshape(n, p + 1)[:, :1] - p - 1 + np.arange(p + 1)  # matrix indices
-    local = np.where((local >= 0) & (local < dim), local, dim)
-    rows, cols = local[:, :, None], local[:, None, :]
-    K = np.zeros((dim + 1, dim + 1))
-    M = np.zeros((dim + 1, dim + 1))
-    np.add.at(K, (rows, cols), Ke)
-    np.add.at(M, (rows, cols), Me)
-    return K[:dim, :dim], M[:dim, :dim]
+    return next(assemble_KM_sweep([n], p, k))
 
 
 # ---------------------------------------------------------------------------

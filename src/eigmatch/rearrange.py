@@ -58,7 +58,4 @@ def empirical_quantile(samples) -> QuantileInterpolant:
     Sorting is stable, so equal values keep their insertion order and repeated
     runs are reproducible.
     """
-    v = as_values(samples)
-    if v.size < 2:
-        raise ValueError(f"need at least 2 samples, got {v.size}")
-    return QuantileInterpolant(np.sort(v, kind="stable"))
+    return QuantileInterpolant(np.sort(as_values(samples), kind="stable"))

@@ -185,7 +185,9 @@ def test_stiffness_rows_build_one_branch_table(monkeypatch):
     monkeypatch.setattr(cli, "symbol_f", counted)
     rows = run_bspline_verify("K", 3, 6, 1e-8)
     assert all(ok for *_, ok in rows)
-    assert len(calls) == len(rows) == 5 * 5
+    # one table per (p, k) serves every n: 5 pairs, 5 rows each
+    assert len(rows) == 5 * 5
+    assert calls == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -126,6 +126,13 @@ def test_count_grid_in_interval_rejects_non_finite_arguments(args):
         count_grid_in_interval(*args)
 
 
+@pytest.mark.parametrize("args", [(0.0, 1e-300, -1e300, 1e300), (1e308, 1e-10, 0.0, 1.0)])
+def test_count_grid_in_interval_rejects_uncountable_intervals(args):
+    # finite arguments whose step count overflows a float
+    with pytest.raises(ValueError, match="too many grid steps to count"):
+        count_grid_in_interval(*args)
+
+
 def test_count_grid_in_interval_aligned_endpoints():
     # 0.3 + i*0.05 for i = 2..8 lies in [0.4, 0.7]; (0.7-0.4)/0.05 rounds below 6
     assert count_grid_in_interval(0.3, 0.05, 0.4, 0.7) == 7

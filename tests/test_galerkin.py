@@ -10,6 +10,7 @@ from eigmatch.galerkin import (
     GridKind,
     alpha,
     assemble_KM,
+    assemble_KM_sweep,
     fd_matrix,
     grid_assign_L,
     grid_assign_M,
@@ -284,6 +285,49 @@ def test_assembly_rejects_single_element():
 def test_assembly_rejects_bad_degree_or_smoothness(p, k):
     with pytest.raises(ValueError, match=f"need p >= 1 and 0 <= k <= p-1, got p={p}, k={k}"):
         assemble_KM(5, p, k)
+
+
+_SWEEP_PK = [(p, k) for p in range(1, 9) for k in (0, 1) if k <= p - 1]
+
+
+@pytest.mark.parametrize("p,k", _SWEEP_PK)
+def test_assembly_sweep_equals_per_n_assembly_bit_for_bit(p, k):
+    ns = list(range(2, 21))
+    pairs = list(assemble_KM_sweep(ns, p, k))
+    assert len(pairs) == len(ns)
+    for n, (K, M) in zip(ns, pairs):
+        K1, M1 = assemble_KM(n, p, k)
+        assert np.array_equal(K, K1) and np.array_equal(M, M1)
+
+
+@pytest.mark.parametrize("p,k", _SWEEP_PK)
+def test_split_batched_branch_tables_equal_per_n_tables_bit_for_bit(p, k):
+    ns = list(range(2, 21))
+    theta = np.concatenate([grid_points(GridKind.FULL, n) for n in ns])
+    bounds = np.cumsum([n + 1 for n in ns])[:-1]
+    tables = {
+        "h": lambda t: np.linalg.eigvalsh(symbol_h(p, k, t)),
+        "f": lambda t: np.linalg.eigvalsh(symbol_f(p, k, t)),
+        "e": lambda t: symbol_e_branches(p, k, t),
+    }
+    for table in tables.values():
+        for n, part in zip(ns, np.split(table(theta), bounds)):
+            assert np.array_equal(part, table(grid_points(GridKind.FULL, n)))
+
+
+@pytest.mark.parametrize("ns,p,k", [([1], 2, 0), ([4], 0, 0), ([5, 1, 7], 3, 1), ([6], 3, 3)])
+def test_assembly_sweep_rejects_bad_arguments_at_the_call(ns, p, k):
+    with pytest.raises(ValueError):
+        assemble_KM_sweep(ns, p, k)  # no next(): the generator is never started
+
+
+def test_assembly_sweep_is_lazy_and_accepts_no_n():
+    assert list(assemble_KM_sweep([], 3, 1)) == []
+    sweep = assemble_KM_sweep([2, 3], 2, 0)
+    K, M = next(sweep)
+    assert K.shape == M.shape == (3, 3)
+    assert next(sweep)[0].shape == (5, 5)
+    assert next(sweep, None) is None
 
 
 @pytest.mark.parametrize("p,k", [(2, 0), (3, 0), (3, 1), (5, 1), (6, 0), (6, 1)])

@@ -23,7 +23,7 @@ def test_empirical_quantile_constant_is_exact():
 
 
 def test_empirical_quantile_needs_two_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two samples"):
         empirical_quantile([1.0])
 
 
