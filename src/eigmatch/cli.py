@@ -105,16 +105,19 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     """Sorted-match curve of a Toeplitz family against its symbol on [0, pi].
 
     Each distinct n is solved once, as the two half-size problems of the
-    symmetric Toeplitz section.  The solves run serially: a pool gains
-    nothing at these sizes, and a pool thread's own malloc arena would hold
-    a second set of solve buffers.
+    symmetric Toeplitz section.  Each half is a temporary, solved as
+    :func:`toeplitz_halves` yields it and dropped before the next is built,
+    so a row holds one half and the solver's copy of it, not both halves.
+    The solves run serially: a pool gains nothing at these sizes, and a pool
+    thread's own malloc arena would hold a second set of solve buffers.
     """
     full = _MN_EXAMPLES[example]()
     coeffs = fourier_coeffs(full, max(ns) - 1 if max(ns) > 1 else 1)
 
     def lam(n: int) -> np.ndarray:
         halves = toeplitz_halves(coeffs, n)
-        return np.sort(np.concatenate([eig_sym(h).values for h in halves]))
+        even = eig_sym(next(halves)).values
+        return np.sort(np.concatenate([even, eig_sym(next(halves)).values]))
 
     lambdas = {n: lam(n) for n in dict.fromkeys(ns)}
     return mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)
@@ -189,7 +192,12 @@ def run_counterexample(ns: list[int]) -> list[tuple[int, float]]:
 
 
 def run_split_demo(n: int) -> list[tuple[int, int, float]]:
-    """Per-branch sorted matches of the C^0 quadratic family after splitting."""
+    """Per-branch sorted matches of the C^0 quadratic family after splitting.
+
+    Needs n >= 2: the second branch's grid has n - 1 points.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     values = eig_sym(problems.c0_quadratic_matrix(n)).values
     reference = Partition(
         values=values,

@@ -356,7 +356,9 @@ def iga_2d_matrix(n: int) -> np.ndarray:
                           [(0, 0, 8.0 / 6.0), (0, 1, -1.0 / 6.0)])
     M = _banded_symmetric(n, np.array([66.0, 26.0, 1.0]) / 120.0,
                           [(0, 0, 40.0 / 120.0), (0, 1, 25.0 / 120.0)])
-    return np.kron(K, M) + np.kron(M, K)
+    A = np.kron(K, M)
+    A += np.kron(M, K)  # in place: two n^2 x n^2 buffers at a time, not three
+    return A
 
 
 # ---------------------------------------------------------------------------

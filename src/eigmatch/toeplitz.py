@@ -12,15 +12,18 @@ with the order.
 
 A real symmetric Toeplitz section is also centrosymmetric, so its
 eigenproblem splits into two of half the size (Cantoni and Butler, Linear
-Algebra Appl. 13, 1976).  :func:`toeplitz_halves` builds both halves, and
-checks that the split applies, from the 2n - 1 coefficients alone: it never
-forms the n x n section, whose complex copy is 16 MiB at n = 1024.
+Algebra Appl. 13, 1976).  :func:`toeplitz_halves` checks that the split
+applies and builds the halves one at a time, from the 2n - 1 coefficients
+alone: it never forms the n x n section, whose complex copy is 16 MiB at
+n = 1024, and a caller that drops each half before asking for the next holds
+one of them at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +182,7 @@ def toeplitz_build(c: FourierCoeffs, n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(window[::-1], n)[::-1].copy()
 
 
-def toeplitz_halves(c: FourierCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
+def toeplitz_halves(c: FourierCoeffs, n: int) -> Iterator[np.ndarray]:
     """The half matrices T11 + T12 J and T11 - T12 J of the real symmetric section T_n.
 
     J is the exchange matrix.  A symmetric Toeplitz matrix is centrosymmetric,
@@ -190,6 +193,11 @@ def toeplitz_halves(c: FourierCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
     without forming T_n.  For odd n the middle row and column, scaled by
     sqrt(2), border the first half, giving sizes (n+1)/2 and (n-1)/2.  The
     entries are those sliced from ``toeplitz_build(c, n).real``, bit for bit.
+
+    Returns an iterator over the two halves, in that order.  The second is
+    built only when it is asked for, and the iterator keeps no reference to
+    the first, so a caller that drops each half before the next holds one at
+    a time.  The arguments are checked at the call, before the first half.
 
     Raises ValueError for n < 1 or coefficients below order n - 1, for an
     imaginary part above the bound ``eig_sym`` drops, and for f_{-k} != f_k
@@ -206,13 +214,29 @@ def toeplitz_halves(c: FourierCoeffs, n: int) -> tuple[np.ndarray, np.ndarray]:
     # largest entry is its largest absolute entry (or NaN)
     if not np.max(w - w[::-1]) <= _HERM_RTOL * scale:
         raise ValueError(f"T_{n} is not symmetric and centrosymmetric within {_HERM_RTOL * scale:.3g}")
+    return _halves(w, n)
+
+
+def _halves(w: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Yield the even half, then build and yield the odd one, from the real window w.
+
+    Neither half is bound to a local, so the suspended generator holds no
+    reference to the one it has yielded.
+    """
     q = n // 2
     windows = np.lib.stride_tricks.sliding_window_view
     hankel = windows(w, q)[:q]  # [i, j] -> w[i + j] = f_{i+j-n+1}
     toeplitz = windows(w[::-1], q)[n - 1 : n - 1 - q : -1]  # [i, j] -> w[n-1+i-j] = f_{i-j}
+    yield _even_half(w, n, toeplitz, hankel)
+    yield toeplitz - hankel
+
+
+def _even_half(w: np.ndarray, n: int, toeplitz: np.ndarray, hankel: np.ndarray) -> np.ndarray:
+    """T11 + T12 J, bordered for odd n by the sqrt(2)-scaled middle row and column."""
+    q = n // 2
     even = np.empty((n - q, n - q))
     np.add(toeplitz, hankel, out=even[:q, :q])
     if n % 2:
         even[q, :q] = even[:q, q] = math.sqrt(2.0) * w[n - 1 - q : n - 1]  # sqrt(2) f_{i-q}
         even[q, q] = w[n - 1]
-    return even, toeplitz - hankel
+    return even

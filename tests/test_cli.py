@@ -91,6 +91,25 @@ def test_mn_table_never_builds_the_section(capsys, monkeypatch):
     assert code == 0 and out == expected
 
 
+def test_mn_table_holds_one_half_at_a_time(monkeypatch):
+    # T_1024 splits into two 512 x 512 halves: the solve of one and the
+    # solver's copy of it fit under the bound, and a second half would not
+    import tracemalloc
+
+    import eigmatch.cli as cli
+
+    coeffs = cli.fourier_coeffs(cli._MN_EXAMPLES["e2"](), 1023)
+    monkeypatch.setattr(cli, "fourier_coeffs", lambda symbol, order: coeffs)
+    tracemalloc.start()
+    try:
+        rows = cli.run_mn_table("e2", [1024])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [n for n, _ in rows] == [1024]
+    assert peak < 2.5 * 512**2 * 8
+
+
 def test_mn_table2d_small_square(capsys):
     code, out, _ = run_cli(capsys, "mn-table2d", "--coef", "exp", "--ns", "900")
     assert code == 0
@@ -126,6 +145,13 @@ def test_split_demo(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [("1", "20"), ("2", "19")]
     assert all(float(r[3]) <= 1e-8 for r in rows)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_split_demo_rejects_n_below_two(capsys, n):
+    code, out, err = run_cli(capsys, "split-demo", "--n", str(n))
+    assert code == 2 and out == ""
+    assert err == f"eigmatch split-demo: n must be >= 2, got {n}\n"
 
 
 def test_bspline_verify_small_sweep(capsys):

@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -212,10 +213,21 @@ def _table_coeffs(example):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 127, 1023, 1024])
 def test_toeplitz_halves_bit_identical_to_sliced_section(example, n):
     c = _table_coeffs(example)
-    halves = toeplitz_halves(c, n)
+    halves = list(toeplitz_halves(c, n))
+    assert len(halves) == 2
     for got, want in zip(halves, _sliced_halves(toeplitz_build(c, n))):
         assert got.dtype == want.dtype == np.float64
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_toeplitz_halves_keep_no_reference_to_the_even_half(n):
+    # the odd half is built after the even one is dropped, not beside it
+    halves = toeplitz_halves(_table_coeffs("e2"), n)
+    even = weakref.ref(next(halves))
+    assert even() is None
+    assert next(halves).shape == (n // 2, n // 2)
+    assert next(halves, None) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 127, 1023, 1024])
