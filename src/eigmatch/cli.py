@@ -178,7 +178,7 @@ def run_exactness_e5(ns: list[int]) -> list[tuple[int, float]]:
     f1, f2 = problems.c0_quadratic_branches()
     rows = []
     for n in ns:
-        spec = eig_sym(problems.c0_quadratic_matrix(n))
+        spec = eig_sym(assemble_KM(n, 2, 0)[0] / n)
         theta = np.arange(1, n + 1) * math.pi / n
         samples = np.concatenate([f1(theta), f2(theta[:-1])])
         rows.append((n, sorted_match(samples, spec.values).m_n))
@@ -198,7 +198,7 @@ def run_split_demo(n: int) -> list[tuple[int, int, float]]:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    values = eig_sym(problems.c0_quadratic_matrix(n)).values
+    values = eig_sym(assemble_KM(n, 2, 0)[0] / n).values
     reference = Partition(
         values=values,
         provenance=np.concatenate([np.zeros(n, dtype=int), np.ones(n - 1, dtype=int)]),
@@ -234,6 +234,12 @@ def _check_spline_args(pmax: int, nmax: int, tol: float):
     _check_tol(tol)
 
 
+def _full_grids(ns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The full grids of every n in ``ns``, concatenated, and where to split them per n."""
+    theta = np.concatenate([grid_points(GridKind.FULL, n) for n in ns])
+    return theta, np.cumsum([n + 1 for n in ns])[:-1]
+
+
 def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
     """Exact-eigenvalue check of a spline matrix family over (p, k, n).
 
@@ -248,8 +254,7 @@ def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
         raise ValueError(f"unknown family {family!r}")
     _check_spline_args(pmax, nmax, tol)
     ns = list(range(2, nmax + 1))
-    theta = np.concatenate([grid_points(GridKind.FULL, n) for n in ns])
-    bounds = np.cumsum([n + 1 for n in ns])[:-1]  # row n's table: its n+1 angles
+    theta, bounds = _full_grids(ns)
 
     rows = []
     for p, k in _pk_pairs(pmax):
@@ -279,17 +284,19 @@ def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
 
 
 def run_grid_infer(pmax: int, nmax: int, tol: float):
-    """Recover the stiffness-family grid assignments and their n-stability."""
+    """Recover the stiffness-family grid assignments and their n-stability.
+
+    Each (p, k) is one batch over the probe n, as in :func:`run_bspline_verify`.
+    """
     _check_spline_args(pmax, nmax, tol)
     probe_ns = [n for n in (5, 10, 20) if n <= nmax] or [nmax]
+    theta, bounds = _full_grids(probe_ns)
     rows = []
     for p, k in _pk_pairs(pmax):
-        found = []
-        for n in probe_ns:
-            K, _ = assemble_KM(n, p, k)
-            spectrum = eig_sym(K / n)
-            branches = np.linalg.eigvalsh(symbol_f(p, k, grid_points(GridKind.FULL, n)))
-            found.append(infer_grid_assignment(spectrum, branches, p, k, n, tol))
+        tables = np.split(np.linalg.eigvalsh(symbol_f(p, k, theta)), bounds)
+        sweep = assemble_KM_sweep(probe_ns, p, k)
+        found = [infer_grid_assignment(eig_sym(K / n), branches, p, k, n, tol)
+                 for n, (K, _), branches in zip(probe_ns, sweep, tables)]
         stable = all(a is not None and a == found[0] for a in found)
         label = "+".join(kind.value for kind in found[0]) if found[0] else "none"
         rows.append((p, k, label, probe_ns, stable))
@@ -445,7 +452,6 @@ def main(argv: list[str] | None = None) -> int:
     q.add_argument("--ns", type=_parse_ns, default=_parse_ns("10,100,1000"))
 
     q = sub.add_parser("split-demo", help="per-branch matches of the block-symbol family")
-    q.add_argument("--example", choices=["e5"], default="e5")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--tol", type=float, default=1e-8)
 

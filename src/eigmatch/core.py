@@ -84,7 +84,7 @@ class AUGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in np.atleast_1d(np.asarray(self.dims)))
+        dims = _integral_dims(self.dims)
         if len(dims) != self.rect.d or any(n < 1 for n in dims):
             raise ValueError("dims must be positive integers, one per dimension")
         pts = _readonly(np.asarray(self.points, dtype=float).reshape(-1, self.rect.d))
@@ -108,6 +108,18 @@ class AUGrid:
         return _uniform_points(self.rect, self.dims)
 
 
+def _integral_dims(dims) -> tuple[int, ...]:
+    """Grid dimensions as ints; a value that is not integral raises ``ValueError``.
+
+    Integral floats (3.0) and numpy integers pass; 2.5 is refused rather
+    than truncated to a 2-point dimension.
+    """
+    values = np.atleast_1d(np.asarray(dims))
+    if not all(float(n).is_integer() for n in values):
+        raise ValueError(f"dims must be integral, got {values.tolist()}")
+    return tuple(int(n) for n in values)
+
+
 def _lattice(dims) -> np.ndarray:
     """Multi-indices 1..n (componentwise) in lexicographic order, shape (N, d)."""
     grids = np.meshgrid(*[np.arange(1, n + 1) for n in dims], indexing="ij")
@@ -121,7 +133,7 @@ def _uniform_points(rect: Rect, dims) -> np.ndarray:
 
 def make_uniform_grid(rect: Rect, dims) -> AUGrid:
     """Uniform grid {a + i*(b-a)/n : i = 1..n} on ``rect``, deviation zero."""
-    dims = tuple(int(n) for n in np.atleast_1d(np.asarray(dims)))
+    dims = _integral_dims(dims)
     if any(n < 1 for n in dims):
         raise ValueError(f"dims must be >= 1 componentwise, got {dims}")
     return AUGrid(rect=rect, dims=dims, points=_uniform_points(rect, dims))

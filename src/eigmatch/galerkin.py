@@ -3,7 +3,8 @@
 Covers three matrix families used by the experiments:
 
 - variable-coefficient second-order finite differences (tridiagonal),
-- the tensor-product biquadratic Galerkin matrix K (x) M + M (x) K,
+- the tensor-product biquadratic Galerkin matrix K (x) M + M (x) K, built
+  from the C^1 quadratic spline matrices below,
 - stiffness/mass matrices of degree-p, smoothness-C^k spline spaces on [0, 1],
   together with their (p-k) x (p-k) block symbols and the uniform grids on
   which the scaled matrices have exactly the branch samples as eigenvalues.
@@ -330,32 +331,15 @@ def fd_matrix(a: Callable, n: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, offdiag
 
 
-def _banded_symmetric(n: int, stencil: Sequence[float], corners: Sequence[tuple[int, int, float]]):
-    A = np.zeros((n, n))
-    for offset, value in enumerate(stencil):
-        idx = np.arange(n - offset)
-        A[idx, idx + offset] = value
-        A[idx + offset, idx] = value
-    for i, j, value in corners:
-        A[i, j] = value
-        A[j, i] = value
-        A[n - 1 - i, n - 1 - j] = value
-        A[n - 1 - j, n - 1 - i] = value
-    return A
-
-
 def iga_2d_matrix(n: int) -> np.ndarray:
     """Tensor-product biquadratic Galerkin matrix K (x) M + M (x) K, size n^2.
 
-    The factors are the C^1 quadratic stiffness/mass stencils with their
-    boundary rows (8,-1,-1)/6 and (40,25,1)/120.
+    K and M are the C^1 quadratic (p, k) = (2, 1) matrices of
+    :func:`assemble_KM`, so n >= 2.  Scaled as K/n and n*M they have the
+    interior stencils (6, -2, -1)/6 and (66, 26, 1)/120; the two scalings
+    cancel in each Kronecker product.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    K = _banded_symmetric(n, np.array([6.0, -2.0, -1.0]) / 6.0,
-                          [(0, 0, 8.0 / 6.0), (0, 1, -1.0 / 6.0)])
-    M = _banded_symmetric(n, np.array([66.0, 26.0, 1.0]) / 120.0,
-                          [(0, 0, 40.0 / 120.0), (0, 1, 25.0 / 120.0)])
+    K, M = assemble_KM(n, 2, 1)
     A = np.kron(K, M)
     A += np.kron(M, K)  # in place: two n^2 x n^2 buffers at a time, not three
     return A

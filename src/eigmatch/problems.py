@@ -1,11 +1,15 @@
-"""Concrete symbols, grids, and matrices for the packaged experiments.
+"""Concrete symbols and grids for the packaged experiments.
 
 Each experiment pairs a matrix family with the symbol describing its
-asymptotic eigenvalue distribution.  Generating functions are defined on
-[-pi, pi] (as needed for Fourier coefficients); the matching diagnostics use
-their restriction ``half(f)`` to [0, pi], where the even symbols carry the
-distribution.  Matrix-valued symbols evaluate a whole array of angles at
-once, returning the (N, k, k) stack.
+asymptotic eigenvalue distribution.  The matrices come from the builders in
+``toeplitz`` and ``galerkin``; both spline families (the tensor-product
+biquadratic and the C^0 quadratic one) are assembled by ``assemble_KM``,
+and the closed forms of their symbols here are the exactness oracles.
+Generating functions are defined on [-pi, pi] (as needed for Fourier
+coefficients); the matching diagnostics use their restriction ``half(f)``
+to [0, pi], where the even symbols carry the distribution.  Matrix-valued
+symbols evaluate a whole array of angles at once, returning the (N, k, k)
+stack.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 import numpy as np
 
 from .core import AUGrid, MatrixSymbol, Rect, ScalarSymbol, make_uniform_grid
+from .galerkin import symbol_f
 
 __all__ = [
     "half",
@@ -30,7 +35,6 @@ __all__ = [
     "iga2d_kappa",
     "iga2d_mu",
     "iga2d_symbol",
-    "c0_quadratic_matrix",
     "c0_quadratic_symbol",
     "c0_quadratic_branches",
     "eigen_angle_grid",
@@ -160,39 +164,13 @@ def iga2d_symbol() -> ScalarSymbol:
 # C^0 quadratic Galerkin family (2 x 2 block symbol)
 # ---------------------------------------------------------------------------
 
-def c0_quadratic_matrix(n: int) -> np.ndarray:
-    """The (2n-1) x (2n-1) stiffness matrix of C^0 quadratic splines, times 1/n.
-
-    Rows alternate the (4, -2)/3 and (-2, 8, -2, -2)/3 patterns; equals
-    assemble_KM(n, 2, 0)[0] / n entrywise.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    size = 2 * n - 1
-    A = np.zeros((size, size))
-    idx = np.arange(size)
-    A[idx, idx] = np.where(idx % 2 == 0, 4.0, 8.0) / 3.0
-    A[idx[:-1], idx[:-1] + 1] = -2.0 / 3.0
-    A[idx[:-1] + 1, idx[:-1]] = -2.0 / 3.0
-    odd = idx[(idx % 2 == 1) & (idx + 2 < size)]
-    A[odd, odd + 2] = -2.0 / 3.0
-    A[odd + 2, odd] = -2.0 / 3.0
-    return A
-
-
-def _c0_quadratic_eval(theta: np.ndarray) -> np.ndarray:
-    e = np.exp(1j * theta)
-    out = np.empty(theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 4.0 / 3.0
-    out[..., 0, 1] = -2.0 / 3.0 - 2.0 * e / 3.0
-    out[..., 1, 0] = -2.0 / 3.0 - 2.0 * np.conj(e) / 3.0
-    out[..., 1, 1] = 8.0 / 3.0 - 4.0 * np.cos(theta) / 3.0
-    return out
-
-
 def c0_quadratic_symbol() -> MatrixSymbol:
-    """The 2 x 2 Hermitian symbol of the C^0 quadratic stiffness family on [0, pi]."""
-    return MatrixSymbol(interval=(0.0, math.pi), k=2, eval=_c0_quadratic_eval)
+    """The 2 x 2 Hermitian symbol of the C^0 quadratic stiffness family on [0, pi].
+
+    The stiffness block symbol ``symbol_f(2, 0, theta)``: the eigenvalues of
+    ``assemble_KM(n, 2, 0)[0] / n`` are its branch samples.
+    """
+    return MatrixSymbol(interval=(0.0, math.pi), k=2, eval=lambda t: symbol_f(2, 0, t))
 
 
 def c0_quadratic_branches():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eigmatch.cli import _max_workers, main, run_bspline_verify, run_grid_infer
-from eigmatch.galerkin import symbol_f
+from eigmatch.galerkin import assemble_KM_sweep, symbol_f
 
 
 def run_cli(capsys, *argv):
@@ -140,11 +140,20 @@ def test_counterexample_locked_at_one(capsys):
 
 
 def test_split_demo(capsys):
-    code, out, _ = run_cli(capsys, "split-demo", "--example", "e5", "--n", "20")
+    code, out, _ = run_cli(capsys, "split-demo", "--n", "20")
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [("1", "20"), ("2", "19")]
     assert all(float(r[3]) <= 1e-8 for r in rows)
+
+
+def test_spline_exactness_checks_start_at_two_elements(capsys):
+    code, out, err = run_cli(capsys, "exactness", "--example", "e5", "--ns", "1")
+    assert (code, out, err) == (2, "", "eigmatch exactness: n must be >= 2\n")
+    code, out, err = run_cli(capsys, "exactness", "--example", "e4p", "--ns", "2")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "n,max_error"
+    assert out.splitlines()[1].startswith("2,")
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
@@ -199,21 +208,33 @@ def test_stiffness_inference_reaches_degree_12():
     assert all(stable for *_, stable in inferred), [row for row in inferred if not row[-1]]
 
 
-def test_stiffness_rows_build_one_branch_table(monkeypatch):
+@pytest.mark.parametrize("sweep,n_rows", [
+    (lambda: run_bspline_verify("K", 3, 6, 1e-8), 5 * 5),  # 5 pairs, n = 2..6 each
+    (lambda: run_grid_infer(3, 20, 1e-8), 5),  # 5 pairs, probes n = 5, 10, 20
+], ids=["bspline-verify", "grid-infer"])
+def test_stiffness_rows_build_one_branch_table(monkeypatch, sweep, n_rows):
     import eigmatch.cli as cli
 
-    calls = []
+    symbols, assemblies = [], []
 
-    def counted(p, k, theta):
-        calls.append((p, k))
+    def counted_symbol(p, k, theta):
+        symbols.append((p, k))
         return symbol_f(p, k, theta)
 
-    monkeypatch.setattr(cli, "symbol_f", counted)
-    rows = run_bspline_verify("K", 3, 6, 1e-8)
-    assert all(ok for *_, ok in rows)
-    # one table per (p, k) serves every n: 5 pairs, 5 rows each
-    assert len(rows) == 5 * 5
-    assert calls == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]
+    def counted_sweep(ns, p, k):
+        assemblies.append((p, k))
+        return assemble_KM_sweep(ns, p, k)
+
+    def per_n_assembly(n, p, k):
+        raise AssertionError("assembled one n at a time")
+
+    monkeypatch.setattr(cli, "symbol_f", counted_symbol)
+    monkeypatch.setattr(cli, "assemble_KM_sweep", counted_sweep)
+    monkeypatch.setattr(cli, "assemble_KM", per_n_assembly)
+    rows = sweep()
+    assert len(rows) == n_rows and all(row[-1] for row in rows)
+    # one assembly sweep and one symbol table per (p, k) serve every n
+    assert symbols == assemblies == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -471,10 +492,12 @@ def test_experiments_run_without_a_blas_binding(capsys, monkeypatch):
     # MKL, Accelerate or a system BLAS: nothing is bound, results unchanged
     import eigmatch.eig
 
+    bound = run_cli(capsys, "split-demo", "--n", "7")
     monkeypatch.setattr(eigmatch.eig, "_bind_blas_threads", lambda: None)
-    code, out, _ = run_cli(capsys, "split-demo", "--n", "7")
+    code, out, err = run_cli(capsys, "split-demo", "--n", "7")
+    assert (code, out, err) == bound
     assert code == 0
-    assert out.splitlines()[1:] == ["1,7,0.0000,5.55111512313e-16", "2,6,0.0000,1.33226762955e-15"]
+    assert out.splitlines()[1:] == ["1,7,0.0000,1.55431223448e-15", "2,6,0.0000,2.6645352591e-15"]
 
 
 def test_cli_import_binds_no_blas():

@@ -62,6 +62,24 @@ def test_uniform_grid_rejects_bad_dims():
         make_uniform_grid(unit_interval(), (-3,))
 
 
+@pytest.mark.parametrize("dims", [2.5, (2.7,), (3, 1.5), (math.nan,), (math.inf,)])
+def test_grids_reject_non_integral_dims(dims):
+    # int() would truncate 2.5 to a 2-point grid
+    d = np.atleast_1d(dims).size
+    rect = Rect(np.zeros(d), np.ones(d))
+    with pytest.raises(ValueError, match="dims must be integral"):
+        make_uniform_grid(rect, dims)
+    with pytest.raises(ValueError, match="dims must be integral"):
+        AUGrid(rect=rect, dims=dims, points=np.zeros((2, d)))
+
+
+def test_grids_accept_integral_floats_and_numpy_integers():
+    assert make_uniform_grid(unit_interval(), 3.0).dims == (3,)
+    assert make_uniform_grid(unit_interval(), (np.int64(4),)).dims == (4,)
+    g = AUGrid(rect=unit_interval(), dims=(np.int32(2),), points=np.zeros(2))
+    assert g.dims == (2,) and type(g.dims[0]) is int
+
+
 def test_grid_deviation_single_perturbation():
     g = make_uniform_grid(unit_interval(), (5,))
     pts = g.points.copy()

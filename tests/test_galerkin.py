@@ -29,7 +29,7 @@ from eigmatch.galerkin import (
 from eigmatch.galerkin import _full_rows, _open_knots, _reference_values
 from eigmatch.core import make_uniform_grid
 from eigmatch.match import sorted_match
-from eigmatch.problems import c0_quadratic_matrix, iga2d_symbol
+from eigmatch.problems import c0_quadratic_symbol, iga2d_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,7 @@ def test_fd_matrix_half_grid_entries():
     assert np.array_equal(dense, dense.T)
 
 
-@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("n", [2, 5, 10])
 def test_iga_2d_eigenvalues_are_symbol_samples(n):
     spec = eig_sym(iga_2d_matrix(n))
     symbol = iga2d_symbol()
@@ -67,8 +67,8 @@ def test_iga_2d_smallest_eigenvalue_vanishes():
 
 
 def test_iga_2d_rejects_tiny_n():
-    with pytest.raises(ValueError):
-        iga_2d_matrix(2)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        iga_2d_matrix(1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,8 @@ def test_quadratic_c0_symbols_match_worksheet():
         )
         assert np.max(np.abs(symbol_f(2, 0, theta) - f_expected)) <= 1e-12
         assert np.max(np.abs(symbol_h(2, 0, theta) - h_expected)) <= 1e-12
+        # the split's matrix symbol is the same stiffness symbol
+        assert np.max(np.abs(c0_quadratic_symbol().matrices([theta])[0] - f_expected)) <= 1e-14
 
 
 def test_quadratic_c0_symbol_at_pi():
@@ -220,10 +222,41 @@ def test_symbols_hermitian_with_ascending_branches(p, k):
 # assembly
 # ---------------------------------------------------------------------------
 
+def _symmetric_banded(diagonals):
+    """Symmetric matrix with the given main diagonal and upper diagonals 1, 2, ..."""
+    A = np.diag(diagonals[0])
+    for offset, band in enumerate(diagonals[1:], start=1):
+        A = A + np.diag(band, offset) + np.diag(band, -offset)
+    return A
+
+
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_assembly_matches_quadratic_c0_pattern(n):
+    # rows alternate the (4, -2)/3 and (-2, 8, -2, -2)/3 patterns
     K, _ = assemble_KM(n, 2, 0)
-    assert np.max(np.abs(K / n - c0_quadratic_matrix(n))) <= 1e-12
+    idx = np.arange(2 * n - 1)
+    expected = _symmetric_banded([np.where(idx % 2 == 0, 4.0, 8.0) / 3.0,
+                                  np.full(2 * n - 2, -2.0 / 3.0),
+                                  np.where(idx[:-2] % 2 == 1, -2.0 / 3.0, 0.0)])
+    assert np.max(np.abs(K / n - expected)) <= 1e-12
+
+
+def _quadratic_c1_stencil(n, boundary, interior):
+    """Pentadiagonal n x n matrix: interior rows (d2, d1, d0, d1, d2), end rows (b0, b1, d2)."""
+    main = np.full(n, float(interior[0]))
+    main[[0, -1]] = boundary[0]
+    first = np.full(n - 1, float(interior[1]))
+    first[[0, -1]] = boundary[1]
+    return _symmetric_banded([main, first, np.full(n - 2, float(interior[2]))])
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_assembly_matches_quadratic_c1_stencils(n):
+    K, M = assemble_KM(n, 2, 1)
+    K_expected = _quadratic_c1_stencil(n, (8.0, -1.0), (6.0, -2.0, -1.0)) / 6.0
+    M_expected = _quadratic_c1_stencil(n, (40.0, 25.0), (66.0, 26.0, 1.0)) / 120.0
+    assert np.max(np.abs(K / n - K_expected)) <= 1e-12
+    assert np.max(np.abs(n * M - M_expected)) <= 1e-12
 
 
 def test_assembly_linear_closed_forms():

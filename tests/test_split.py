@@ -7,8 +7,8 @@ import pytest
 from eigmatch.core import IntervalUnion, MatrixSymbol, Rect, make_uniform_grid
 from eigmatch.eig import eig_sym
 from eigmatch.match import sorted_match
+from eigmatch.galerkin import assemble_KM
 from eigmatch.problems import (
-    c0_quadratic_matrix,
     c0_quadratic_symbol,
     truncated_uniform_pi_grid,
     uniform_pi_grid,
@@ -62,7 +62,7 @@ def test_initial_split_separated_branches_threshold():
 
 def test_initial_split_block_family_splits_at_rank():
     n = 20
-    values = eig_sym(c0_quadratic_matrix(n)).values  # ascending, 2n-1 of them
+    values = eig_sym(assemble_KM(n, 2, 0)[0] / n).values  # ascending, 2n-1 of them
     grids = [uniform_pi_grid(n), truncated_uniform_pi_grid(n)]
     part = initial_split(values, c0_quadratic_symbol(), grids)
     assert np.array_equal(part.provenance, np.concatenate([np.zeros(n, int), np.ones(n - 1, int)]))
@@ -156,7 +156,7 @@ def test_refine_split_random_suite():
 
 @pytest.mark.parametrize("n", [20, 40, 80])
 def test_split_and_match_block_family_exact(n):
-    values = eig_sym(c0_quadratic_matrix(n)).values
+    values = eig_sym(assemble_KM(n, 2, 0)[0] / n).values
     reference = Partition(
         values,
         np.concatenate([np.zeros(n, int), np.ones(n - 1, int)]),
