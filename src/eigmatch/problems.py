@@ -1,7 +1,7 @@
 """Concrete symbols and grids for the packaged experiments.
 
 Each experiment pairs a matrix family with the symbol describing its
-asymptotic eigenvalue distribution.  The matrices come from the builders in
+asymptotic eigenvalue distribution.  The matrices are built in
 ``toeplitz`` and ``galerkin``; both spline families (the tensor-product
 biquadratic and the C^0 quadratic one) are assembled by ``assemble_KM``,
 and the closed forms of their symbols here are the exactness oracles.
