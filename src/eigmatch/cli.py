@@ -151,26 +151,20 @@ def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
 
 
 def run_exactness_e1(ns: list[int], a: float, b: float) -> list[tuple[int, float]]:
-    coeffs = fourier_coeffs(problems.cosine_symbol(a, b), max(max(ns) - 1, 1))
-    rows = []
-    for n in ns:
-        spec = eig_sym(toeplitz_build(coeffs, n))
-        exact = problems.cosine_eigs_exact(a, b, n)
-        rows.append((n, sorted_match(exact, spec.values).m_n))
-    return rows
+    """M_n of each full cosine section against its exact eigenvalues a + b cos(i pi/(n+1))."""
+    full = problems.cosine_symbol(a, b)
+    coeffs = fourier_coeffs(full, max(max(ns) - 1, 1))
+    lambdas = {n: eig_sym(toeplitz_build(coeffs, n)).values for n in dict.fromkeys(ns)}
+    return mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)
 
 
 def run_exactness_e4p(ns: list[int]) -> tuple[list[tuple[int, float]], list[str]]:
+    """M_n of the C^1 biquadratic family, and one failure per requested n outside [0, 3/2]."""
     symbol = problems.iga2d_symbol()
-    rows, range_failures = [], []
-    for n in ns:
-        spec = eig_sym(iga_2d_matrix(n))
-        grid = make_uniform_grid(symbol.domain, (n, n))
-        samples = symbol.sample(grid.points)
-        rows.append((n, sorted_match(samples, spec.values).m_n))
-        if spec.values[0] < -1e-9 or spec.values[-1] > 1.5 + 1e-9:
-            range_failures.append(f"n={n}: spectrum [{spec.values[0]!r}, {spec.values[-1]!r}] "
-                                  "leaves [0, 3/2]")
+    lambdas = {n: eig_sym(iga_2d_matrix(n)).values for n in dict.fromkeys(ns)}
+    range_failures = [f"n={n}: spectrum [{lambdas[n][0]!r}, {lambdas[n][-1]!r}] leaves [0, 3/2]"
+                      for n in ns if lambdas[n][0] < -1e-9 or lambdas[n][-1] > 1.5 + 1e-9]
+    rows = mn_curve(symbol, lambda n: make_uniform_grid(symbol.domain, (n, n)), lambdas, ns)
     return rows, range_failures
 
 

@@ -7,10 +7,12 @@ finite-difference tables are the binding size).
 
 Dense and pencil solves go through numpy alone, so importing the package
 does not load scipy (about 0.3 s of a CLI start).  ``eig_sym`` is numpy's
-``eigvalsh`` (LAPACK ``syevd``).  ``eig_gen_sym_def`` reduces the pencil
-(K, M) with the Cholesky factor M = L L^H to the standard problem for
-L^-1 K L^-H (the LAPACK *sygv reduction), forming L^-1 explicitly: one
-inverse and two products were faster than two general solves.
+``eigvalsh``: LAPACK ``syevd`` for real input and ``heevd`` for complex
+input, whatever its imaginary part (every matrix the package builds is
+real).  ``eig_gen_sym_def`` reduces the pencil (K, M) with the Cholesky
+factor M = L L^H to the standard problem for L^-1 K L^-H (the LAPACK *sygv
+reduction), forming L^-1 explicitly: one inverse and two products were
+faster than two general solves.
 
 The tridiagonal path calls LAPACK ``dsterf`` (Pal-Walker-Kahan QR, values
 only), the routine that ``scipy.linalg.eigh_tridiagonal(d, e,
@@ -56,7 +58,6 @@ import numpy as np
 __all__ = ["Spectrum", "NotPositiveDefiniteError", "eig_sym", "eig_sym_tridiag", "eig_gen_sym_def"]
 
 _HERM_RTOL = 1e-10
-_IMAG_RTOL = 1e-13  # a Hermitian matrix with imaginary parts below this is solved as real
 
 # C get/set pairs for the thread count of the OpenBLAS in numpy's wheels,
 # newest naming first (numpy 2.x, then the 64-bit and plain builds)
@@ -229,8 +230,6 @@ def eig_sym(A) -> Spectrum:
     if A.size == 0:
         return Spectrum(np.empty(0))
     _check_hermitian(A)
-    if np.iscomplexobj(A) and np.max(np.abs(A.imag)) <= _IMAG_RTOL * max(1.0, np.max(np.abs(A.real))):
-        A = A.real  # real symmetric solver is faster and the result identical
     return Spectrum(np.linalg.eigvalsh(A))
 
 

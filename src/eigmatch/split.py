@@ -232,7 +232,7 @@ def refine_split(init: Partition, target_ranges: Sequence[IntervalUnion],
     bad = _bad_ids(values, assignment, target_ranges)
     budget = bad.size
     while bad.size:
-        if budget < 0:
+        if budget == 0:
             raise RuntimeError("displacement loop exceeded its iteration bound")
         budget -= 1
         x = _pick(values, bad)

@@ -10,13 +10,14 @@ So the symbol is sampled 32 times per panel whatever the order, the accuracy
 is that of the Legendre expansion for every k, and the cost grows linearly
 with the order.
 
-A real symmetric Toeplitz section is also centrosymmetric, so its
-eigenproblem splits into two of half the size (Cantoni and Butler, Linear
-Algebra Appl. 13, 1976).  :func:`toeplitz_halves` checks that the split
-applies and builds the halves one at a time, from the 2n - 1 coefficients
-alone: it never forms the n x n section, whose complex copy is 16 MiB at
-n = 1024, and a caller that drops each half before asking for the next holds
-one of them at a time.
+Every generating function here is real and even, so its coefficients are
+real with f_{-k} = f_k: :class:`FourierCoeffs` stores f_0..f_order alone,
+and :func:`fourier_coeffs` checks the evenness once.  The sections are real
+symmetric, and so also centrosymmetric: the eigenproblem splits into two of
+half the size (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+:func:`toeplitz_halves` builds the halves one at a time from f_0..f_{n-1}
+alone: it never forms the n x n section, 8 MiB at n = 1024, and a caller
+that drops each half before asking for the next holds one of them at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ScalarSymbol
-from .eig import _HERM_RTOL, _IMAG_RTOL
 
 __all__ = [
     "FourierCoeffs",
@@ -40,13 +40,13 @@ __all__ = [
 
 _LEGENDRE_TERMS = 32  # P_0..P_31 per panel, projected with as many Gauss nodes
 _MILLER_START = 2 * _LEGENDRE_TERMS  # backward-recurrence start; 80 or 96 agree to round-off
-_MINUS_I_POW = (-1j) ** np.arange(_LEGENDRE_TERMS)
 # Widest panel.  The rounding error of the Legendre coefficients grows like
 # m^2 in the derivative at the panel ends, and the f_k inherit it with
 # alternating sign, so it adds up in the spectrum.  On one 2pi panel the
 # cosine symbol's exact eigenvalues came out 2e-13 off at n = 200; on
 # pi/2 panels, 5e-14.
 _MAX_PANEL = math.pi / 2
+_IMAG_RTOL = 1e-13  # imaginary parts above this, relative to max(1, max|f_k|), mean an odd part
 
 
 @functools.cache
@@ -65,30 +65,32 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """Complex scalar coefficients f_k for |k| <= order.
+    """The real coefficients f_0..f_order of an even generating function, read-only.
 
-    ``data[k + order]`` is f_k.  Real even symbols yield real data with
-    f_{-k} = f_k.  That is not enforced here; :func:`toeplitz_halves`
-    enforces it, to its tolerances, on the window f_{-(n-1)}..f_{n-1} it
-    reads.
+    ``data[k]`` is f_k = f_{-k}.  Raises ValueError for data that is complex,
+    not finite, empty or not 1-d.
     """
 
-    order: int
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.ndim != 1:
-            raise ValueError(f"coefficients must be a 1-d array, got shape {data.shape}")
-        if data.size != 2 * self.order + 1:
-            raise ValueError(f"expected {2 * self.order + 1} coefficients, got {data.size}")
-        data = data.copy()
+        if np.iscomplexobj(self.data):
+            raise ValueError("coefficients of an even symbol must be real")
+        data = np.array(self.data, dtype=float)
+        if data.ndim != 1 or data.size == 0:
+            raise ValueError(f"coefficients must be a nonempty 1-d array, got shape {data.shape}")
+        if not np.isfinite(data).all():
+            raise ValueError("coefficients must be finite")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
-    def __getitem__(self, k: int) -> complex:
+    @property
+    def order(self) -> int:
+        return self.data.size - 1
+
+    def __getitem__(self, k: int) -> float:
         """f_k, zero outside the stored order."""
-        return self.data[k + self.order] if abs(k) <= self.order else 0.0 + 0.0j
+        return self.data[abs(k)] if abs(k) <= self.order else 0.0
 
 
 def _breakpoints(symbol: ScalarSymbol) -> np.ndarray:
@@ -148,42 +150,49 @@ def _filon_coeffs(breaks: np.ndarray, order: int, evaluate) -> np.ndarray:
     shape = vals.shape[1:]
     legendre = project @ vals.reshape(c.size, _LEGENDRE_TERMS, -1)  # (panel, m, entry)
     k = np.arange(order + 1)
-    moments = _spherical_jn(h[:, None] * k) @ (_MINUS_I_POW[:, None] * legendre)  # (panel, k, entry)
+    minus_i_pow = (-1j) ** np.arange(_LEGENDRE_TERMS)
+    moments = _spherical_jn(h[:, None] * k) @ (minus_i_pow[:, None] * legendre)  # (panel, k, entry)
     phase = (h[:, None] / math.pi) * np.exp(-1j * np.outer(c, k))
     return np.einsum("pk,pke->ke", phase, moments).reshape((order + 1,) + shape)
 
 
 def fourier_coeffs(f: ScalarSymbol, order: int) -> FourierCoeffs:
-    """All coefficients f_k = (1/2pi) int f(theta) e^{-ik.theta} dtheta, |k| <= order.
+    """f_k = (1/2pi) int f(theta) e^{-ik.theta} dtheta for 0 <= k <= order.
 
-    Negative orders follow from f real via f_{-k} = conj(f_k).  The panels
-    are at most ``_MAX_PANEL`` wide; halving it is the convergence check.
+    The symbol must be even, which makes every f_k real.  Raises ValueError
+    when a coefficient is not finite, or when an imaginary part exceeds
+    1e-13 max(1, max|f_k|).  The panels are at most ``_MAX_PANEL`` wide;
+    halving it is the convergence check.
     """
     pos = _filon_coeffs(_breakpoints(f), order, f.sample)
-    return FourierCoeffs(order=order, data=np.concatenate([np.conj(pos[:0:-1]), pos]))
+    if not np.isfinite(pos).all():
+        raise ValueError("Fourier coefficients are not finite: the symbol has a NaN or infinity")
+    bound = _IMAG_RTOL * max(1.0, float(np.max(np.abs(pos.real))))
+    if np.max(np.abs(pos.imag)) > bound:
+        raise ValueError(f"symbol is not even: coefficients have imaginary parts above {bound:.3g}")
+    return FourierCoeffs(pos.real)
 
 
 def _window(c: FourierCoeffs, n: int) -> np.ndarray:
-    """The stored f_{-(n-1)}..f_{n-1}, shape (2n-1,): a read-only view."""
+    """f_{-(n-1)}..f_{n-1}, shape (2n-1,)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if c.order < n - 1:
         raise ValueError(f"T_{n} needs coefficients up to order {n - 1}, have {c.order}")
-    return c.data[c.order - n + 1 : c.order + n]
+    return np.concatenate([c.data[n - 1 : 0 : -1], c.data[:n]])
 
 
 def toeplitz_build(c: FourierCoeffs, n: int) -> np.ndarray:
-    """The n-th Toeplitz section [f_{i-j}]_{i,j=1..n}, complex.
+    """The n-th Toeplitz section [f_{i-j}]_{i,j=1..n}, real symmetric.
 
     Raises ValueError for n < 1 or coefficients below order n - 1.
     """
-    window = _window(c, n)
-    # row i is f_i, f_{i-1}, ..., f_{i-n+1}: a length-n window of the reversed stack
-    return np.lib.stride_tricks.sliding_window_view(window[::-1], n)[::-1].copy()
+    # row i is f_{-i}, ..., f_{n-1-i}: a length-n window of f_{-(n-1)}..f_{n-1}
+    return np.lib.stride_tricks.sliding_window_view(_window(c, n), n)[::-1].copy()
 
 
 def toeplitz_halves(c: FourierCoeffs, n: int) -> Iterator[np.ndarray]:
-    """The half matrices T11 + T12 J and T11 - T12 J of the real symmetric section T_n.
+    """The half matrices T11 + T12 J and T11 - T12 J of the section T_n.
 
     J is the exchange matrix.  A symmetric Toeplitz matrix is centrosymmetric,
     and so orthogonally similar to the direct sum of the two halves (Cantoni
@@ -192,29 +201,15 @@ def toeplitz_halves(c: FourierCoeffs, n: int) -> Iterator[np.ndarray]:
     T12 J = [f_{i+j-n+1}] a Hankel one, both read from f_{-(n-1)}..f_{n-1}
     without forming T_n.  For odd n the middle row and column, scaled by
     sqrt(2), border the first half, giving sizes (n+1)/2 and (n-1)/2.  The
-    entries are those sliced from ``toeplitz_build(c, n).real``, bit for bit.
+    entries are those sliced from ``toeplitz_build(c, n)``, bit for bit.
 
     Returns an iterator over the two halves, in that order.  The second is
     built only when it is asked for, and the iterator keeps no reference to
     the first, so a caller that drops each half before the next holds one at
-    a time.  The arguments are checked at the call, before the first half.
-
-    Raises ValueError for n < 1 or coefficients below order n - 1, for an
-    imaginary part above the bound ``eig_sym`` drops, and for f_{-k} != f_k
-    beyond the Hermitian tolerance (T_n is then not symmetric, and since
-    J T J = T^T for every Toeplitz matrix, not centrosymmetric either).  Both
-    bounds scale with max(1, max|Re f_k|).
+    a time.  Raises ValueError for n < 1 or coefficients below order n - 1,
+    at the call, before the first half.
     """
-    w = _window(c, n)
-    scale = max(1.0, float(np.max(np.abs(w.real))))
-    if not np.max(np.abs(w.imag)) <= _IMAG_RTOL * scale:
-        raise ValueError(f"coefficients have imaginary parts above {_IMAG_RTOL * scale:.3g}")
-    w = w.real
-    # w - w[::-1] holds every difference f_k - f_{-k} with both signs, so its
-    # largest entry is its largest absolute entry (or NaN)
-    if not np.max(w - w[::-1]) <= _HERM_RTOL * scale:
-        raise ValueError(f"T_{n} is not symmetric and centrosymmetric within {_HERM_RTOL * scale:.3g}")
-    return _halves(w, n)
+    return _halves(_window(c, n), n)
 
 
 def _halves(w: np.ndarray, n: int) -> Iterator[np.ndarray]:

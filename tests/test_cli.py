@@ -276,6 +276,8 @@ def test_nan_error_fails_the_row(capsys, monkeypatch):
     (["mn-table2d", "--coef", "exp", "--ns", "900,900,1600"], "eig_sym_tridiag", [1600, 900]),
     # each Toeplitz section is solved as its two centrosymmetric halves
     (["mn-table", "--example", "e2", "--ns", "16,8,16,8"], "eig_sym", [8, 8, 4, 4]),
+    (["exactness", "--example", "e1", "--ns", "3,50,3"], "eig_sym", [3, 50]),
+    (["exactness", "--example", "e4p", "--ns", "3,2,3"], "eig_sym", [9, 4]),
 ])
 def test_duplicate_ns_solved_once(capsys, monkeypatch, argv, binding, solved):
     import eigmatch.cli as cli
@@ -302,6 +304,16 @@ def test_duplicate_ns_solved_once(capsys, monkeypatch, argv, binding, solved):
         assert first.setdefault(n, values) == values
 
 
+def test_e4p_range_failure_fails_every_requested_row(capsys, monkeypatch):
+    import eigmatch.cli as cli
+
+    monkeypatch.setattr(cli, "iga_2d_matrix", lambda n: 2.0 * np.eye(n * n))
+    code, _, err = run_cli(capsys, "exactness", "--example", "e4p", "--ns", "3,2,3", "--tol", "10")
+    two = repr(np.float64(2.0))
+    assert code == 1
+    assert err.splitlines() == [f"FAIL n={n}: spectrum [{two}, {two}] leaves [0, 3/2]" for n in (3, 2, 3)]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(
@@ -317,7 +329,7 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_threads_env_override(monkeypatch, capsys):
+def test_mn_table2d_pool_follows_cpu_affinity(monkeypatch, capsys):
     import eigmatch.cli as cli
 
     pools = []

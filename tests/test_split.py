@@ -143,6 +143,26 @@ def test_refine_split_single_displacement():
     assert tuple(out.provenance) == clean[0]
 
 
+def test_refine_split_displaces_at_most_once_per_initial_stray(monkeypatch):
+    # a _bad_ids that puts every element back where it started keeps both
+    # strays stray forever: the loop must stop after two displacements
+    import eigmatch.split as split
+
+    values, targets, reference, init = _four_element_instance()
+    bad_ids = split._bad_ids
+    calls = []
+
+    def restoring(values, assignment, targets):
+        calls.append(1)
+        assignment[:] = init.provenance
+        return bad_ids(values, assignment, targets)
+
+    monkeypatch.setattr(split, "_bad_ids", restoring)
+    with pytest.raises(RuntimeError, match="iteration bound"):
+        refine_split(init, targets, reference)
+    assert len(calls) - 1 == 2  # one call before the loop, one after each displacement
+
+
 def test_refine_split_validates_reference():
     values, targets, reference, init = _four_element_instance()
     bad_reference = Partition(values, [0, 1, 0, 1], 2)

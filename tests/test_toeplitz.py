@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eigmatch import toeplitz
+from eigmatch.core import ScalarSymbol
 from eigmatch.eig import eig_sym
 from eigmatch.problems import (
     cos_dip_min,
@@ -70,8 +71,7 @@ def test_constant_symbol_coefficients():
 def test_plateau_ramp_mean_value(monkeypatch):
     # closed form: (1/pi) * [pi/2 + int_{pi/2}^{pi} (t + 1 - pi/2) dt] = 1 + pi/8
     f0 = fourier_coeffs(plateau_ramp_symbol(), 0)[0]
-    assert f0.real == pytest.approx(1.0 + math.pi / 8, abs=1e-12)
-    assert abs(f0.imag) <= 1e-14
+    assert f0 == pytest.approx(1.0 + math.pi / 8, abs=1e-12)
     monkeypatch.setattr(toeplitz, "_MAX_PANEL", math.pi / 4)  # twice the panels
     doubled = fourier_coeffs(plateau_ramp_symbol(), 0)[0]
     assert abs(f0 - doubled) <= 1e-12
@@ -100,7 +100,7 @@ def test_coefficient_table_matches_single_path():
 def test_coefficients_match_closed_forms_at_table_order(symbol, exact):
     # order 1023 builds T_1024, the largest section of the mn-table runs
     table = fourier_coeffs(symbol, 1023)
-    assert np.max(np.abs(table.data[1023:] - exact(1023))) <= 1e-14
+    assert np.max(np.abs(table.data - exact(1023))) <= 1e-14
 
 
 def test_spherical_bessel_table_matches_scipy():
@@ -116,9 +116,25 @@ def test_spherical_bessel_table_matches_scipy():
 
 def test_real_even_symbol_coefficients_are_real_symmetric():
     table = fourier_coeffs(plateau_ramp_symbol(), 64)
-    assert np.max(np.abs(table.data.imag)) <= 1e-12
-    for k in range(65):
-        assert table[k] == pytest.approx(table[-k], abs=1e-14)
+    assert table.order == 64 and table.data.shape == (65,) and table.data.dtype == np.float64
+    assert all(table[k] == table[-k] == table.data[k] for k in range(65))
+    assert table[65] == table[-65] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        table.data[0] = 0.0
+
+
+def test_fourier_coeffs_reject_a_symbol_that_is_not_even():
+    # 1 + sin(theta) has f_{+-1} = -+ i/2: its sections are complex Hermitian
+    odd = ScalarSymbol(domain=plateau_ramp_symbol().domain, eval=lambda t: 1.0 + np.sin(t))
+    with pytest.raises(ValueError, match="not even"):
+        fourier_coeffs(odd, 3)
+
+
+def test_fourier_coeffs_report_a_nan_as_not_finite():
+    nan = ScalarSymbol(domain=plateau_ramp_symbol().domain,
+                       eval=lambda t: np.where(t > 1.0, np.nan, 1.0))
+    with pytest.raises(ValueError, match="not finite"):
+        fourier_coeffs(nan, 3)
 
 
 @pytest.mark.parametrize("full", [plateau_ramp_symbol(), cos_dip_ramp_symbol(),
@@ -141,8 +157,8 @@ def test_half_keeps_the_interior_breakpoint_and_rejects_other_domains():
 
 def test_toeplitz_build_laplacian_stencil():
     T = toeplitz_build(fourier_coeffs(cosine_symbol(2.0, -2.0), 2), 3)
-    assert np.allclose(T.real, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], atol=1e-13)
-    assert np.max(np.abs(T - T.conj().T)) <= 1e-14
+    assert T.dtype == np.float64 and np.array_equal(T, T.T)
+    assert np.allclose(T, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], atol=1e-13)
 
 
 def test_toeplitz_cosine_eigenvalue_formula():
@@ -181,15 +197,25 @@ def test_toeplitz_build_rejects_short_coefficients():
     assert toeplitz_build(table, 4).shape == (4, 4)
 
 
-@pytest.mark.parametrize("shape", [(), (3, 1), (3, 1, 1), (3, 2, 2)])
+@pytest.mark.parametrize("shape", [(), (0,), (3, 1), (3, 1, 1), (3, 2, 2)])
 def test_fourier_coeffs_reject_data_that_is_not_1d(shape):
-    with pytest.raises(ValueError, match="1-d"):
-        FourierCoeffs(order=1, data=np.zeros(shape, dtype=complex))
+    with pytest.raises(ValueError, match="nonempty 1-d"):
+        FourierCoeffs(np.zeros(shape))
+
+
+@pytest.mark.parametrize("data,match", [
+    (np.array([2.0, -1.0 + 0j]), "real"),  # even a zero imaginary part
+    ([2.0, -1.0j], "real"),
+    ([2.0, math.nan], "finite"),
+    ([math.inf, 1.0], "finite"),
+])
+def test_fourier_coeffs_reject_complex_and_non_finite_data(data, match):
+    with pytest.raises(ValueError, match=match):
+        FourierCoeffs(data)
 
 
 def _sliced_halves(T):
     """T11 + T12 J and T11 - T12 J sliced from a dense real section: the reference."""
-    T = T.real
     q = T.shape[0] // 2
     flip = T[:q, ::-1][:, :q]
     even, odd = T[:q, :q] + flip, T[:q, :q] - flip
@@ -241,33 +267,17 @@ def test_centrosymmetric_halves_match_full_solve(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 37, 50])
 def test_centrosymmetric_halves_of_random_symmetric_toeplitz(n):
     pos = np.random.default_rng(n).standard_normal(n)  # f_0..f_{n-1}
-    c = FourierCoeffs(order=n - 1, data=np.concatenate([pos[:0:-1], pos]))
-    T = toeplitz_build(c, n).real
+    c = FourierCoeffs(pos)
+    T = toeplitz_build(c, n)
     assert np.array_equal(T, pos[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))])
     assert np.max(np.abs(_half_spectrum(c, n) - eig_sym(T).values)) <= 1e-13 * n
 
 
 def test_centrosymmetric_halves_reject_bad_input():
-    good = fourier_coeffs(cosine_symbol(2.0, -1.0), 5).data.real  # f_{-5}..f_5
-
-    def halves(data, n=6):
-        return toeplitz_halves(FourierCoeffs(order=5, data=data), n)
-
-    # f_{-k} = conj(f_k) keeps T Hermitian, but the split needs it real
-    hermitian = good + 1e-6j * np.sign(np.arange(-5, 6))
-    with pytest.raises(ValueError, match="imaginary"):
-        halves(hermitian)
-    # below the bound eig_sym drops, the imaginary part is dropped here too
-    faint = good + 1e-14j * np.sign(np.arange(-5, 6))
-    assert all(np.array_equal(a, b) for a, b in zip(halves(faint), halves(good)))
-    skew = good.copy()
-    skew[5 + 1] += 1.0  # f_1 != f_{-1}
-    nan = good.copy()
-    nan[5 + 2] = nan[5 - 2] = math.nan
-    for bad in (skew, nan):
-        with pytest.raises(ValueError, match="centrosymmetric"):
-            halves(bad)
+    # complex and non-finite data cannot reach the halves: FourierCoeffs
+    # refuses them (above), so only the size checks are left here
+    good = fourier_coeffs(cosine_symbol(2.0, -1.0), 5)
     with pytest.raises(ValueError, match="order 6"):
-        halves(good, 7)
+        toeplitz_halves(good, 7)
     with pytest.raises(ValueError, match="n must be >= 1"):
-        halves(good, 0)
+        toeplitz_halves(good, 0)
