@@ -169,14 +169,18 @@ def run_exactness_e4p(ns: list[int]) -> tuple[list[tuple[int, float]], list[str]
 
 
 def run_exactness_e5(ns: list[int]) -> list[tuple[int, float]]:
+    """M_n of the C^0 quadratic eig(K/n) against its exact branch samples, each distinct n once.
+
+    Branch 1 is sampled on the ``NO_ZERO`` grid, branch 2 on the ``INTERIOR`` grid.
+    """
     f1, f2 = problems.c0_quadratic_branches()
-    rows = []
-    for n in ns:
-        spec = eig_sym(assemble_KM(n, 2, 0)[0] / n)
-        theta = np.arange(1, n + 1) * math.pi / n
-        samples = np.concatenate([f1(theta), f2(theta[:-1])])
-        rows.append((n, sorted_match(samples, spec.values).m_n))
-    return rows
+    errors = {}
+    for n in dict.fromkeys(ns):
+        spec = _scaled_spectrum("K", *assemble_KM(n, 2, 0), n)
+        samples = np.concatenate([f1(grid_points(GridKind.NO_ZERO, n)),
+                                  f2(grid_points(GridKind.INTERIOR, n))])
+        errors[n] = sorted_match(samples, spec.values).m_n
+    return [(n, errors[n]) for n in ns]
 
 
 def run_counterexample(ns: list[int]) -> list[tuple[int, float]]:
@@ -192,7 +196,7 @@ def run_split_demo(n: int) -> list[tuple[int, int, float]]:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    values = eig_sym(assemble_KM(n, 2, 0)[0] / n).values
+    values = _scaled_spectrum("K", *assemble_KM(n, 2, 0), n).values
     reference = Partition(
         values=values,
         provenance=np.concatenate([np.zeros(n, dtype=int), np.ones(n - 1, dtype=int)]),
@@ -202,15 +206,6 @@ def run_split_demo(n: int) -> list[tuple[int, int, float]]:
     results = split_and_match(values, problems.c0_quadratic_symbol(), reference, grids)
     cards = reference.cardinalities()
     return [(j + 1, int(cards[j]), results[j].m_n) for j in range(2)]
-
-
-def _pk_pairs(pmax: int) -> list[tuple[int, int]]:
-    pairs = []
-    for p in range(1, pmax + 1):
-        for k in (0, 1):
-            if k <= p - 1:
-                pairs.append((p, k))
-    return pairs
 
 
 def _check_tol(tol: float):
@@ -228,51 +223,56 @@ def _check_spline_args(pmax: int, nmax: int, tol: float):
     _check_tol(tol)
 
 
-def _full_grids(ns: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The full grids of every n in ``ns``, concatenated, and where to split them per n."""
+def _scaled_spectrum(family: str, K: np.ndarray, M: np.ndarray, n: int) -> Spectrum:
+    """Spectrum of a scaled spline matrix: n M (``M``), n^-2 M^-1 K (``L``) or K/n (``K``)."""
+    if family == "M":
+        return eig_sym(n * M)
+    if family == "L":
+        return Spectrum(eig_gen_sym_def(K, M).values / n**2)
+    return eig_sym(K / n)
+
+
+def _spline_batches(family: str, pmax: int, ns: list[int]):
+    """Yield (p, k, [(n, scaled spectrum, branch table) for n in ns]) for p <= pmax, k < min(2, p).
+
+    One :func:`assemble_KM_sweep` builds every n's (K, M), each dropped once its
+    spectrum is taken; one symbol evaluation on the concatenated full grids
+    gives every n's branch table, bit for bit the per-n one.
+    """
     theta = np.concatenate([grid_points(GridKind.FULL, n) for n in ns])
-    return theta, np.cumsum([n + 1 for n in ns])[:-1]
+    bounds = np.cumsum([n + 1 for n in ns])[:-1]
+    for p in range(1, pmax + 1):
+        for k in range(min(2, p)):
+            if family == "L":
+                tables = symbol_e_branches(p, k, theta)
+            else:
+                tables = np.linalg.eigvalsh((symbol_h if family == "M" else symbol_f)(p, k, theta))
+            spectra = [_scaled_spectrum(family, K, M, n)
+                       for n, (K, M) in zip(ns, assemble_KM_sweep(ns, p, k))]
+            yield p, k, list(zip(ns, spectra, np.split(tables, bounds)))
 
 
 def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
     """Exact-eigenvalue check of a spline matrix family over (p, k, n).
 
-    Each (p, k) is one batch over n = 2..nmax: :func:`assemble_KM_sweep`
-    builds every n's matrices from one B-spline table pass, and one symbol
-    evaluation on the concatenated full grids gives every n's branch table
-    (the stiffness table serves both the inference and the check).  Only
-    the eigensolve and the check run per row.  Rows run serially: a thread
-    pool only adds contention for the interpreter lock.
+    Each (p, k) is one :func:`_spline_batches` batch over n = 2..nmax.  ``K`` infers
+    each row's grid assignment from the table it is checked against (error inf
+    without one); ``M`` and ``L`` have theirs in closed form.  Rows run serially: a
+    thread pool only adds contention for the interpreter lock.
     """
     if family not in ("K", "M", "L"):
         raise ValueError(f"unknown family {family!r}")
     _check_spline_args(pmax, nmax, tol)
-    ns = list(range(2, nmax + 1))
-    theta, bounds = _full_grids(ns)
-
+    closed_form = {"M": grid_assign_M, "L": grid_assign_L}.get(family)
     rows = []
-    for p, k in _pk_pairs(pmax):
-        branch_js = range(1, p - k + 1)
-        if family == "M":
-            tables = np.linalg.eigvalsh(symbol_h(p, k, theta))
-            assignment = [grid_assign_M(p, k, j) for j in branch_js]
-        elif family == "L":
-            tables = symbol_e_branches(p, k, theta)
-            assignment = [grid_assign_L(p, k, j) for j in branch_js]
-        else:
-            tables = np.linalg.eigvalsh(symbol_f(p, k, theta))
-        for n, (K, M), branches in zip(ns, assemble_KM_sweep(ns, p, k), np.split(tables, bounds)):
-            if family == "M":
-                spectrum = eig_sym(n * M)
-            elif family == "L":
-                spectrum = Spectrum(eig_gen_sym_def(K, M).values / n**2)
-            else:
-                spectrum = eig_sym(K / n)
+    for p, k, batch in _spline_batches(family, pmax, list(range(2, nmax + 1))):
+        if closed_form:
+            assignment = [closed_form(p, k, j) for j in range(1, p - k + 1)]
+        for n, spectrum, branches in batch:
+            if not closed_form:
                 assignment = infer_grid_assignment(spectrum, branches, p, k, n, tol)
-                if assignment is None:
-                    rows.append((p, k, n, math.inf, False))
-                    continue
-            ok, err = verify_eig_formula(spectrum, branches, assignment, n, tol)
+            ok, err = ((False, math.inf) if assignment is None
+                       else verify_eig_formula(spectrum, branches, assignment, n, tol))
             rows.append((p, k, n, err, ok))
     return rows
 
@@ -280,17 +280,16 @@ def run_bspline_verify(family: str, pmax: int, nmax: int, tol: float):
 def run_grid_infer(pmax: int, nmax: int, tol: float):
     """Recover the stiffness-family grid assignments and their n-stability.
 
-    Each (p, k) is one batch over the probe n, as in :func:`run_bspline_verify`.
+    Each (p, k) is one ``K`` batch of :func:`_spline_batches` over the probe
+    n (those of 5, 10, 20 up to nmax, else nmax); stable rows infer one
+    assignment at every probe.
     """
     _check_spline_args(pmax, nmax, tol)
     probe_ns = [n for n in (5, 10, 20) if n <= nmax] or [nmax]
-    theta, bounds = _full_grids(probe_ns)
     rows = []
-    for p, k in _pk_pairs(pmax):
-        tables = np.split(np.linalg.eigvalsh(symbol_f(p, k, theta)), bounds)
-        sweep = assemble_KM_sweep(probe_ns, p, k)
-        found = [infer_grid_assignment(eig_sym(K / n), branches, p, k, n, tol)
-                 for n, (K, _), branches in zip(probe_ns, sweep, tables)]
+    for p, k, batch in _spline_batches("K", pmax, probe_ns):
+        found = [infer_grid_assignment(spectrum, branches, p, k, n, tol)
+                 for n, spectrum, branches in batch]
         stable = all(a is not None and a == found[0] for a in found)
         label = "+".join(kind.value for kind in found[0]) if found[0] else "none"
         rows.append((p, k, label, probe_ns, stable))

@@ -199,6 +199,17 @@ def test_grid_infer_default_csv(capsys):
     ]
 
 
+def test_grid_infer_falls_back_to_nmax_probe(capsys):
+    code, out, err = run_cli(capsys, "grid-infer", "--pmax", "2", "--nmax", "3")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "p,k,assignment,ns_checked,stable",
+        "1,0,interior,3,1",
+        "2,0,no_zero+interior,3,1",
+        "2,1,no_zero,3,1",
+    ]
+
+
 def test_stiffness_inference_reaches_degree_12():
     rows = run_bspline_verify("K", 12, 20, 1e-8)
     assert len(rows) == 23 * 19
@@ -253,6 +264,20 @@ def test_bad_spline_arguments_are_usage_errors(capsys, argv, message):
     assert message in err
 
 
+def test_unknown_spline_family_is_usage_error_before_assembly(capsys, monkeypatch):
+    import eigmatch.cli as cli
+
+    def no_sweep(ns, p, k):
+        raise AssertionError("assembled for an unknown family")
+
+    monkeypatch.setattr(cli, "assemble_KM_sweep", no_sweep)
+    params = {"family": "X", "pmax": 2, "nmax": 3, "tol": 1e-8}
+    assert cli.run("bspline-verify", params) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "eigmatch bspline-verify: unknown family 'X'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["exactness", "--example", "e1", "--ns", "50", "--tol", "nan"],
     ["split-demo", "--n", "20", "--tol", "nan"],
@@ -278,6 +303,7 @@ def test_nan_error_fails_the_row(capsys, monkeypatch):
     (["mn-table", "--example", "e2", "--ns", "16,8,16,8"], "eig_sym", [8, 8, 4, 4]),
     (["exactness", "--example", "e1", "--ns", "3,50,3"], "eig_sym", [3, 50]),
     (["exactness", "--example", "e4p", "--ns", "3,2,3"], "eig_sym", [9, 4]),
+    (["exactness", "--example", "e5", "--ns", "20,3,20"], "eig_sym", [39, 5]),
 ])
 def test_duplicate_ns_solved_once(capsys, monkeypatch, argv, binding, solved):
     import eigmatch.cli as cli
