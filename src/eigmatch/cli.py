@@ -6,7 +6,8 @@ decimals next to a full-precision sidecar column, exactness errors with 12
 significant digits, so identical invocations produce byte-identical files.
 
 Exit codes: 0 on success, 1 when a tolerance check fails (failing rows are
-listed on stderr), 2 on usage errors.
+listed on stderr), 2 on usage errors and when ``--output`` cannot be
+written.
 
 ``run`` executes each experiment with numpy's OpenBLAS on one thread and
 restores the previous count afterwards.  The dense solves here are at most
@@ -58,6 +59,9 @@ _MN_EXAMPLES = {
     "e2": problems.plateau_ramp_symbol,
     "e3": problems.cos_dip_ramp_symbol,
 }
+
+#: The grids on which the two branches of the C^0 quadratic family are sampled.
+_C0_GRIDS = (GridKind.NO_ZERO, GridKind.INTERIOR)
 
 
 def _max_workers(tasks: int) -> int:
@@ -171,14 +175,13 @@ def run_exactness_e4p(ns: list[int]) -> tuple[list[tuple[int, float]], list[str]
 def run_exactness_e5(ns: list[int]) -> list[tuple[int, float]]:
     """M_n of the C^0 quadratic eig(K/n) against its exact branch samples, each distinct n once.
 
-    Branch 1 is sampled on the ``NO_ZERO`` grid, branch 2 on the ``INTERIOR`` grid.
+    Each branch is sampled on its grid in ``_C0_GRIDS``.
     """
-    f1, f2 = problems.c0_quadratic_branches()
+    branches = problems.c0_quadratic_branches()
     errors = {}
     for n in dict.fromkeys(ns):
         spec = _scaled_spectrum("K", *assemble_KM(n, 2, 0), n)
-        samples = np.concatenate([f1(grid_points(GridKind.NO_ZERO, n)),
-                                  f2(grid_points(GridKind.INTERIOR, n))])
+        samples = np.concatenate([f(grid_points(kind, n)) for f, kind in zip(branches, _C0_GRIDS)])
         errors[n] = sorted_match(samples, spec.values).m_n
     return [(n, errors[n]) for n in ns]
 
@@ -197,15 +200,11 @@ def run_split_demo(n: int) -> list[tuple[int, int, float]]:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     values = _scaled_spectrum("K", *assemble_KM(n, 2, 0), n).values
-    reference = Partition(
-        values=values,
-        provenance=np.concatenate([np.zeros(n, dtype=int), np.ones(n - 1, dtype=int)]),
-        k=2,
-    )
-    grids = [problems.uniform_pi_grid(n), problems.truncated_uniform_pi_grid(n)]
+    grids = [grid_points(kind, n) for kind in _C0_GRIDS]
+    sizes = [grid.size for grid in grids]
+    reference = Partition(values=values, provenance=np.repeat([0, 1], sizes), k=2)
     results = split_and_match(values, problems.c0_quadratic_symbol(), reference, grids)
-    cards = reference.cardinalities()
-    return [(j + 1, int(cards[j]), results[j].m_n) for j in range(2)]
+    return [(j + 1, sizes[j], results[j].m_n) for j in range(2)]
 
 
 def _check_tol(tol: float):
@@ -398,9 +397,10 @@ def run(name: str, params: dict, output: str | None = None) -> int:
 
     ``params`` maps the subcommand's option names to their parsed values, as
     :func:`main` builds them; the CSV goes to the file ``output``, or to
-    stdout when it is None.  The experiment runs with numpy's OpenBLAS on
-    one thread (see the module docstring); the previous count is restored
-    however it ends.
+    stdout when it is None; the file is opened only after the experiment
+    has run, and one it cannot write exits 2.  The experiment runs with
+    numpy's OpenBLAS on one thread (see the module docstring); the previous
+    count is restored however it ends.
     """
     if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}", file=sys.stderr)
@@ -411,7 +411,12 @@ def run(name: str, params: dict, output: str | None = None) -> int:
     except ValueError as exc:  # bad parameter values (e.g. non-square n)
         print(f"eigmatch {name}: {exc}", file=sys.stderr)
         return 2
-    _emit(output, header, rows)
+    try:
+        _emit(output, header, rows)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        print(f"eigmatch {name}: cannot write {output or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return _report_failures(failures)
 
 

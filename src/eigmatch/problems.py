@@ -1,4 +1,4 @@
-"""Concrete symbols and grids for the packaged experiments.
+"""Concrete symbols for the packaged experiments, and their one a.u. grid.
 
 Each experiment pairs a matrix family with the symbol describing its
 asymptotic eigenvalue distribution.  The matrices are built in
@@ -9,7 +9,9 @@ Generating functions are defined on [-pi, pi] (as needed for Fourier
 coefficients); the matching diagnostics use their restriction ``half(f)``
 to [0, pi], where the even symbols carry the distribution.  Matrix-valued
 symbols evaluate a whole array of angles at once, returning the (N, k, k)
-stack.
+stack.  Every angle grid {i*pi/m} comes from ``galerkin.grid_points``:
+``eigen_angle_grid`` wraps its ``INTERIOR`` kind of order n+1 for
+``mn_curve``, and the branch split takes its arrays directly.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import math
 
 import numpy as np
 
-from .core import AUGrid, MatrixSymbol, Rect, ScalarSymbol, make_uniform_grid
-from .galerkin import symbol_f
+from .core import AUGrid, MatrixSymbol, Rect, ScalarSymbol
+from .galerkin import GridKind, grid_points, symbol_f
 
 __all__ = [
     "half",
@@ -38,8 +40,6 @@ __all__ = [
     "c0_quadratic_symbol",
     "c0_quadratic_branches",
     "eigen_angle_grid",
-    "uniform_pi_grid",
-    "truncated_uniform_pi_grid",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -72,7 +72,7 @@ def cosine_symbol(a: float, b: float) -> ScalarSymbol:
 
 def cosine_eigs_exact(a: float, b: float, n: int) -> np.ndarray:
     """Eigenvalues {a + b cos(i*pi/(n+1))} of the tridiagonal Toeplitz section."""
-    return a + b * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
+    return a + b * np.cos(grid_points(GridKind.INTERIOR, n + 1))
 
 
 def _plateau_ramp(t):
@@ -192,19 +192,6 @@ def c0_quadratic_branches():
 # ---------------------------------------------------------------------------
 
 def eigen_angle_grid(n: int) -> AUGrid:
-    """The a.u. grid {i*pi/(n+1) : i = 1..n} in [0, pi]."""
-    pts = np.arange(1, n + 1) * math.pi / (n + 1)
+    """The a.u. grid {i*pi/(n+1) : i = 1..n} in [0, pi]: ``INTERIOR`` of order n+1."""
+    pts = grid_points(GridKind.INTERIOR, n + 1)
     return AUGrid(rect=_PI_RECT, dims=(n,), points=pts.reshape(-1, 1))
-
-
-def uniform_pi_grid(n: int) -> AUGrid:
-    """The uniform grid {i*pi/n : i = 1..n} in [0, pi]."""
-    return make_uniform_grid(_PI_RECT, (n,))
-
-
-def truncated_uniform_pi_grid(n: int) -> AUGrid:
-    """The grid {i*pi/n : i = 1..n-1}: the uniform step of order n, one point short."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    pts = np.arange(1, n) * math.pi / n
-    return AUGrid(rect=_PI_RECT, dims=(n - 1,), points=pts.reshape(-1, 1))

@@ -2,10 +2,10 @@
 
 Given a multiset distributed as a k-branch matrix symbol, the pipeline is:
 
-1. ``initial_split`` samples branch j on its own grid, ranks all the samples
-   together with the values, and gives each value the branch of the sample
-   of the same rank.  Part j thus holds exactly as many values as branch j
-   has grid points, and the parts track the branches in distribution.
+1. ``initial_split`` samples branch j on its own array of angles, ranks all
+   the samples together with the values, and gives each value the branch of
+   the sample of the same rank.  Part j thus holds exactly as many values as
+   branch j has angles, and the parts track the branches in distribution.
 2. ``refine_split`` moves the stray elements (those outside their branch's
    target range) into place through chains of single-element displacements;
    the displacement graph of the current partition against a clean reference
@@ -15,9 +15,9 @@ Given a multiset distributed as a k-branch matrix symbol, the pipeline is:
 
 Branch values always come from stacked evaluations of the symbol over arrays
 of angles (``MatrixSymbol.branch_samples``), never angle by angle: one over
-the points of all branch grids, which serves both the initial split and the
-per-branch matching, and one 513-angle probe of the symbol's interval, which
-gives the target ranges.
+the concatenated angles of all branches, which serves both the initial split
+and the per-branch matching, and one 513-angle probe of the symbol's
+interval, which gives the target ranges.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AUGrid, IntervalUnion, MatrixSymbol, as_values
+from .core import IntervalUnion, MatrixSymbol, as_values
 from .match import MatchResult, sorted_match
 
 __all__ = [
@@ -85,35 +85,37 @@ def _probe(ms: MatrixSymbol) -> np.ndarray:
 
 
 def _split(v: np.ndarray, ms: MatrixSymbol,
-           grids: Sequence[AUGrid]) -> tuple[Partition, Partition]:
+           grids: Sequence[np.ndarray]) -> tuple[Partition, Partition]:
     """``initial_split`` of the values v, and the branch samples it ranked.
 
-    The samples come back as a partition by branch, so that per-branch
-    matching reuses them instead of evaluating the symbol again.
+    ``grids`` holds one array of angles per branch.  The samples come back
+    as a partition by branch, so that per-branch matching reuses them
+    instead of evaluating the symbol again.
     """
     if len(grids) != ms.k:
         raise ValueError(f"expected {ms.k} per-branch grids, got {len(grids)}")
-    if any(grid.rect.d != 1 for grid in grids):
+    grids = [np.asarray(grid, dtype=float) for grid in grids]
+    if any(grid.ndim != 1 for grid in grids):
         raise ValueError("branch grids are one-dimensional")
     sizes = [grid.size for grid in grids]
     if sum(sizes) != v.size:
         raise ValueError(f"branch grids hold {sum(sizes)} points, there are {v.size} values")
     branch = np.repeat(np.arange(ms.k), sizes)
-    points = np.concatenate([grid.points[:, 0] for grid in grids])
-    samples = ms.branch_samples(points)[np.arange(v.size), branch]
+    samples = ms.branch_samples(np.concatenate(grids))[np.arange(v.size), branch]
     provenance = np.empty(v.size, dtype=int)
     provenance[np.argsort(v, kind="stable")] = branch[np.argsort(samples, kind="stable")]
     return Partition(v, provenance, ms.k), Partition(samples, branch, ms.k)
 
 
-def initial_split(lambdas, ms: MatrixSymbol, grids: Sequence[AUGrid]) -> Partition:
+def initial_split(lambdas, ms: MatrixSymbol, grids: Sequence[np.ndarray]) -> Partition:
     """Rank-based first split of a multiset into per-branch parts.
 
-    Branch j is sampled on ``grids[j]``; all the samples are ranked together
+    Branch j is sampled at the angles ``grids[j]``, an array-like such as
+    ``galerkin.grid_points(kind, n)``; all the samples are ranked together
     with the values, and the i-th smallest value goes to the branch of the
-    i-th smallest sample.  Part j therefore holds exactly ``grids[j].size``
-    values.  Raises ValueError unless there is one 1-d grid per branch and
-    the grids hold as many points in total as there are values.
+    i-th smallest sample.  Part j therefore holds exactly ``len(grids[j])``
+    values.  Raises ValueError unless there is one 1-d array per branch and
+    the arrays hold as many angles in total as there are values.
     """
     return _split(as_values(lambdas), ms, grids)[0]
 
@@ -264,13 +266,13 @@ def split_and_match(
     lambdas,
     ms: MatrixSymbol,
     reference: Partition,
-    grids: Sequence[AUGrid],
+    grids: Sequence[np.ndarray],
 ) -> list[MatchResult]:
     """Full pipeline: initial split, displacement repair, per-branch matching.
 
-    ``grids`` supplies one grid in the symbol's interval per branch, sized to
-    that branch's cardinality; the branch samples on them serve both the
-    initial split and the matching.  Each branch's target range is its
+    ``grids`` supplies one 1-d array of angles in the symbol's interval per
+    branch, sized to that branch's cardinality; the branch samples at them
+    serve both the initial split and the matching.  Each branch's target range is its
     sampled value range widened by ``_TARGET_PAD``.
     """
     init, samples = _split(as_values(lambdas), ms, grids)

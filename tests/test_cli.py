@@ -349,6 +349,23 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().splitlines()[1] == "10,1.0000,1"
 
 
+@pytest.mark.parametrize("where,reason", [("missing/x.csv", "No such file or directory"),
+                                          (".", "Is a directory")])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, where, reason):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "--output", str(target), "counterexample", "--ns", "10")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"eigmatch counterexample: cannot write {target}: {reason}"]
+
+
+def test_output_file_untouched_by_usage_error(tmp_path, capsys):
+    # the file is opened only once the experiment has run
+    target = tmp_path / "table.csv"
+    target.write_text("kept\n")
+    code, _, _ = run_cli(capsys, "--output", str(target), "split-demo", "--n", "1")
+    assert code == 2 and target.read_text() == "kept\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["mn-table", "--example", "bogus"])

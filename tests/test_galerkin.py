@@ -29,7 +29,12 @@ from eigmatch.galerkin import (
 from eigmatch.galerkin import _full_rows, _open_knots, _reference_values
 from eigmatch.core import make_uniform_grid
 from eigmatch.match import sorted_match
-from eigmatch.problems import c0_quadratic_symbol, iga2d_symbol
+from eigmatch.problems import (
+    c0_quadratic_symbol,
+    cosine_eigs_exact,
+    eigen_angle_grid,
+    iga2d_symbol,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +426,17 @@ def test_grid_points_examples():
     for kind, count in [(GridKind.FULL, 9), (GridKind.NO_ZERO, 8),
                         (GridKind.NO_PI, 8), (GridKind.INTERIOR, 7)]:
         assert grid_points(kind, 8).size == count == grid_size(kind, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1023, 1024])
+def test_pi_grids_are_grid_points_bit_for_bit(n):
+    # every angle grid {i*pi/m} of the package is a grid_points kind, to the bit
+    angles = np.arange(1, n + 1) * math.pi / (n + 1)
+    assert np.array_equal(eigen_angle_grid(n).points[:, 0], angles)
+    assert np.array_equal(cosine_eigs_exact(2.0, -2.0, n), 2.0 - 2.0 * np.cos(angles))
+    assert np.array_equal(grid_points(GridKind.NO_ZERO, n), np.arange(1, n + 1) * math.pi / n)
+    if n >= 2:
+        assert np.array_equal(grid_points(GridKind.INTERIOR, n), np.arange(1, n) * math.pi / n)
 
 
 @pytest.mark.parametrize("kind", list(GridKind))

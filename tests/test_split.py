@@ -4,15 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from eigmatch.core import IntervalUnion, MatrixSymbol, Rect, make_uniform_grid
+from eigmatch.core import IntervalUnion, MatrixSymbol
 from eigmatch.eig import eig_sym
 from eigmatch.match import sorted_match
-from eigmatch.galerkin import assemble_KM
-from eigmatch.problems import (
-    c0_quadratic_symbol,
-    truncated_uniform_pi_grid,
-    uniform_pi_grid,
-)
+from eigmatch.galerkin import GridKind, assemble_KM, grid_points
+from eigmatch.problems import c0_quadratic_symbol
 from eigmatch.split import (
     DisplacementGraph,
     Partition,
@@ -44,9 +40,17 @@ def high_branch(t):
 def test_initial_split_single_branch():
     sym = MatrixSymbol(interval=(0.0, 1.0), k=1,
                        eval=lambda t: np.sin(t).reshape(-1, 1, 1))
-    grid = make_uniform_grid(Rect(np.array([0.0]), np.array([1.0])), (3,))
-    part = initial_split([0.3, 0.1, 0.2], sym, [grid])
+    part = initial_split([0.3, 0.1, 0.2], sym, [np.arange(1, 4) / 3.0])
     assert np.array_equal(part.provenance, [0, 0, 0])
+
+
+def test_initial_split_accepts_a_list_of_angles():
+    sym = diag_symbol(low_branch, high_branch)
+    angles = grid_points(GridKind.NO_ZERO, 4)
+    lam = np.concatenate([low_branch(angles), high_branch(angles)])[::-1]
+    part = initial_split(lam, sym, [angles.tolist(), list(angles)])
+    assert np.array_equal(part.provenance, initial_split(lam, sym, [angles, angles]).provenance)
+    assert np.array_equal(part.provenance, np.repeat([1, 0], 4))
 
 
 def test_initial_split_separated_branches_threshold():
@@ -55,7 +59,8 @@ def test_initial_split_separated_branches_threshold():
     lam = np.concatenate([low_branch(rng.uniform(0, math.pi, 11)),
                           high_branch(rng.uniform(0, math.pi, 10))])
     lam = rng.permutation(lam)
-    part = initial_split(lam, sym, [uniform_pi_grid(11), uniform_pi_grid(10)])
+    part = initial_split(lam, sym, [grid_points(GridKind.NO_ZERO, 11),
+                                    grid_points(GridKind.NO_ZERO, 10)])
     # threshold oracle: everything below the midpoint gap goes to branch 0
     assert np.array_equal(part.provenance, np.where(lam < 1.5, 0, 1))
 
@@ -63,23 +68,23 @@ def test_initial_split_separated_branches_threshold():
 def test_initial_split_block_family_splits_at_rank():
     n = 20
     values = eig_sym(assemble_KM(n, 2, 0)[0] / n).values  # ascending, 2n-1 of them
-    grids = [uniform_pi_grid(n), truncated_uniform_pi_grid(n)]
+    grids = [grid_points(GridKind.NO_ZERO, n), grid_points(GridKind.INTERIOR, n)]
     part = initial_split(values, c0_quadratic_symbol(), grids)
     assert np.array_equal(part.provenance, np.concatenate([np.zeros(n, int), np.ones(n - 1, int)]))
     assert np.array_equal(part.cardinalities(), [n, n - 1])
 
 
 def test_initial_split_validates_cardinalities():
-    # the grids carry the cardinalities: one 1-d grid per branch, as many
-    # points in total as there are values
+    # the grids carry the cardinalities: one 1-d array of angles per branch,
+    # as many angles in total as there are values
     sym = diag_symbol(low_branch, high_branch)
-    square = make_uniform_grid(Rect(np.zeros(2), np.full(2, math.pi)), (1, 2))
+    square = np.full((1, 2), math.pi / 2)
     with pytest.raises(ValueError, match="expected 2 per-branch grids, got 1"):
-        initial_split([1.0, 2.0, 3.0], sym, [uniform_pi_grid(3)])
+        initial_split([1.0, 2.0, 3.0], sym, [grid_points(GridKind.NO_ZERO, 3)])
     with pytest.raises(ValueError, match="one-dimensional"):
-        initial_split([1.0, 2.0, 3.0], sym, [uniform_pi_grid(1), square])
+        initial_split([1.0, 2.0, 3.0], sym, [grid_points(GridKind.NO_ZERO, 1), square])
     with pytest.raises(ValueError, match="hold 4 points, there are 3 values"):
-        initial_split([1.0, 2.0, 3.0], sym, [uniform_pi_grid(2), uniform_pi_grid(2)])
+        initial_split([1.0, 2.0, 3.0], sym, [grid_points(GridKind.NO_ZERO, 2)] * 2)
 
 
 def test_graph_path_trivial_self_path():
@@ -182,7 +187,7 @@ def test_split_and_match_block_family_exact(n):
         np.concatenate([np.zeros(n, int), np.ones(n - 1, int)]),
         2,
     )
-    grids = [uniform_pi_grid(n), truncated_uniform_pi_grid(n)]
+    grids = [grid_points(GridKind.NO_ZERO, n), grid_points(GridKind.INTERIOR, n)]
     res = split_and_match(values, c0_quadratic_symbol(), reference, grids)
     assert res[0].m_n <= 1e-8
     assert res[1].m_n <= 1e-8
@@ -191,10 +196,10 @@ def test_split_and_match_block_family_exact(n):
 def test_split_and_match_decoupled_diagonal_case():
     n = 16
     sym = diag_symbol(low_branch, high_branch)
-    theta = np.arange(1, n + 1) * math.pi / n
+    theta = grid_points(GridKind.NO_ZERO, n)
     lam = np.concatenate([low_branch(theta), high_branch(theta)])
     reference = Partition(lam, np.concatenate([np.zeros(n, int), np.ones(n, int)]), 2)
-    grids = [uniform_pi_grid(n), uniform_pi_grid(n)]
+    grids = [theta, theta]
     res = split_and_match(lam, sym, reference, grids)
     # decoupled case: per-branch results equal the scalar matches
     assert res[0].m_n == pytest.approx(sorted_match(low_branch(theta), low_branch(theta)).m_n)
@@ -235,10 +240,10 @@ def test_split_and_match_repairs_stray_elements(monkeypatch):
     sym = diag_symbol(np.cos, lambda t: 0.5 + np.cos(t))
     ranges = [IntervalUnion(((-1.0 - 1e-9, 1.0 + 1e-9),)),
               IntervalUnion(((-0.5 - 1e-9, 1.5 + 1e-9),))]
-    theta = uniform_pi_grid(n).points[:, 0]
+    theta = grid_points(GridKind.NO_ZERO, n)
     lam = np.concatenate([-1.0 + 0.5 * (1.0 + np.cos(theta)), 0.5 + np.cos(theta)])
     reference = Partition(lam, np.repeat([0, 1], n), 2)
-    grids = [uniform_pi_grid(n), uniform_pi_grid(n)]
+    grids = [theta, theta]
 
     init = initial_split(lam, sym, grids)
     assert not all(np.all(rng.contains(lam[init.provenance == j])) for j, rng in enumerate(ranges))
