@@ -115,8 +115,8 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     The solves run serially: a pool gains nothing at these sizes, and a pool
     thread's own malloc arena would hold a second set of solve buffers.
     """
-    full = _MN_EXAMPLES[example]()
-    coeffs = fourier_coeffs(full, max(ns) - 1 if max(ns) > 1 else 1)
+    symbol = _MN_EXAMPLES[example]()
+    coeffs = fourier_coeffs(symbol, max(ns) - 1 if max(ns) > 1 else 1)
 
     def lam(n: int) -> np.ndarray:
         halves = toeplitz_halves(coeffs, n)
@@ -124,7 +124,7 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
         return np.sort(np.concatenate([even, eig_sym(next(halves)).values]))
 
     lambdas = {n: lam(n) for n in dict.fromkeys(ns)}
-    return mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)
+    return mn_curve(symbol, problems.eigen_angle_grid, lambdas, ns)
 
 
 def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
@@ -156,10 +156,10 @@ def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
 
 def run_exactness_e1(ns: list[int], a: float, b: float) -> list[tuple[int, float]]:
     """M_n of each full cosine section against its exact eigenvalues a + b cos(i pi/(n+1))."""
-    full = problems.cosine_symbol(a, b)
-    coeffs = fourier_coeffs(full, max(max(ns) - 1, 1))
+    symbol = problems.cosine_symbol(a, b)
+    coeffs = fourier_coeffs(symbol, max(max(ns) - 1, 1))
     lambdas = {n: eig_sym(toeplitz_build(coeffs, n)).values for n in dict.fromkeys(ns)}
-    return mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)
+    return mn_curve(symbol, problems.eigen_angle_grid, lambdas, ns)
 
 
 def run_exactness_e4p(ns: list[int]) -> tuple[list[tuple[int, float]], list[str]]:

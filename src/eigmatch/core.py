@@ -198,9 +198,11 @@ class ScalarSymbol:
     ``eval`` must be vectorized over one array per coordinate.  ``membership``
     selects the subdomain Omega (default: the whole rectangle); whether Omega
     is regular enough (negligible boundary) is the caller's responsibility and
-    is not checked here.  ``discontinuities`` lists breakpoints (1-d symbols)
-    used to split quadrature panels.  The symbol's range is not stored: the
-    matching compares samples, never bounds.
+    is not checked here.  ``discontinuities`` lists the breakpoints of a 1-d
+    symbol in [a, b], where quadrature panels are split; raises ValueError
+    for a breakpoint that is not finite or, in 1-d, lies outside [a, b].
+    The symbol's range is not stored: the matching compares samples, never
+    bounds.
     """
 
     domain: Rect
@@ -209,7 +211,12 @@ class ScalarSymbol:
     discontinuities: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "discontinuities", tuple(float(t) for t in self.discontinuities))
+        breaks = tuple(float(t) for t in self.discontinuities)
+        lo, hi = ((self.domain.a[0], self.domain.b[0]) if self.domain.d == 1
+                  else (-math.inf, math.inf))
+        if not all(math.isfinite(t) and lo <= t <= hi for t in breaks):
+            raise ValueError(f"breakpoints must be finite and inside the domain, got {breaks}")
+        object.__setattr__(self, "discontinuities", breaks)
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (N, d) (or (N,) when d = 1)."""

@@ -5,18 +5,17 @@ asymptotic eigenvalue distribution.  The matrices are built in
 ``toeplitz`` and ``galerkin``; both spline families (the tensor-product
 biquadratic and the C^0 quadratic one) are assembled by ``assemble_KM``,
 and the closed forms of their symbols here are the exactness oracles.
-Generating functions are defined on [-pi, pi] (as needed for Fourier
-coefficients); the matching diagnostics use their restriction ``half(f)``
-to [0, pi], where the even symbols carry the distribution.  Matrix-valued
-symbols evaluate a whole array of angles at once, returning the (N, k, k)
-stack.  Every angle grid {i*pi/m} comes from ``galerkin.grid_points``:
-``eigen_angle_grid`` wraps its ``INTERIOR`` kind of order n+1 for
-``mn_curve``, and the branch split takes its arrays directly.
+Generating functions are given once, on [0, pi], where the matching
+diagnostics sample them; ``toeplitz.fourier_coeffs`` integrates their even
+extension to [-pi, pi].  Matrix-valued symbols evaluate a whole array of
+angles at once, returning the (N, k, k) stack.  Every angle grid
+{i*pi/m} comes from ``galerkin.grid_points``: ``eigen_angle_grid`` wraps
+its ``INTERIOR`` kind of order n+1 for ``mn_curve``, and the branch split
+takes its arrays directly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +24,6 @@ from .core import AUGrid, MatrixSymbol, Rect, ScalarSymbol
 from .galerkin import GridKind, grid_points, symbol_f
 
 __all__ = [
-    "half",
     "cosine_symbol",
     "cosine_eigs_exact",
     "plateau_ramp_symbol",
@@ -44,30 +42,17 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 _PI_RECT = Rect(np.array([0.0]), np.array([math.pi]))
-_FULL_RECT = Rect(np.array([-math.pi]), np.array([math.pi]))
 
 
 # ---------------------------------------------------------------------------
 # Scalar generating functions
 # ---------------------------------------------------------------------------
 
-def half(f: ScalarSymbol) -> ScalarSymbol:
-    """Restriction of an even generating function on [-pi, pi] to [0, pi].
-
-    Keeps the evaluator (evenness is not checked) and the breakpoints inside
-    (0, pi).
-    """
-    if f.domain.d != 1 or (f.domain.a[0], f.domain.b[0]) != (-math.pi, math.pi):
-        raise ValueError("half() restricts generating functions on [-pi, pi]")
-    inner = tuple(t for t in f.discontinuities if 0.0 < t < math.pi)
-    return dataclasses.replace(f, domain=_PI_RECT, discontinuities=inner)
-
-
 def cosine_symbol(a: float, b: float) -> ScalarSymbol:
-    """a + b*cos(theta) on [-pi, pi]; a, b and a +- |b| must be finite."""
+    """a + b*cos(theta) on [0, pi]; a, b and a +- |b| must be finite."""
     if not (math.isfinite(a - abs(b)) and math.isfinite(a + abs(b))):
         raise ValueError(f"cosine symbol needs finite a, b and a +- |b|, got a={a!r}, b={b!r}")
-    return ScalarSymbol(domain=_FULL_RECT, eval=lambda t: a + b * np.cos(t))
+    return ScalarSymbol(domain=_PI_RECT, eval=lambda t: a + b * np.cos(t))
 
 
 def cosine_eigs_exact(a: float, b: float, n: int) -> np.ndarray:
@@ -76,16 +61,16 @@ def cosine_eigs_exact(a: float, b: float, n: int) -> np.ndarray:
 
 
 def _plateau_ramp(t):
-    t = np.abs(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     return np.where(t < _HALF_PI, 1.0, t + 1.0 - _HALF_PI)
 
 
 def plateau_ramp_symbol() -> ScalarSymbol:
-    """Even symbol: constant 1 up to pi/2, then a unit-slope ramp to 1 + pi/2."""
+    """Constant 1 up to pi/2, then a unit-slope ramp to 1 + pi/2, on [0, pi]."""
     return ScalarSymbol(
-        domain=_FULL_RECT,
+        domain=_PI_RECT,
         eval=_plateau_ramp,
-        discontinuities=(-_HALF_PI, _HALF_PI),
+        discontinuities=(_HALF_PI,),
     )
 
 
@@ -94,20 +79,20 @@ cos_dip_min = -25.0 / 54.0 - 10.0 * math.sqrt(10.0) / 27.0
 
 
 def _cos_dip_ramp(t):
-    t = np.abs(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     return np.where(t < _HALF_PI, np.cos(2.0 * t) + np.cos(3.0 * t), t)
 
 
 def cos_dip_ramp_symbol() -> ScalarSymbol:
-    """Even symbol: cos(2t) + cos(3t) up to pi/2, then the identity ramp.
+    """cos(2t) + cos(3t) up to pi/2, then the identity ramp, on [0, pi].
 
     Discontinuous at pi/2 (left limit -1 jumps to pi/2); range
     [cos_dip_min, pi].
     """
     return ScalarSymbol(
-        domain=_FULL_RECT,
+        domain=_PI_RECT,
         eval=_cos_dip_ramp,
-        discontinuities=(-_HALF_PI, _HALF_PI),
+        discontinuities=(_HALF_PI,),
     )
 
 

@@ -1,23 +1,24 @@
 """Fourier coefficients of generating functions and their Toeplitz sections.
 
 Coefficients are computed by Filon-Legendre quadrature (Iserles and Nørsett,
-Proc. R. Soc. A 461, 2005).  The declared breakpoints of the symbol cut
-[-pi, pi] into intervals on which it is smooth, and those into panels at
-most pi/2 wide.  On each panel the symbol is projected onto the Legendre
-polynomials P_0..P_31 with a 32-node Gauss rule, and the integral of each
-term against e^{-ik.theta} is a spherical Bessel function in closed form.
-So the symbol is sampled 32 times per panel whatever the order, the accuracy
-is that of the Legendre expansion for every k, and the cost grows linearly
-with the order.
+Proc. R. Soc. A 461, 2005).  A generating function is given on [0, pi]
+and stands for its even extension f(|theta|) to [-pi, pi].  Its declared
+breakpoints and their mirror images cut [-pi, pi] into intervals on which
+it is smooth, and those into panels at most pi/2 wide.  On each panel the
+symbol is projected onto the Legendre polynomials P_0..P_31 with a 32-node
+Gauss rule, and the integral of each term against e^{-ik.theta} is a
+spherical Bessel function in closed form.  So the symbol is sampled 32
+times per panel whatever the order, the accuracy is that of the Legendre
+expansion for every k, and the cost grows linearly with the order.
 
-Every generating function here is real and even, so its coefficients are
-real with f_{-k} = f_k: :class:`FourierCoeffs` stores f_0..f_order alone,
-and :func:`fourier_coeffs` checks the evenness once.  The sections are real
-symmetric, and so also centrosymmetric: the eigenproblem splits into two of
-half the size (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
-:func:`toeplitz_halves` builds the halves one at a time from f_0..f_{n-1}
-alone: it never forms the n x n section, 8 MiB at n = 1024, and a caller
-that drops each half before asking for the next holds one of them at a time.
+The extension is real and even, so its coefficients are real with
+f_{-k} = f_k: :class:`FourierCoeffs` stores f_0..f_order alone.  The
+sections are real symmetric, and so also centrosymmetric: the eigenproblem
+splits into two of half the size (Cantoni and Butler, Linear Algebra
+Appl. 13, 1976).  :func:`toeplitz_halves` builds the halves one at a time
+from f_0..f_{n-1} alone: it never forms the n x n section, 8 MiB at
+n = 1024, and a caller that drops each half before asking for the next
+holds one of them at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ _MILLER_START = 2 * _LEGENDRE_TERMS  # backward-recurrence start; 80 or 96 agree
 # cosine symbol's exact eigenvalues came out 2e-13 off at n = 200; on
 # pi/2 panels, 5e-14.
 _MAX_PANEL = math.pi / 2
-_IMAG_RTOL = 1e-13  # imaginary parts above this, relative to max(1, max|f_k|), mean an odd part
 
 
 @functools.cache
@@ -94,13 +94,11 @@ class FourierCoeffs:
 
 
 def _breakpoints(symbol: ScalarSymbol) -> np.ndarray:
-    if symbol.domain.d != 1:
-        raise ValueError("Fourier coefficients require a 1-d symbol")
-    lo, hi = float(symbol.domain.a[0]), float(symbol.domain.b[0])
-    if not (abs(lo + math.pi) < 1e-12 and abs(hi - math.pi) < 1e-12):
-        raise ValueError("generating functions live on [-pi, pi]")
-    pts = sorted({lo, hi, *(t for t in symbol.discontinuities if lo < t < hi)})
-    return np.asarray(pts, dtype=float)
+    """-pi, pi, and the interior breakpoints of the symbol on (0, pi) with their mirror images."""
+    if symbol.domain.d != 1 or (symbol.domain.a[0], symbol.domain.b[0]) != (0.0, math.pi):
+        raise ValueError("generating functions are given on [0, pi]")
+    inner = {t for t in symbol.discontinuities if 0.0 < t < math.pi}
+    return np.asarray(sorted({-math.pi, math.pi} | inner | {-t for t in inner}), dtype=float)
 
 
 def _spherical_jn(omega: np.ndarray) -> np.ndarray:
@@ -157,19 +155,16 @@ def _filon_coeffs(breaks: np.ndarray, order: int, evaluate) -> np.ndarray:
 
 
 def fourier_coeffs(f: ScalarSymbol, order: int) -> FourierCoeffs:
-    """f_k = (1/2pi) int f(theta) e^{-ik.theta} dtheta for 0 <= k <= order.
+    """f_k = (1/2pi) int f(|theta|) e^{-ik.theta} dtheta for 0 <= k <= order.
 
-    The symbol must be even, which makes every f_k real.  Raises ValueError
-    when a coefficient is not finite, or when an imaginary part exceeds
-    1e-13 max(1, max|f_k|).  The panels are at most ``_MAX_PANEL`` wide;
-    halving it is the convergence check.
+    ``f`` is given on [0, pi]; the integral runs over [-pi, pi] with its even
+    extension, which makes every f_k real.  Raises ValueError for any other
+    domain, or when a coefficient is not finite.  The panels are at most
+    ``_MAX_PANEL`` wide; halving it is the convergence check.
     """
-    pos = _filon_coeffs(_breakpoints(f), order, f.sample)
+    pos = _filon_coeffs(_breakpoints(f), order, lambda theta: f.sample(np.abs(theta)))
     if not np.isfinite(pos).all():
         raise ValueError("Fourier coefficients are not finite: the symbol has a NaN or infinity")
-    bound = _IMAG_RTOL * max(1.0, float(np.max(np.abs(pos.real))))
-    if np.max(np.abs(pos.imag)) > bound:
-        raise ValueError(f"symbol is not even: coefficients have imaginary parts above {bound:.3g}")
     return FourierCoeffs(pos.real)
 
 

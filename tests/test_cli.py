@@ -42,10 +42,10 @@ def test_mn_table_half_solves_match_full_solves(example):
     from eigmatch.toeplitz import fourier_coeffs, toeplitz_build
 
     ns = [1, 2, 3, 64, 65]
-    full = _MN_EXAMPLES[example]()
-    coeffs = fourier_coeffs(full, max(ns) - 1)
+    symbol = _MN_EXAMPLES[example]()
+    coeffs = fourier_coeffs(symbol, max(ns) - 1)
     lambdas = {n: eig_sym(toeplitz_build(coeffs, n)).values for n in ns}
-    expected = mn_curve(problems.half(full), problems.eigen_angle_grid, lambdas, ns)
+    expected = mn_curve(symbol, problems.eigen_angle_grid, lambdas, ns)
     rows = run_mn_table(example, ns)
     assert [n for n, _ in rows] == ns
     assert max(abs(m - e) for (_, m), (_, e) in zip(rows, expected)) <= 1e-13
@@ -70,9 +70,9 @@ def test_mn_table_n1_solves_an_empty_odd_half(example, monkeypatch):
     monkeypatch.setattr(cli, "eig_sym", counted)
     rows = cli.run_mn_table(example, [1])
     assert sizes == [1, 0]
-    full = cli._MN_EXAMPLES[example]()
-    f0 = fourier_coeffs(full, 1)[0].real
-    expected = mn_curve(problems.half(full), problems.eigen_angle_grid, {1: np.array([f0])}, [1])
+    symbol = cli._MN_EXAMPLES[example]()
+    f0 = fourier_coeffs(symbol, 1)[0].real
+    expected = mn_curve(symbol, problems.eigen_angle_grid, {1: np.array([f0])}, [1])
     assert rows[0][0] == 1 and rows[0][1] == pytest.approx(expected[0][1], rel=0, abs=1e-15)
 
 

@@ -7,11 +7,13 @@ from eigmatch.core import (
     AUGrid,
     IntervalUnion,
     Rect,
+    ScalarSymbol,
     count_grid_in_interval,
     grid_deviation,
     make_uniform_grid,
     restrict_mask,
 )
+from eigmatch.problems import fd_coefficients, fd_symbol_2d, plateau_ramp_symbol
 
 from property_suites import count_bound_suite
 
@@ -34,6 +36,23 @@ def test_rect_validation():
 def test_rect_rejects_nan_and_infinite_endpoints(a, b):
     with pytest.raises(ValueError, match="finite"):
         Rect(np.array(a), np.array(b))
+
+
+@pytest.mark.parametrize("symbol,bad", [(plateau_ramp_symbol(), math.nan),
+                                        (plateau_ramp_symbol(), math.inf),
+                                        (plateau_ramp_symbol(), 5.0),
+                                        (plateau_ramp_symbol(), -1.0),
+                                        (fd_symbol_2d(fd_coefficients["exp"]), math.nan)])
+def test_scalar_symbol_rejects_a_breakpoint_that_is_not_finite_or_outside(symbol, bad):
+    # a mistyped breakpoint must not silently lose its quadrature panel edge
+    with pytest.raises(ValueError, match="breakpoints must"):
+        ScalarSymbol(domain=symbol.domain, eval=symbol.eval, discontinuities=(bad,))
+
+
+def test_scalar_symbol_keeps_breakpoints_at_the_endpoints():
+    domain = plateau_ramp_symbol().domain
+    ends = (float(domain.a[0]), math.pi / 2, float(domain.b[0]))
+    assert ScalarSymbol(domain=domain, eval=np.cos, discontinuities=ends).discontinuities == ends
 
 
 def test_uniform_grid_1d_quarters():

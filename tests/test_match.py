@@ -11,7 +11,6 @@ from eigmatch.problems import (
     cosine_symbol,
     endpoint_indicator,
     eigen_angle_grid,
-    half,
 )
 
 from property_suites import sorted_pair_suite, min_perm_suite, sorted_rearrangement_suite
@@ -91,7 +90,7 @@ def test_sorted_rearrangement_deviation_property():
 
 def test_mn_curve_exact_cosine_family():
     a, b = 5.0, 3.0
-    symbol = half(cosine_symbol(a, b))
+    symbol = cosine_symbol(a, b)
     lambdas = {n: cosine_eigs_exact(a, b, n) for n in (4, 17, 60)}
     rows = mn_curve(symbol, eigen_angle_grid, lambdas, [4, 17, 60])
     for n, m in rows:
@@ -99,7 +98,7 @@ def test_mn_curve_exact_cosine_family():
 
 
 def test_mn_curve_size_mismatch_names_n():
-    symbol = half(cosine_symbol(2.0, -2.0))
+    symbol = cosine_symbol(2.0, -2.0)
     with pytest.raises(ValueError, match="n=6"):
         mn_curve(symbol, eigen_angle_grid, {6: np.zeros(5)}, [6])
 
@@ -113,7 +112,7 @@ def test_sorted_match_rejects_non_finite(bad):
 
 
 def test_mn_curve_rejects_non_finite_lambdas():
-    symbol = half(cosine_symbol(2.0, -2.0))
+    symbol = cosine_symbol(2.0, -2.0)
     lam = cosine_eigs_exact(2.0, -2.0, 6)
     lam[3] = math.nan
     with pytest.raises(ValueError, match="finite"):

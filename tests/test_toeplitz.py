@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 
 from eigmatch import toeplitz
-from eigmatch.core import ScalarSymbol
+from eigmatch.core import Rect, ScalarSymbol
 from eigmatch.eig import eig_sym
 from eigmatch.problems import (
     cos_dip_min,
     cos_dip_ramp_symbol,
     cosine_eigs_exact,
     cosine_symbol,
-    endpoint_indicator,
-    half,
+    fd_coefficients,
+    fd_symbol_2d,
     plateau_ramp_symbol,
 )
 from eigmatch.toeplitz import (
     FourierCoeffs,
     _LEGENDRE_TERMS,
+    _filon_coeffs,
     _spherical_jn,
     fourier_coeffs,
     toeplitz_build,
@@ -123,11 +124,20 @@ def test_real_even_symbol_coefficients_are_real_symmetric():
         table.data[0] = 0.0
 
 
-def test_fourier_coeffs_reject_a_symbol_that_is_not_even():
-    # 1 + sin(theta) has f_{+-1} = -+ i/2: its sections are complex Hermitian
-    odd = ScalarSymbol(domain=plateau_ramp_symbol().domain, eval=lambda t: 1.0 + np.sin(t))
-    with pytest.raises(ValueError, match="not even"):
-        fourier_coeffs(odd, 3)
+def test_fourier_coeffs_take_the_even_extension():
+    # 1 + sin(theta) on [0, pi] stands for 1 + |sin(theta)| on [-pi, pi]
+    sym = ScalarSymbol(domain=plateau_ramp_symbol().domain, eval=lambda t: 1.0 + np.sin(t))
+    exact = np.zeros(65)
+    exact[0] = 1.0 + 2.0 / math.pi
+    exact[2::2] = -2.0 / (math.pi * (np.arange(2, 65, 2) ** 2 - 1.0))
+    assert np.max(np.abs(fourier_coeffs(sym, 64).data - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("domain", [Rect(np.array([-math.pi]), np.array([math.pi])),
+                                    fd_symbol_2d(fd_coefficients["exp"]).domain])
+def test_fourier_coeffs_reject_a_domain_other_than_zero_pi(domain):
+    with pytest.raises(ValueError, match=r"given on \[0, pi\]"):
+        fourier_coeffs(ScalarSymbol(domain=domain, eval=np.cos), 3)
 
 
 def test_fourier_coeffs_report_a_nan_as_not_finite():
@@ -137,22 +147,36 @@ def test_fourier_coeffs_report_a_nan_as_not_finite():
         fourier_coeffs(nan, 3)
 
 
-@pytest.mark.parametrize("full", [plateau_ramp_symbol(), cos_dip_ramp_symbol(),
-                                  cosine_symbol(2.0, -1.0)])
-def test_half_restricts_generating_function_to_zero_pi(full):
-    h = half(full)
-    assert (h.domain.a[0], h.domain.b[0]) == (0.0, math.pi)
-    assert h.discontinuities == tuple(t for t in full.discontinuities if t > 0.0)
-    theta = np.linspace(0.0, math.pi, 101)
-    assert np.array_equal(h.sample(theta), full.sample(theta))
-    with pytest.raises(ValueError, match="pi"):
-        half(h)
+def _full_period_plateau_ramp(t):
+    t = np.abs(t)
+    return np.where(t < math.pi / 2, 1.0, t + 1.0 - math.pi / 2)
 
 
-def test_half_keeps_the_interior_breakpoint_and_rejects_other_domains():
-    assert half(plateau_ramp_symbol()).discontinuities == (math.pi / 2,)
-    with pytest.raises(ValueError):
-        half(endpoint_indicator())
+def _full_period_cos_dip_ramp(t):
+    t = np.abs(t)
+    return np.where(t < math.pi / 2, np.cos(2.0 * t) + np.cos(3.0 * t), t)
+
+
+_RAMP_BREAKS = [-math.pi, -math.pi / 2, math.pi / 2, math.pi]
+
+
+@pytest.mark.parametrize("symbol,breaks,formula", [
+    (plateau_ramp_symbol(), _RAMP_BREAKS, _full_period_plateau_ramp),
+    (cos_dip_ramp_symbol(), _RAMP_BREAKS, _full_period_cos_dip_ramp),
+    (cosine_symbol(2.0, -2.0), [-math.pi, math.pi], lambda t: 2.0 - 2.0 * np.cos(t)),
+])
+def test_even_extension_cuts_the_full_period_panels_bit_for_bit(symbol, breaks, formula):
+    # the same panels and node values as the symbol written out on [-pi, pi]
+    full = _filon_coeffs(np.array(breaks), 1023, formula).real
+    assert np.array_equal(fourier_coeffs(symbol, 1023).data, full)
+
+
+@pytest.mark.parametrize("symbol,inner", [(plateau_ramp_symbol(), (math.pi / 2,)),
+                                          (cos_dip_ramp_symbol(), (math.pi / 2,)),
+                                          (cosine_symbol(2.0, -1.0), ())])
+def test_generating_functions_are_given_on_zero_pi(symbol, inner):
+    assert (symbol.domain.d, symbol.domain.a[0], symbol.domain.b[0]) == (1, 0.0, math.pi)
+    assert symbol.discontinuities == inner
 
 
 def test_toeplitz_build_laplacian_stencil():
