@@ -10,7 +10,6 @@ and checks the exact-eigenvalue grid formulas of the spline families.
 
 from .core import (
     AUGrid,
-    IntervalUnion,
     MatrixSymbol,
     Rect,
     ScalarSymbol,
@@ -42,15 +41,7 @@ from .galerkin import (
 )
 from .match import MatchResult, min_perm_match, mn_curve, sorted_match
 from .rearrange import QuantileInterpolant, empirical_quantile
-from .split import (
-    DisplacementGraph,
-    Partition,
-    PartitionInvariantError,
-    graph_path,
-    initial_split,
-    refine_split,
-    split_and_match,
-)
+from .split import Partition, initial_split, split_and_match
 from .toeplitz import FourierCoeffs, fourier_coeffs, toeplitz_build, toeplitz_halves
 
 __version__ = "0.1.0"

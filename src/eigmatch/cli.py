@@ -49,7 +49,7 @@ from .galerkin import (
     verify_eig_formula,
 )
 from .match import mn_curve, sorted_match
-from .split import Partition, split_and_match
+from .split import split_and_match
 from .toeplitz import fourier_coeffs, toeplitz_build, toeplitz_halves
 
 DEFAULT_TABLE_NS = "8,16,32,64,128,256,512,1024"
@@ -202,8 +202,7 @@ def run_split_demo(n: int) -> list[tuple[int, int, float]]:
     values = _scaled_spectrum("K", *assemble_KM(n, 2, 0), n).values
     grids = [grid_points(kind, n) for kind in _C0_GRIDS]
     sizes = [grid.size for grid in grids]
-    reference = Partition(values=values, provenance=np.repeat([0, 1], sizes), k=2)
-    results = split_and_match(values, problems.c0_quadratic_symbol(), reference, grids)
+    results = split_and_match(values, problems.c0_quadratic_symbol(), grids)
     return [(j + 1, sizes[j], results[j].m_n) for j in range(2)]
 
 

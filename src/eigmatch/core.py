@@ -29,7 +29,6 @@ __all__ = [
     "AUGrid",
     "ScalarSymbol",
     "MatrixSymbol",
-    "IntervalUnion",
     "make_uniform_grid",
     "grid_deviation",
     "restrict_mask",
@@ -270,31 +269,3 @@ class MatrixSymbol:
     def branch_samples(self, thetas) -> np.ndarray:
         """Ascending eigenvalues lambda_1 <= ... <= lambda_k per angle, shape (N, k)."""
         return np.linalg.eigvalsh(self.matrices(thetas))
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Disjoint union of closed intervals [lo_1,hi_1] ∪ ... with hi_i < lo_{i+1}.
-
-    Represents the target ranges of the branch split.  Membership uses closed
-    endpoints.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
-        for lo, hi in ivs:
-            if not lo <= hi:  # also rejects NaN
-                raise ValueError(f"empty interval [{lo}, {hi}]")
-        for (lo0, hi0), (lo1, hi1) in zip(ivs, ivs[1:]):
-            if not hi0 < lo1:
-                raise ValueError("intervals must be sorted and disjoint")
-        object.__setattr__(self, "intervals", ivs)
-
-    def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            out |= (x >= lo) & (x <= hi)
-        return out

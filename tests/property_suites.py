@@ -13,7 +13,6 @@ from eigmatch.core import AUGrid, Rect, count_grid_in_interval, grid_deviation
 from eigmatch.eig import eig_sym
 from eigmatch.match import min_perm_match, sorted_match
 from eigmatch.rearrange import empirical_quantile
-from eigmatch.split import DisplacementGraph, IntervalUnion, Partition, graph_path, refine_split
 
 
 def sorted_pair_suite(trials: int = 1000, seed: int = 1):
@@ -84,60 +83,6 @@ def quantile_integral_suite(trials: int = 1000, seed: int = 5):
             integral = float(trapezoid(F(q.sorted_samples), dx=1.0 / q.omega))
             bound = 2.0 * lipschitz(samples) * gap + 1e-12
             assert abs(mean - integral) <= bound, (mean, integral, bound)
-
-
-def _random_refine_instance(rng) -> tuple[Partition, Partition, list[IntervalUnion]]:
-    """Clean reference partition plus an initial one with a few cross-part swaps."""
-    k = int(rng.integers(2, 5))
-    size = int(rng.integers(20, 201))
-    centers = np.cumsum(rng.uniform(1.0, 4.0, size=k)) * 10
-    ref_labels = rng.integers(0, k, size=size)
-    for j in range(k):  # every part nonempty so all cardinalities are positive
-        ref_labels[j] = j
-    values = centers[ref_labels] + rng.uniform(-1.0, 1.0, size=size)
-    targets = [IntervalUnion(((centers[j] - 1.5, centers[j] + 1.5),)) for j in range(k)]
-    init_labels = ref_labels.copy()
-    swaps = max(1, int(0.05 * size) // 2)
-    for _ in range(swaps):
-        x, y = rng.integers(0, size, size=2)
-        init_labels[x], init_labels[y] = init_labels[y], init_labels[x]
-    reference = Partition(values=values, provenance=ref_labels, k=k)
-    init = Partition(values=values, provenance=init_labels, k=k)
-    return init, reference, targets
-
-
-def refine_suite(trials: int = 1000, seed: int = 6):
-    """Conservation, cardinalities, termination, and cleanliness of refinement.
-
-    The iteration bound (at most one displacement per initially stray element)
-    is enforced inside refine_split itself, which raises when exceeded.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        init, reference, targets = _random_refine_instance(rng)
-        out = refine_split(init, targets, reference)
-        assert np.array_equal(np.sort(out.values), np.sort(init.values))
-        assert np.array_equal(out.values, init.values)  # insertion order kept
-        assert np.array_equal(out.cardinalities(), init.cardinalities())
-        for j in range(out.k):
-            part = out.values[out.provenance == j]
-            assert np.all(targets[j].contains(part))
-
-
-def graph_path_suite(trials: int = 1000, seed: int = 7):
-    """Every present displacement edge admits a directed return path."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        k, size = 5, 30
-        values = rng.normal(size=size)
-        labels_a = rng.permutation(np.arange(size) % k)
-        labels_b = labels_a[rng.permutation(size)]  # same cardinalities
-        A = Partition(values=values, provenance=labels_a, k=k)
-        B = Partition(values=values, provenance=labels_b, k=k)
-        graph = DisplacementGraph.from_partitions(A, B)
-        for (i, j) in graph.edges:
-            path = graph_path(A, B, i, j)
-            assert path[0] == j and path[-1] == i
 
 
 def count_bound_suite(trials: int = 1000, seed: int = 8):

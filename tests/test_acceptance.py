@@ -190,8 +190,6 @@ def test_criterion_11_property_suites():
         ("sorted rearrangement deviation", property_suites.sorted_rearrangement_suite, 1000),
         ("quantile measure preservation", property_suites.quantile_measure_suite, 1000),
         ("quantile integral identity", property_suites.quantile_integral_suite, 1000),
-        ("partition refinement invariants", property_suites.refine_suite, 1000),
-        ("displacement path existence", property_suites.graph_path_suite, 1000),
         ("grid counting bound", property_suites.count_bound_suite, 1000),
         ("eigenvalue perturbation stability", property_suites.weyl_suite, 100),
     ]

@@ -147,6 +147,14 @@ def test_split_demo(capsys):
     assert all(float(r[3]) <= 1e-8 for r in rows)
 
 
+@pytest.mark.parametrize("n", [2, 3, 20, 100])
+def test_split_demo_matches_each_branch_exactly(capsys, n):
+    code, out, _ = run_cli(capsys, "split-demo", "--n", str(n))
+    assert code == 0
+    assert [line.rsplit(",", 1)[0] for line in out.splitlines()] == [
+        "branch,cardinality,M_n", f"1,{n},0.0000", f"2,{n - 1},0.0000"]
+
+
 def test_spline_exactness_checks_start_at_two_elements(capsys):
     code, out, err = run_cli(capsys, "exactness", "--example", "e5", "--ns", "1")
     assert (code, out, err) == (2, "", "eigmatch exactness: n must be >= 2\n")

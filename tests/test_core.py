@@ -5,7 +5,6 @@ import pytest
 
 from eigmatch.core import (
     AUGrid,
-    IntervalUnion,
     Rect,
     ScalarSymbol,
     count_grid_in_interval,
@@ -181,22 +180,6 @@ def test_count_grid_in_interval_aligned_endpoints():
 
 def test_count_grid_bound_property():
     count_bound_suite(trials=1000)
-
-
-def test_interval_union():
-    u = IntervalUnion(((0.0, 1.0), (2.0, 3.0)))
-    assert u.contains(0.5) and u.contains(1.0) and not u.contains(1.5)
-    assert np.array_equal(u.contains(np.array([0.0, 1.7, 2.2])), [True, False, True])
-    with pytest.raises(ValueError):
-        IntervalUnion(((0.0, 1.0), (0.5, 2.0)))
-    with pytest.raises(ValueError):
-        IntervalUnion(((1.0, 0.0),))
-
-
-@pytest.mark.parametrize("pair", [(math.nan, math.nan), (0.0, math.nan), (math.nan, 1.0)])
-def test_interval_union_rejects_nan_endpoints(pair):
-    with pytest.raises(ValueError, match="empty interval"):
-        IntervalUnion((pair,))
 
 
 def test_matrix_symbol_rejects_non_hermitian_values():

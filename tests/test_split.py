@@ -1,24 +1,15 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from eigmatch.core import IntervalUnion, MatrixSymbol
+from eigmatch.cli import _scaled_spectrum, run_split_demo
+from eigmatch.core import MatrixSymbol
 from eigmatch.eig import eig_sym
 from eigmatch.match import sorted_match
 from eigmatch.galerkin import GridKind, assemble_KM, grid_points
 from eigmatch.problems import c0_quadratic_symbol
-from eigmatch.split import (
-    DisplacementGraph,
-    Partition,
-    graph_path,
-    initial_split,
-    refine_split,
-    split_and_match,
-)
-
-from property_suites import graph_path_suite, refine_suite
+from eigmatch.split import Partition, initial_split, split_and_match
 
 
 def diag_symbol(g1, g2):
@@ -87,108 +78,11 @@ def test_initial_split_validates_cardinalities():
         initial_split([1.0, 2.0, 3.0], sym, [grid_points(GridKind.NO_ZERO, 2)] * 2)
 
 
-def test_graph_path_trivial_self_path():
-    values = np.arange(4.0)
-    A = Partition(values, [0, 0, 1, 1], 2)
-    B = Partition(values, [1, 0, 0, 1], 2)
-    assert graph_path(A, B, 1, 1) == [1]
-
-
-def test_graph_path_two_part_example():
-    # elements 1..4; first partition ({1,2},{3,4}), second ({2,3},{1,4}):
-    # edge (0,1) is present via element 1 and the return path is 1 -> 0,
-    # which exists via element 3 sitting in parts (1, 0)
-    values = np.array([1.0, 2.0, 3.0, 4.0])
-    A = Partition(values, [0, 0, 1, 1], 2)
-    B = Partition(values, [1, 0, 0, 1], 2)
-    graph = DisplacementGraph.from_partitions(A, B)
-    assert (0, 1) in graph.edges and (1, 0) in graph.edges
-    assert graph_path(A, B, 0, 1) == [1, 0]
-
-
-def test_graph_path_requires_equal_cardinalities():
-    values = np.arange(4.0)
-    A = Partition(values, [0, 0, 0, 1], 2)
-    B = Partition(values, [0, 0, 1, 1], 2)
-    with pytest.raises(ValueError):
-        graph_path(A, B, 0, 1)
-
-
-def test_graph_path_random_suite():
-    graph_path_suite(trials=1000)
-
-
-def _four_element_instance():
-    values = np.array([0.0, 1.0, 10.0, 11.0])
-    targets = [IntervalUnion(((-0.5, 2.5),)), IntervalUnion(((9.5, 12.0),))]
-    reference = Partition(values, [0, 0, 1, 1], 2)
-    init = Partition(values, [0, 1, 0, 1], 2)  # elements 1 and 10 swapped
-    return values, targets, reference, init
-
-
-def test_refine_split_clean_input_unchanged():
-    values, targets, reference, _ = _four_element_instance()
-    out = refine_split(reference, targets, reference)
-    assert np.array_equal(out.provenance, reference.provenance)
-
-
-def test_refine_split_single_displacement():
-    values, targets, reference, init = _four_element_instance()
-    out = refine_split(init, targets, reference)
-    # exhaustive search over all equal-cardinality partitions: exactly one
-    # is clean, the threshold partition
-    clean = []
-    for pair in itertools.combinations(range(4), 2):
-        prov = np.array([0 if i in pair else 1 for i in range(4)])
-        p0 = values[prov == 0]
-        p1 = values[prov == 1]
-        if np.all(targets[0].contains(p0)) and np.all(targets[1].contains(p1)):
-            clean.append(tuple(prov))
-    assert clean == [(0, 0, 1, 1)]
-    assert tuple(out.provenance) == clean[0]
-
-
-def test_refine_split_displaces_at_most_once_per_initial_stray(monkeypatch):
-    # a _bad_ids that puts every element back where it started keeps both
-    # strays stray forever: the loop must stop after two displacements
-    import eigmatch.split as split
-
-    values, targets, reference, init = _four_element_instance()
-    bad_ids = split._bad_ids
-    calls = []
-
-    def restoring(values, assignment, targets):
-        calls.append(1)
-        assignment[:] = init.provenance
-        return bad_ids(values, assignment, targets)
-
-    monkeypatch.setattr(split, "_bad_ids", restoring)
-    with pytest.raises(RuntimeError, match="iteration bound"):
-        refine_split(init, targets, reference)
-    assert len(calls) - 1 == 2  # one call before the loop, one after each displacement
-
-
-def test_refine_split_validates_reference():
-    values, targets, reference, init = _four_element_instance()
-    bad_reference = Partition(values, [0, 1, 0, 1], 2)
-    with pytest.raises(ValueError):
-        refine_split(init, targets, bad_reference)
-
-
-def test_refine_split_random_suite():
-    refine_suite(trials=1000)
-
-
 @pytest.mark.parametrize("n", [20, 40, 80])
 def test_split_and_match_block_family_exact(n):
     values = eig_sym(assemble_KM(n, 2, 0)[0] / n).values
-    reference = Partition(
-        values,
-        np.concatenate([np.zeros(n, int), np.ones(n - 1, int)]),
-        2,
-    )
     grids = [grid_points(GridKind.NO_ZERO, n), grid_points(GridKind.INTERIOR, n)]
-    res = split_and_match(values, c0_quadratic_symbol(), reference, grids)
+    res = split_and_match(values, c0_quadratic_symbol(), grids)
     assert res[0].m_n <= 1e-8
     assert res[1].m_n <= 1e-8
 
@@ -198,9 +92,7 @@ def test_split_and_match_decoupled_diagonal_case():
     sym = diag_symbol(low_branch, high_branch)
     theta = grid_points(GridKind.NO_ZERO, n)
     lam = np.concatenate([low_branch(theta), high_branch(theta)])
-    reference = Partition(lam, np.concatenate([np.zeros(n, int), np.ones(n, int)]), 2)
-    grids = [theta, theta]
-    res = split_and_match(lam, sym, reference, grids)
+    res = split_and_match(lam, sym, [theta, theta])
     # decoupled case: per-branch results equal the scalar matches
     assert res[0].m_n == pytest.approx(sorted_match(low_branch(theta), low_branch(theta)).m_n)
     assert res[1].m_n <= 1e-12
@@ -213,65 +105,64 @@ def test_partition_conservation_is_structural():
     assert np.array_equal(merged, np.sort(values))
 
 
-def test_refine_split_three_cycle_displacement():
-    # a 3-rotation of strays forces a displacement path of length 3:
-    # the first repaired element pulls one element along each edge, fixing
-    # all three strays in a single pass
-    values = np.array([1.0, 1.1, 10.0, 10.1, 20.0, 20.1])
-    targets = [
-        IntervalUnion(((0.0, 2.0),)),
-        IntervalUnion(((9.0, 12.0),)),
-        IntervalUnion(((19.0, 22.0),)),
-    ]
-    reference = Partition(values, [0, 0, 1, 1, 2, 2], 3)
-    # rotate one element of each part: 1.1 -> part 1, 10.1 -> part 2, 20.1 -> part 0
-    init = Partition(values, [0, 1, 1, 2, 2, 0], 3)
-    out = refine_split(init, targets, reference)
-    assert np.array_equal(out.provenance, reference.provenance)
+@pytest.mark.parametrize("provenance, k, message", [
+    ([0.7, 1.2], 2, "part indices must be integers"),
+    ([0, 1], 2.5, "k must be an integer"),
+    ([0, 1], "2", "k must be an integer"),
+])
+def test_partition_rejects_non_integral_parts(provenance, k, message):
+    with pytest.raises(ValueError, match=message):
+        Partition([1.0, 2.0], provenance, k)
 
 
-def test_split_and_match_repairs_stray_elements(monkeypatch):
-    # branches cos t and 1/2 + cos t overlap on [-1/2, 1]; the first part's
-    # values are squeezed towards -1, so the rank split hands one value below
-    # -1/2 to the second branch, whose range starts at -1/2
-    import eigmatch.split
-
-    n = 8
-    sym = diag_symbol(np.cos, lambda t: 0.5 + np.cos(t))
-    ranges = [IntervalUnion(((-1.0 - 1e-9, 1.0 + 1e-9),)),
-              IntervalUnion(((-0.5 - 1e-9, 1.5 + 1e-9),))]
-    theta = grid_points(GridKind.NO_ZERO, n)
-    lam = np.concatenate([-1.0 + 0.5 * (1.0 + np.cos(theta)), 0.5 + np.cos(theta)])
-    reference = Partition(lam, np.repeat([0, 1], n), 2)
-    grids = [theta, theta]
-
-    init = initial_split(lam, sym, grids)
-    assert not all(np.all(rng.contains(lam[init.provenance == j])) for j, rng in enumerate(ranges))
-
-    parts = []
-
-    def recording(samples, values):
-        parts.append(np.asarray(values))
-        return sorted_match(samples, values)
-
-    monkeypatch.setattr(eigmatch.split, "sorted_match", recording)
-    split_and_match(lam, sym, reference, grids)
-    assert [part.size for part in parts] == reference.cardinalities().tolist()
-    assert all(np.all(rng.contains(part)) for rng, part in zip(ranges, parts))
-    assert np.array_equal(np.sort(np.concatenate(parts)), np.sort(lam))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_partition_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="values must be finite"):
+        Partition([1.0, bad], [0, 1], 2)
 
 
-def test_split_and_match_probes_the_symbol_once(monkeypatch):
-    import eigmatch.split
-    from eigmatch.cli import run_split_demo
+def test_partition_stores_an_integer_k_and_accepts_an_empty_multiset():
+    part = Partition([], [], np.int64(2))
+    assert type(part.k) is int and part.cardinalities().tolist() == [0, 0]
 
+
+def test_split_rejects_angles_outside_the_interval():
+    values = [0.1, 0.2, 0.3, 3.0, 3.5]
+    inside = grid_points(GridKind.INTERIOR, 3)
+    with pytest.raises(ValueError, match=r"branch 0 angle 10\.47.* outside the symbol's interval \[0\.0, 3\.14"):
+        initial_split(values, c0_quadratic_symbol(), [10 * grid_points(GridKind.NO_ZERO, 3), inside])
+    with pytest.raises(ValueError, match=r"branch 1 angle nan lies outside"):
+        split_and_match(values, c0_quadratic_symbol(),
+                        [grid_points(GridKind.NO_ZERO, 3), [1.0, math.nan]])
+
+
+def test_split_accepts_the_rounded_angle_pi():
+    # 13 * pi / 13 exceeds pi by one ulp: the grid still lies in [0, pi]
+    n = 13
+    assert grid_points(GridKind.NO_ZERO, n)[-1] > math.pi
+    assert [row[:2] for row in run_split_demo(n)] == [(1, n), (2, n - 1)]
+
+
+def test_split_demo_evaluates_the_symbol_once(monkeypatch):
     calls = []
-    probe = eigmatch.split._probe
+    branch_samples = MatrixSymbol.branch_samples
 
-    def counting(ms):
-        calls.append(ms)
-        return probe(ms)
+    def counting(self, thetas):
+        calls.append(np.size(thetas))
+        return branch_samples(self, thetas)
 
-    monkeypatch.setattr(eigmatch.split, "_probe", counting)
+    monkeypatch.setattr(MatrixSymbol, "branch_samples", counting)
     run_split_demo(50)
-    assert len(calls) == 1
+    assert calls == [50 + 49]
+
+
+def test_block_family_branch_ranges_stay_apart():
+    # the rank split is exact because the two branches' values never
+    # interleave: at every n the gap exceeds 1.3 (the branch ranges
+    # [0, 4/3] and [8/3, 4] lie 4/3 apart)
+    for n in range(2, 61):
+        values = _scaled_spectrum("K", *assemble_KM(n, 2, 0), n).values
+        assert values[n:].min() - values[:n].max() > 1.3
+        grids = [grid_points(GridKind.NO_ZERO, n), grid_points(GridKind.INTERIOR, n)]
+        part = initial_split(values, c0_quadratic_symbol(), grids)
+        assert np.array_equal(part.provenance, np.repeat([0, 1], [n, n - 1]))
