@@ -3,9 +3,10 @@
 The package builds structured matrix families (Toeplitz sections, variable
 coefficient finite differences, spline Galerkin matrices), computes their
 spectra, and measures how closely the sorted eigenvalues track sorted samples
-of the describing symbol over asymptotically uniform grids.  It also splits
-the spectrum of a matrix-valued symbol's family by branch before matching,
-and checks the exact-eigenvalue grid formulas of the spline families.
+of the describing symbol over asymptotically uniform grids.  It also matches
+the spectrum of a matrix-valued symbol's family against the stacked samples
+of all its branches, reporting each branch's pairs, and checks the
+exact-eigenvalue grid formulas of the spline families.
 """
 
 from .core import (
@@ -39,9 +40,8 @@ from .galerkin import (
     symbol_h,
     verify_eig_formula,
 )
-from .match import MatchResult, min_perm_match, mn_curve, sorted_match
+from .match import MatchResult, branch_match, min_perm_match, mn_curve, sorted_match
 from .rearrange import QuantileInterpolant, empirical_quantile
-from .split import Partition, initial_split, split_and_match
 from .toeplitz import FourierCoeffs, fourier_coeffs, toeplitz_build, toeplitz_halves
 
 __version__ = "0.1.0"

@@ -48,8 +48,7 @@ from .galerkin import (
     symbol_h,
     verify_eig_formula,
 )
-from .match import mn_curve, sorted_match
-from .split import split_and_match
+from .match import branch_match, mn_curve, sorted_match
 from .toeplitz import fourier_coeffs, toeplitz_build, toeplitz_halves
 
 DEFAULT_TABLE_NS = "8,16,32,64,128,256,512,1024"
@@ -193,7 +192,7 @@ def run_counterexample(ns: list[int]) -> list[tuple[int, float]]:
 
 
 def run_split_demo(n: int) -> list[tuple[int, int, float]]:
-    """Per-branch sorted matches of the C^0 quadratic family after splitting.
+    """(branch, cardinality, M_n) of the C^0 quadratic family's ``branch_match``.
 
     Needs n >= 2: the second branch's grid has n - 1 points.
     """
@@ -201,9 +200,9 @@ def run_split_demo(n: int) -> list[tuple[int, int, float]]:
         raise ValueError(f"n must be >= 2, got {n}")
     values = _scaled_spectrum("K", *assemble_KM(n, 2, 0), n).values
     grids = [grid_points(kind, n) for kind in _C0_GRIDS]
-    sizes = [grid.size for grid in grids]
-    results = split_and_match(values, problems.c0_quadratic_symbol(), grids)
-    return [(j + 1, sizes[j], results[j].m_n) for j in range(2)]
+    result, labels = branch_match(values, problems.c0_quadratic_symbol(), grids)
+    return [(j + 1, grid.size, float(np.max(np.abs(result.paired_diffs[labels == j]))))
+            for j, grid in enumerate(grids)]
 
 
 def _check_tol(tol: float):

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -228,11 +229,11 @@ class ScalarSymbol:
 
 @dataclass(frozen=True)
 class MatrixSymbol:
-    """Hermitian k x k matrix-valued function on an interval.
+    """Hermitian k x k matrix-valued function on a finite interval [a, b].
 
     ``eval`` maps an array of N angles to the (N, k, k) stack of complex
     values.  Branches are the ascending eigenvalue functions of the matrix at
-    each point.
+    each point.  Raises ValueError unless a < b are finite and k is an integer >= 1.
     """
 
     interval: tuple[float, float]
@@ -241,17 +242,29 @@ class MatrixSymbol:
 
     def __post_init__(self):
         a, b = float(self.interval[0]), float(self.interval[1])
-        if not (a < b and self.k >= 1):
-            raise ValueError("need a nonempty interval and k >= 1")
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"need a finite nonempty interval, got [{a!r}, {b!r}]")
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            k = 0
+        if k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         object.__setattr__(self, "interval", (a, b))
+        object.__setattr__(self, "k", k)
 
     def matrices(self, thetas) -> np.ndarray:
         """Symbol values at an array of N angles, shape (N, k, k), validated.
 
-        Raises ``ValueError`` naming the first angle whose value is not
-        finite or not Hermitian to within an absolute 1e-12.
+        Raises ``ValueError`` naming the first angle outside the interval or
+        whose value is not finite or not Hermitian to within an absolute 1e-12.
         """
         thetas = np.asarray(thetas, dtype=float).reshape(-1)
+        a, b = self.interval
+        outside = ~((thetas >= a) & (thetas <= b))  # written so that NaN is outside
+        if outside.any():
+            raise ValueError(f"angle {float(thetas[outside][0])!r} lies outside "
+                             f"the symbol's interval [{a!r}, {b!r}]")
         m = np.asarray(self.eval(thetas), dtype=complex)
         if m.shape != (thetas.size, self.k, self.k):
             raise ValueError(

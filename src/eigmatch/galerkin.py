@@ -407,7 +407,8 @@ def _check_grid_n(n: int):
 
 def grid_points(kind: GridKind, n: int) -> np.ndarray:
     _check_grid_n(n)
-    return (np.arange(n + 1) * math.pi / n)[_kind_rows(kind)]
+    # the last angle is pi itself: n * pi / n rounds off it for some n (11, 13, ...)
+    return np.append(np.arange(n) * math.pi / n, math.pi)[_kind_rows(kind)]
 
 
 def grid_size(kind: GridKind, n: int) -> int:

@@ -4,6 +4,10 @@ The central quantity is the max absolute difference between the ascending
 rearrangements of the two multisets.  Sorting both sides is optimal for the
 infinity norm (a consequence of Weyl's perturbation inequality applied to
 diagonal matrices), which the exhaustive matcher verifies at small sizes.
+
+A matrix symbol's family is matched the same way (``branch_match``): one
+``sorted_match`` against the stacked samples of all its branches, whose
+pairs are then grouped by the branch of their sample.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AUGrid, ScalarSymbol, as_values, restrict_mask
+from .core import AUGrid, MatrixSymbol, ScalarSymbol, as_values, restrict_mask
 
 __all__ = [
     "MatchResult",
     "sorted_match",
+    "branch_match",
     "min_perm_match",
     "mn_curve",
 ]
@@ -60,6 +65,32 @@ def sorted_match(samples, lambdas) -> MatchResult:
         tau=tau,
         paired_diffs=diffs,
     )
+
+
+def branch_match(lambdas, ms: MatrixSymbol,
+                 grids: Sequence[np.ndarray]) -> tuple[MatchResult, np.ndarray]:
+    """Sorted match of lambdas against the stacked samples of every branch of ms.
+
+    Branch j is sampled at the angles ``grids[j]``, such as ``grid_points(kind, n)``,
+    all in one ``ms.branch_samples`` call.  Returns the ``sorted_match`` and
+    ``labels``, the branch of each sorted pair's sample, so
+    ``result.paired_diffs[labels == j]`` are branch j's ``len(grids[j])`` pairs.
+    Raises ValueError unless there is one 1-d array per branch, holding as
+    many angles in total as there are values, each in the symbol's interval.
+    """
+    v = as_values(lambdas)
+    if len(grids) != ms.k:
+        raise ValueError(f"expected {ms.k} per-branch grids, got {len(grids)}")
+    grids = [np.asarray(grid, dtype=float) for grid in grids]
+    if any(grid.ndim != 1 for grid in grids):
+        raise ValueError("branch grids are one-dimensional")
+    sizes = [grid.size for grid in grids]
+    if sum(sizes) != v.size:
+        raise ValueError(f"branch grids hold {sum(sizes)} points, there are {v.size} values")
+    branch = np.repeat(np.arange(ms.k), sizes)
+    samples = ms.branch_samples(np.concatenate(grids))[np.arange(v.size), branch]
+    result = sorted_match(samples, v)
+    return result, branch[result.sigma]
 
 
 def min_perm_match(samples, lambdas) -> float:

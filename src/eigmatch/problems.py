@@ -10,8 +10,8 @@ diagnostics sample them; ``toeplitz.fourier_coeffs`` integrates their even
 extension to [-pi, pi].  Matrix-valued symbols evaluate a whole array of
 angles at once, returning the (N, k, k) stack.  Every angle grid
 {i*pi/m} comes from ``galerkin.grid_points``: ``eigen_angle_grid`` wraps
-its ``INTERIOR`` kind of order n+1 for ``mn_curve``, and the branch split
-takes its arrays directly.
+its ``INTERIOR`` kind of order n+1 for ``mn_curve``, and
+``match.branch_match`` takes its arrays directly.
 """
 
 from __future__ import annotations

@@ -198,6 +198,29 @@ def test_matrix_symbol_rejects_non_hermitian_values():
         sym.matrices(np.array([0.6]))
 
 
+@pytest.mark.parametrize("interval, k, message", [
+    ((0.0, math.inf), 2, "finite nonempty interval"),
+    ((-math.inf, 0.0), 2, "finite nonempty interval"),
+    ((0.0, math.nan), 2, "finite nonempty interval"),
+    ((1.0, 1.0), 2, "finite nonempty interval"),
+    ((0.0, math.pi), 2.5, "k must be an integer"),
+    ((0.0, math.pi), "2", "k must be an integer"),
+    ((0.0, math.pi), 0, "k must be an integer >= 1"),
+])
+def test_matrix_symbol_rejects_bad_interval_or_k(interval, k, message):
+    from eigmatch.core import MatrixSymbol
+
+    with pytest.raises(ValueError, match=message):
+        MatrixSymbol(interval=interval, k=k, eval=lambda t: np.zeros((t.size, 2, 2)))
+
+
+def test_matrix_symbol_stores_an_integer_k():
+    from eigmatch.core import MatrixSymbol
+
+    sym = MatrixSymbol(interval=(0.0, 1.0), k=np.int64(2), eval=lambda t: np.zeros((t.size, 2, 2)))
+    assert type(sym.k) is int and sym.branch_samples([0.5]).shape == (1, 2)
+
+
 def test_matrix_symbol_hermitian_tolerance_is_absolute_1e12():
     from eigmatch.core import MatrixSymbol
 

@@ -439,6 +439,13 @@ def test_pi_grids_are_grid_points_bit_for_bit(n):
         assert np.array_equal(grid_points(GridKind.INTERIOR, n), np.arange(1, n) * math.pi / n)
 
 
+def test_full_grid_runs_from_zero_to_exactly_pi():
+    # n * pi / n alone rounds above pi for n = 13 and below it for n = 11
+    for n in range(1, 10**4 + 1):
+        theta = grid_points(GridKind.FULL, n)
+        assert theta[0] == 0.0 and theta[-1] == math.pi, n
+
+
 @pytest.mark.parametrize("kind", list(GridKind))
 @pytest.mark.parametrize("n", [0, -3])
 def test_grid_size_rejects_n_below_one_like_grid_points(kind, n):

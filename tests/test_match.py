@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from eigmatch.core import Rect, ScalarSymbol, make_uniform_grid
-from eigmatch.match import min_perm_match, mn_curve, sorted_match
+from eigmatch.core import MatrixSymbol, Rect, ScalarSymbol, make_uniform_grid
+from eigmatch.match import branch_match, min_perm_match, mn_curve, sorted_match
 from eigmatch.problems import (
     cosine_eigs_exact,
     cosine_symbol,
@@ -147,3 +147,35 @@ def test_mn_curve_on_disk_domain_rejects_full_grid_size():
     grid_for_n = lambda n: make_uniform_grid(symbol.domain, (n, n))
     with pytest.raises(ValueError, match="n=10: 75 grid samples inside the domain vs 100"):
         mn_curve(symbol, grid_for_n, {10: np.zeros(100)}, [10])
+
+
+def _rounded_symbol(rng, k):
+    """k x k symbol A + t B on [0, 1], entries rounded to 0.1, diagonal one time in two."""
+    a, b = (np.round(rng.uniform(-1.0, 1.0, size=(k, k)), 1) for _ in range(2))
+    if rng.integers(2):
+        a, b = np.diag(np.diag(a)), np.diag(np.diag(b))
+    a, b = a + a.T, b + b.T
+    return MatrixSymbol(interval=(0.0, 1.0), k=k, eval=lambda t: a + t[:, None, None] * b)
+
+
+def test_branch_match_groups_the_per_branch_sorted_matches():
+    # the one sorted match of the stacked samples, restricted to branch j's
+    # pairs, is the sorted match of branch j's samples against the values
+    # paired with them, bit for bit; rounding to 0.1 forces ties
+    rng = np.random.default_rng(27)
+    for _ in range(1000):
+        k = int(rng.integers(1, 4))
+        sizes = rng.integers(0, 6, size=k)
+        sizes[rng.integers(k)] += 1
+        sym = _rounded_symbol(rng, k)
+        grids = [np.round(rng.uniform(0.0, 1.0, size=size), 1) for size in sizes]
+        values = np.round(rng.uniform(-4.0, 4.0, size=sizes.sum()), 1)
+        result, labels = branch_match(values, sym, grids)
+        assert np.array_equal(np.bincount(labels, minlength=k), sizes)
+        samples = sym.branch_samples(np.concatenate(grids))
+        start = np.cumsum(sizes) - sizes
+        for j in np.flatnonzero(sizes):
+            own = samples[start[j]:start[j] + sizes[j], j]
+            mine = labels == j
+            expected = sorted_match(own, values[result.tau[mine]]).paired_diffs
+            assert np.array_equal(result.paired_diffs[mine], expected)

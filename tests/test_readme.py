@@ -1,9 +1,11 @@
 import os
+import pkgutil
 import re
 import shlex
 
 import pytest
 
+import eigmatch
 from eigmatch.cli import main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -29,6 +31,12 @@ def test_readme_python_example_runs(capsys):
     n, m_n = namespace["rows"][0]
     assert n == 512 and m_n == pytest.approx(0.0082498, abs=1e-7)
     assert capsys.readouterr().out.startswith("[(512, 0.00824")
+
+
+def test_readme_module_table_lists_exactly_the_package_modules():
+    layout = _readme().split("## Library layout", 1)[1]
+    listed = re.findall(r"^\| `eigmatch\.(\w+)`", layout, flags=re.M)
+    assert sorted(listed) == sorted(info.name for info in pkgutil.iter_modules(eigmatch.__path__))
 
 
 def test_readme_documents_cli_commands():
