@@ -9,16 +9,7 @@ of all its branches, reporting each branch's pairs, and checks the
 exact-eigenvalue grid formulas of the spline families.
 """
 
-from .core import (
-    AUGrid,
-    MatrixSymbol,
-    Rect,
-    ScalarSymbol,
-    count_grid_in_interval,
-    grid_deviation,
-    make_uniform_grid,
-    restrict_mask,
-)
+from .core import MatrixSymbol, Rect, ScalarSymbol, make_uniform_grid
 from .eig import NotPositiveDefiniteError, Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag
 from .galerkin import (
     GridKind,

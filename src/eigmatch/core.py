@@ -2,18 +2,18 @@
 
 Conventions used throughout the package:
 
-- A grid on a d-dimensional rectangle [a, b] is indexed by multi-indices
-  i = 1..n (componentwise) in lexicographic order, the last component
-  varying fastest.  The uniform grid point at multi-index i is
-  a + i*(b - a)/n; note that it excludes the face x = a and includes x = b.
+- A grid is its points: an (N, d) array, or (N,) when d = 1.  The uniform
+  grid on a d-dimensional rectangle [a, b] holds the points a + i*(b - a)/n
+  for i = 1..n componentwise, in lexicographic order of i with the last
+  component varying fastest; it excludes the face x = a and includes x = b.
 - Multisets keep their values in insertion order.  Operations that need a
   sorted view return permutations instead of mutating anything.
 - Symbols evaluate vectorized.  A scalar symbol's ``eval`` receives one
   numpy array per coordinate and returns an array of values of the same
   shape; a matrix symbol's ``eval`` receives an array of N angles and
   returns the (N, k, k) stack of its values.
-- A subdomain Omega is a boolean ``membership`` callable on the coordinates;
-  :func:`restrict_mask` selects the grid points it contains.
+- A subdomain Omega is a ``membership`` callable on the coordinates that
+  returns one boolean per point.
 """
 
 from __future__ import annotations
@@ -27,13 +27,9 @@ import numpy as np
 
 __all__ = [
     "Rect",
-    "AUGrid",
     "ScalarSymbol",
     "MatrixSymbol",
     "make_uniform_grid",
-    "grid_deviation",
-    "restrict_mask",
-    "count_grid_in_interval",
 ]
 
 
@@ -69,45 +65,6 @@ class Rect:
         return self.a.size
 
 
-@dataclass(frozen=True)
-class AUGrid:
-    """A family of N(n) points in R^d indexed lexicographically by i = 1..n.
-
-    ``points`` has shape (N, d) with N = prod(dims); row order follows the
-    lexicographic order of the multi-indices.  The grid need not be contained
-    in ``rect``; the rectangle only fixes the uniform grid the deviation is
-    measured against.
-    """
-
-    rect: Rect
-    dims: tuple[int, ...]
-    points: np.ndarray
-
-    def __post_init__(self):
-        dims = _integral_dims(self.dims)
-        if len(dims) != self.rect.d or any(n < 1 for n in dims):
-            raise ValueError("dims must be positive integers, one per dimension")
-        pts = _readonly(np.asarray(self.points, dtype=float).reshape(-1, self.rect.d))
-        if pts.shape[0] != int(np.prod(dims)):
-            raise ValueError(
-                f"grid has {pts.shape[0]} points but dims {dims} require {int(np.prod(dims))}"
-            )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    def multi_indices(self) -> np.ndarray:
-        """All multi-indices 1..n in lexicographic order, shape (N, d)."""
-        return _lattice(self.dims)
-
-    def uniform_points(self) -> np.ndarray:
-        """Points of the uniform grid a + i*(b-a)/n in the same index order."""
-        return _uniform_points(self.rect, self.dims)
-
-
 def _integral_dims(dims) -> tuple[int, ...]:
     """Grid dimensions as ints; a value that is not integral raises ``ValueError``.
 
@@ -120,67 +77,20 @@ def _integral_dims(dims) -> tuple[int, ...]:
     return tuple(int(n) for n in values)
 
 
-def _lattice(dims) -> np.ndarray:
-    """Multi-indices 1..n (componentwise) in lexicographic order, shape (N, d)."""
-    grids = np.meshgrid(*[np.arange(1, n + 1) for n in dims], indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, len(dims))
+def make_uniform_grid(rect: Rect, dims) -> np.ndarray:
+    """Points a + i*(b-a)/n of the uniform grid on ``rect``, i = 1..n, shape (N, d).
 
-
-def _uniform_points(rect: Rect, dims) -> np.ndarray:
-    """Points a + i*(b-a)/n of the uniform grid, in lattice order."""
-    return rect.a + _lattice(dims) * (rect.b - rect.a) / np.asarray(dims, dtype=float)
-
-
-def make_uniform_grid(rect: Rect, dims) -> AUGrid:
-    """Uniform grid {a + i*(b-a)/n : i = 1..n} on ``rect``, deviation zero."""
+    Raises ``ValueError`` unless ``dims`` gives one integer n >= 1 per dimension.
+    """
     dims = _integral_dims(dims)
     if any(n < 1 for n in dims):
         raise ValueError(f"dims must be >= 1 componentwise, got {dims}")
-    return AUGrid(rect=rect, dims=dims, points=_uniform_points(rect, dims))
-
-
-def grid_deviation(g: AUGrid) -> float:
-    """Max infinity-norm distance of the grid from the uniform grid of its rect."""
-    diff = np.abs(g.points - g.uniform_points())
-    return float(diff.max(axis=1).max()) if g.size else 0.0
-
-
-def restrict_mask(g: AUGrid, membership: Callable | None) -> np.ndarray:
-    """Boolean mask over the grid's rows, True where the point lies in Omega.
-
-    ``membership`` receives one array per coordinate and returns a boolean
-    array; ``None`` selects every point.  ``g.multi_indices()[mask]`` lists
-    the selected multi-indices in lexicographic order.
-    """
-    if membership is None:
-        return np.ones(g.size, dtype=bool)
-    coords = [g.points[:, j] for j in range(g.rect.d)]
-    return np.asarray(membership(*coords), dtype=bool).reshape(-1)
-
-
-def count_grid_in_interval(x0: float, h: float, alpha: float, beta: float) -> int:
-    """Upper bound floor((beta-alpha)/h) + 1 for |{x0 + i*h} ∩ [alpha, beta]|.
-
-    The number of points of a stepsize-h grid inside [alpha, beta] never
-    exceeds this bound, also when the grid points and endpoints are computed
-    in floating point: the quotient gets a slack of a few ulps of the
-    magnitudes involved, so endpoints sitting on the grid are not lost to
-    rounding.  Used as a test oracle throughout.
-    """
-    if not all(math.isfinite(v) for v in (x0, h, alpha, beta)):
-        raise ValueError(f"need finite x0, h, alpha and beta, got x0={x0!r}, h={h!r}, "
-                         f"alpha={alpha!r}, beta={beta!r}")
-    if h <= 0:
-        raise ValueError(f"stepsize must be positive, got {h}")
-    if alpha > beta:
-        raise ValueError("interval requires alpha <= beta")
-    q = (beta - alpha) / h
-    scale = max(abs(x0), abs(alpha), abs(beta)) / h
-    slack = 16 * np.finfo(float).eps * (q + scale)
-    if not math.isfinite(q + slack):
-        raise ValueError(f"too many grid steps to count: h={h!r} in [{alpha!r}, {beta!r}] "
-                         f"from x0={x0!r}")
-    return int(math.floor(q + slack)) + 1
+    if len(dims) != rect.d:
+        raise ValueError(f"dims must give one size per dimension, got {dims} "
+                         f"for a {rect.d}-d rectangle")
+    grids = np.meshgrid(*[np.arange(1, n + 1) for n in dims], indexing="ij")
+    lattice = np.stack(grids, axis=-1).reshape(-1, len(dims))
+    return rect.a + lattice * (rect.b - rect.a) / np.asarray(dims, dtype=float)
 
 
 def as_values(x) -> np.ndarray:
@@ -219,12 +129,16 @@ class ScalarSymbol:
         object.__setattr__(self, "discontinuities", breaks)
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (N, d) (or (N,) when d = 1)."""
-        pts = np.asarray(points, dtype=float)
-        if self.domain.d == 1:
-            return np.asarray(self.eval(pts.reshape(-1)), dtype=float)
-        pts = pts.reshape(-1, self.domain.d)
-        return np.asarray(self.eval(*(pts[:, j] for j in range(self.domain.d))), dtype=float)
+        """Evaluate at points of shape (N, d) (or (N,) when d = 1), giving shape (N,).
+
+        Raises ``ValueError`` unless ``eval`` returns one value per point.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, self.domain.d)
+        values = np.asarray(self.eval(*pts.T), dtype=float)
+        if values.shape != (len(pts),):
+            raise ValueError(f"symbol returned shape {values.shape} for {len(pts)} points, "
+                             f"expected one value per point")
+        return values
 
 
 @dataclass(frozen=True)

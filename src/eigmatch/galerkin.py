@@ -320,12 +320,17 @@ def fd_matrix(a: Callable, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (diag, offdiag) of the symmetric tridiagonal matrix:
     diag_i = a_{i-1/2} + a_{i+1/2} and offdiag_i = -a_{i+1/2}, where
-    a_t = a(t/(n+1)).
+    a_t = a(t/(n+1)).  Raises ValueError unless ``a`` returns n+1 finite values.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     half = (np.arange(n + 1) + 0.5) / (n + 1)  # t = 1/2, 3/2, ..., n+1/2
     av = np.asarray(a(half), dtype=float)
+    if av.shape != half.shape:
+        raise ValueError(f"coefficient a returned shape {av.shape}, expected {n + 1} values")
+    finite = np.isfinite(av)
+    if not finite.all():
+        raise ValueError(f"coefficient a is not finite at x={float(half[~finite][0])!r}")
     diag = av[:-1] + av[1:]
     offdiag = -av[1:-1]
     return diag, offdiag

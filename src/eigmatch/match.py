@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AUGrid, MatrixSymbol, ScalarSymbol, as_values, restrict_mask
+from .core import MatrixSymbol, ScalarSymbol, as_values
 
 __all__ = [
     "MatchResult",
@@ -118,21 +118,29 @@ def min_perm_match(samples, lambdas) -> float:
 
 def mn_curve(
     symbol: ScalarSymbol,
-    grid_for_n: Callable[[int], AUGrid],
+    points_for_n: Callable[[int], np.ndarray],
     lambdas_by_n: Mapping[int, object],
     ns: Sequence[int],
 ) -> list[tuple[int, float]]:
     """Max sorted-pair difference between symbol samples and lambdas, per n.
 
-    For each n the grid returned by ``grid_for_n(n)`` is restricted to the
-    symbol's subdomain, the symbol is sampled there, and the samples are
-    matched against the multiset ``lambdas_by_n[n]``.
+    For each n the points ``points_for_n(n)``, of shape (N, d) or (N,) when
+    d = 1, are restricted to those inside the symbol's subdomain, the symbol
+    is sampled there, and the samples are matched against the multiset
+    ``lambdas_by_n[n]``.  Raises ValueError naming n unless ``membership``
+    returns one boolean per point and the samples are as many as the values.
     """
     rows = []
     for n in ns:
-        grid = grid_for_n(int(n))
-        mask = restrict_mask(grid, symbol.membership)
-        values = symbol.sample(grid.points[mask])
+        pts = np.asarray(points_for_n(int(n)), dtype=float).reshape(-1, symbol.domain.d)
+        if symbol.membership is not None:
+            inside = np.asarray(symbol.membership(*pts.T))
+            if inside.dtype != bool or inside.shape != (len(pts),):
+                raise ValueError(f"n={n}: membership returned {inside.dtype} of shape "
+                                 f"{inside.shape} for {len(pts)} points, expected one "
+                                 f"boolean per point")
+            pts = pts[inside]
+        values = symbol.sample(pts)
         lam = as_values(lambdas_by_n[n])
         if values.size != lam.size:
             raise ValueError(

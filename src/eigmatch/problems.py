@@ -9,8 +9,8 @@ Generating functions are given once, on [0, pi], where the matching
 diagnostics sample them; ``toeplitz.fourier_coeffs`` integrates their even
 extension to [-pi, pi].  Matrix-valued symbols evaluate a whole array of
 angles at once, returning the (N, k, k) stack.  Every angle grid
-{i*pi/m} comes from ``galerkin.grid_points``: ``eigen_angle_grid`` wraps
-its ``INTERIOR`` kind of order n+1 for ``mn_curve``, and
+{i*pi/m} comes from ``galerkin.grid_points``: ``eigen_angle_grid`` is
+its ``INTERIOR`` kind of order n+1, the points ``mn_curve`` samples, and
 ``match.branch_match`` takes its arrays directly.
 """
 
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import AUGrid, MatrixSymbol, Rect, ScalarSymbol
+from .core import MatrixSymbol, Rect, ScalarSymbol
 from .galerkin import GridKind, grid_points, symbol_f
 
 __all__ = [
@@ -176,7 +176,6 @@ def c0_quadratic_branches():
 # Grids on [0, pi]
 # ---------------------------------------------------------------------------
 
-def eigen_angle_grid(n: int) -> AUGrid:
+def eigen_angle_grid(n: int) -> np.ndarray:
     """The a.u. grid {i*pi/(n+1) : i = 1..n} in [0, pi]: ``INTERIOR`` of order n+1."""
-    pts = grid_points(GridKind.INTERIOR, n + 1)
-    return AUGrid(rect=_PI_RECT, dims=(n,), points=pts.reshape(-1, 1))
+    return grid_points(GridKind.INTERIOR, n + 1)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import trapezoid
 
-from eigmatch.core import AUGrid, Rect, count_grid_in_interval, grid_deviation
 from eigmatch.eig import eig_sym
 from eigmatch.match import min_perm_match, sorted_match
 from eigmatch.rearrange import empirical_quantile
@@ -35,21 +34,6 @@ def min_perm_suite(trials: int = 100, seed: int = 2):
         x = rng.normal(size=m)
         y = rng.normal(size=m)
         assert min_perm_match(x, y) == sorted_match(x, y).m_n
-
-
-def sorted_rearrangement_suite(trials: int = 1000, seed: int = 3):
-    """Ascending rearrangement never increases the deviation from uniform."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        n = int(rng.integers(2, 80))
-        a, width = rng.uniform(-3, 3), rng.uniform(0.5, 5)
-        rect = Rect(np.array([a]), np.array([a + width]))
-        uniform = a + np.arange(1, n + 1) * width / n
-        pts = uniform + rng.normal(scale=rng.uniform(0.001, 0.5), size=n)
-        shuffled = rng.permutation(pts)
-        g = AUGrid(rect=rect, dims=(n,), points=shuffled.reshape(-1, 1))
-        g_sorted = AUGrid(rect=rect, dims=(n,), points=np.sort(shuffled).reshape(-1, 1))
-        assert grid_deviation(g_sorted) <= grid_deviation(g) + 1e-15
 
 
 def quantile_measure_suite(trials: int = 1000, seed: int = 4):
@@ -83,31 +67,6 @@ def quantile_integral_suite(trials: int = 1000, seed: int = 5):
             integral = float(trapezoid(F(q.sorted_samples), dx=1.0 / q.omega))
             bound = 2.0 * lipschitz(samples) * gap + 1e-12
             assert abs(mean - integral) <= bound, (mean, integral, bound)
-
-
-def count_bound_suite(trials: int = 1000, seed: int = 8):
-    """Brute-force grid counts never exceed the floor((beta-alpha)/h)+1 bound.
-
-    Each trial checks a random interval and one whose endpoints sit on the
-    grid (alpha = x0 + i*h, beta = x0 + j*h), where rounding in
-    (beta - alpha)/h is most likely to undercount.
-    """
-    rng = np.random.default_rng(seed)
-
-    def check(x0, h, lo, hi):
-        bound = count_grid_in_interval(x0, h, lo, hi)
-        i = np.arange(np.ceil((lo - x0) / h) - 2, np.floor((hi - x0) / h) + 3)
-        pts = x0 + i * h
-        actual = int(np.sum((pts >= lo) & (pts <= hi)))
-        assert actual <= bound, (x0, h, lo, hi, actual, bound)
-
-    for _ in range(trials):
-        x0 = rng.uniform(-5, 5)
-        h = rng.uniform(0.01, 2.0)
-        lo, hi = np.sort(rng.uniform(-10, 10, size=2))
-        check(x0, h, lo, hi)
-        first, last = np.sort(rng.integers(-50, 51, size=2))
-        check(x0, h, x0 + first * h, x0 + last * h)
 
 
 def weyl_suite(trials: int = 100, seed: int = 9):

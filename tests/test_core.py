@@ -3,18 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from eigmatch.core import (
-    AUGrid,
-    Rect,
-    ScalarSymbol,
-    count_grid_in_interval,
-    grid_deviation,
-    make_uniform_grid,
-    restrict_mask,
-)
+from eigmatch.core import Rect, ScalarSymbol, make_uniform_grid
 from eigmatch.problems import fd_coefficients, fd_symbol_2d, plateau_ramp_symbol
-
-from property_suites import count_bound_suite
+from eigmatch.toeplitz import fourier_coeffs
 
 
 def unit_interval():
@@ -56,8 +47,8 @@ def test_scalar_symbol_keeps_breakpoints_at_the_endpoints():
 
 def test_uniform_grid_1d_quarters():
     g = make_uniform_grid(Rect(np.array([0.0]), np.array([math.pi])), (4,))
-    assert np.allclose(g.points[:, 0], [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
-    assert grid_deviation(g) == 0.0
+    assert g.shape == (4, 1)
+    assert np.allclose(g[:, 0], [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
 
 
 def test_uniform_grid_2d_lexicographic():
@@ -65,12 +56,12 @@ def test_uniform_grid_2d_lexicographic():
     expected = np.array(
         [[0.5, math.pi / 2], [0.5, math.pi], [1.0, math.pi / 2], [1.0, math.pi]]
     )
-    assert np.allclose(g.points, expected)
+    assert np.allclose(g, expected)
 
 
 def test_uniform_grid_endpoint_exact():
     g = make_uniform_grid(unit_interval(), (100,))
-    assert g.points[-1, 0] == 1.0
+    assert g[-1, 0] == 1.0
 
 
 def test_uniform_grid_rejects_bad_dims():
@@ -80,6 +71,13 @@ def test_uniform_grid_rejects_bad_dims():
         make_uniform_grid(unit_interval(), (-3,))
 
 
+@pytest.mark.parametrize("d, dims", [(1, (2, 2)), (2, (3,)), (2, (2, 2, 2))])
+def test_uniform_grid_takes_one_size_per_dimension(d, dims):
+    # (2, 2) on a 1-d rectangle would otherwise broadcast into a 4 x 2 array
+    with pytest.raises(ValueError, match="one size per dimension"):
+        make_uniform_grid(Rect(np.zeros(d), np.ones(d)), dims)
+
+
 @pytest.mark.parametrize("dims", [2.5, (2.7,), (3, 1.5), (math.nan,), (math.inf,)])
 def test_grids_reject_non_integral_dims(dims):
     # int() would truncate 2.5 to a 2-point grid
@@ -87,99 +85,31 @@ def test_grids_reject_non_integral_dims(dims):
     rect = Rect(np.zeros(d), np.ones(d))
     with pytest.raises(ValueError, match="dims must be integral"):
         make_uniform_grid(rect, dims)
-    with pytest.raises(ValueError, match="dims must be integral"):
-        AUGrid(rect=rect, dims=dims, points=np.zeros((2, d)))
 
 
 def test_grids_accept_integral_floats_and_numpy_integers():
-    assert make_uniform_grid(unit_interval(), 3.0).dims == (3,)
-    assert make_uniform_grid(unit_interval(), (np.int64(4),)).dims == (4,)
-    g = AUGrid(rect=unit_interval(), dims=(np.int32(2),), points=np.zeros(2))
-    assert g.dims == (2,) and type(g.dims[0]) is int
+    assert make_uniform_grid(unit_interval(), 3.0).shape == (3, 1)
+    assert make_uniform_grid(unit_interval(), (np.int64(4),)).shape == (4, 1)
 
 
-def test_grid_deviation_single_perturbation():
-    g = make_uniform_grid(unit_interval(), (5,))
-    pts = g.points.copy()
-    pts[2, 0] += 0.01
-    assert grid_deviation(AUGrid(rect=g.rect, dims=g.dims, points=pts)) == pytest.approx(0.01)
+def constant_symbol():
+    """A constant written as a scalar, so ``eval`` returns one value for N points."""
+    return ScalarSymbol(domain=Rect(np.array([0.0]), np.array([math.pi])), eval=lambda t: 2.0)
 
 
-def test_grid_deviation_shifted_angles():
-    # points i*pi/9 against the uniform grid i*pi/8: the max over i of
-    # i*pi/72 is attained at i = 8, giving pi/9
-    n = 8
-    pts = np.arange(1, n + 1) * math.pi / (n + 1)
-    g = AUGrid(rect=Rect(np.array([0.0]), np.array([math.pi])), dims=(n,),
-               points=pts.reshape(-1, 1))
-    assert grid_deviation(g) == pytest.approx(math.pi / 9, abs=1e-14)
+def test_sample_rejects_a_value_count_other_than_the_point_count():
+    with pytest.raises(ValueError, match=r"symbol returned shape \(\) for 4 points"):
+        constant_symbol().sample(np.arange(4.0))
+    square = ScalarSymbol(domain=Rect(np.zeros(2), np.ones(2)),
+                          eval=lambda x, y: np.stack([x, y]))
+    with pytest.raises(ValueError, match=r"shape \(2, 9\) for 9 points"):
+        square.sample(make_uniform_grid(square.domain, (3, 3)))
 
 
-def selected(g, membership):
-    """Multi-indices the mask keeps, as tuples in row order."""
-    return [tuple(map(int, mi)) for mi in g.multi_indices()[restrict_mask(g, membership)]]
-
-
-def test_restrict_mask_whole_domain():
-    g = make_uniform_grid(unit_interval(), (4,))
-    assert np.array_equal(restrict_mask(g, None), [True] * 4)
-    assert selected(g, None) == [(1,), (2,), (3,), (4,)]
-
-
-def test_restrict_mask_half_interval():
-    g = make_uniform_grid(unit_interval(), (4,))
-    assert np.array_equal(restrict_mask(g, lambda x: x <= 0.5), [True, True, False, False])
-    assert selected(g, lambda x: x <= 0.5) == [(1,), (2,)]
-
-
-def test_restrict_mask_disk_quadrant_brute_force():
-    rect = Rect(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    g = make_uniform_grid(rect, (3, 3))
-    inside = lambda x, y: x**2 + y**2 <= 1.0
-    idx = selected(g, inside)
-    brute = [
-        tuple(mi)
-        for mi, pt in zip(g.multi_indices(), g.points)
-        if pt[0] ** 2 + pt[1] ** 2 <= 1.0
-    ]
-    assert [tuple(map(int, mi)) for mi in brute] == idx
-    assert idx == [(1, 1), (1, 2), (2, 1), (2, 2)]
-
-
-def test_count_grid_in_interval_examples():
-    assert count_grid_in_interval(0.0, 1.0, 0.0, 2.5) == 3
-    assert count_grid_in_interval(0.3, 0.1, 0.0, 1.0) == 11
-    with pytest.raises(ValueError):
-        count_grid_in_interval(0.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        count_grid_in_interval(0.0, -1.0, 0.0, 1.0)
-
-
-@pytest.mark.parametrize("args", [(0.0, 0.1, math.nan, 1.0), (0.0, 0.1, 0.0, math.inf),
-                                  (math.inf, 0.1, 0.0, 1.0), (0.0, math.nan, 0.0, 1.0)])
-def test_count_grid_in_interval_rejects_non_finite_arguments(args):
-    with pytest.raises(ValueError, match="need finite x0, h, alpha and beta"):
-        count_grid_in_interval(*args)
-
-
-@pytest.mark.parametrize("args", [(0.0, 1e-300, -1e300, 1e300), (1e308, 1e-10, 0.0, 1.0)])
-def test_count_grid_in_interval_rejects_uncountable_intervals(args):
-    # finite arguments whose step count overflows a float
-    with pytest.raises(ValueError, match="too many grid steps to count"):
-        count_grid_in_interval(*args)
-
-
-def test_count_grid_in_interval_aligned_endpoints():
-    # 0.3 + i*0.05 for i = 2..8 lies in [0.4, 0.7]; (0.7-0.4)/0.05 rounds below 6
-    assert count_grid_in_interval(0.3, 0.05, 0.4, 0.7) == 7
-    assert count_grid_in_interval(0.7, 0.1, 0.7, 0.8) == 2
-    x0, h = 0.3, 0.05
-    for i, j in [(0, 1), (2, 8), (-7, 13), (5, 5)]:
-        assert count_grid_in_interval(x0, h, x0 + i * h, x0 + j * h) == j - i + 1
-
-
-def test_count_grid_bound_property():
-    count_bound_suite(trials=1000)
+def test_fourier_coeffs_reject_a_symbol_without_one_value_per_node():
+    # used to fail inside the quadrature with "cannot reshape array of size 1"
+    with pytest.raises(ValueError, match=r"symbol returned shape \(\) for \d+ points"):
+        fourier_coeffs(constant_symbol(), 4)
 
 
 def test_matrix_symbol_rejects_non_hermitian_values():

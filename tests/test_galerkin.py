@@ -53,11 +53,23 @@ def test_fd_matrix_half_grid_entries():
     assert np.array_equal(dense, dense.T)
 
 
+@pytest.mark.parametrize("a, message", [
+    (lambda x: np.ones(3), r"returned shape \(3,\), expected 5 values"),
+    (lambda x: 1.0, r"returned shape \(\), expected 5 values"),
+    (lambda x: np.where(x > 0.5, np.nan, 1.0), r"not finite at x=0\.7"),
+    (lambda x: 1.0 / (x - 0.1), r"not finite at x=0\.1"),
+], ids=["three-values", "scalar", "nan", "inf"])
+def test_fd_matrix_rejects_a_coefficient_without_n_plus_1_finite_values(a, message):
+    # np.ones(3) used to give a silent 2 x 2 matrix, and 1.0 an IndexError
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match=message):
+        fd_matrix(a, 4)
+
+
 @pytest.mark.parametrize("n", [2, 5, 10])
 def test_iga_2d_eigenvalues_are_symbol_samples(n):
     spec = eig_sym(iga_2d_matrix(n))
     symbol = iga2d_symbol()
-    samples = symbol.sample(make_uniform_grid(symbol.domain, (n, n)).points)
+    samples = symbol.sample(make_uniform_grid(symbol.domain, (n, n)))
     assert sorted_match(samples, spec.values).m_n <= 1e-8
     assert spec.values[0] >= -1e-9
     assert spec.values[-1] <= 1.5 + 1e-9
@@ -432,7 +444,7 @@ def test_grid_points_examples():
 def test_pi_grids_are_grid_points_bit_for_bit(n):
     # every angle grid {i*pi/m} of the package is a grid_points kind, to the bit
     angles = np.arange(1, n + 1) * math.pi / (n + 1)
-    assert np.array_equal(eigen_angle_grid(n).points[:, 0], angles)
+    assert np.array_equal(eigen_angle_grid(n), angles)
     assert np.array_equal(cosine_eigs_exact(2.0, -2.0, n), 2.0 - 2.0 * np.cos(angles))
     assert np.array_equal(grid_points(GridKind.NO_ZERO, n), np.arange(1, n + 1) * math.pi / n)
     if n >= 2:
