@@ -31,8 +31,7 @@ from .galerkin import (
     symbol_h,
     verify_eig_formula,
 )
-from .match import MatchResult, branch_match, min_perm_match, mn_curve, sorted_match
-from .rearrange import QuantileInterpolant, empirical_quantile
+from .match import MatchResult, branch_match, mn_curve, sorted_match
 from .toeplitz import FourierCoeffs, fourier_coeffs, toeplitz_build, toeplitz_halves
 
 __version__ = "0.1.0"

@@ -93,6 +93,16 @@ def make_uniform_grid(rect: Rect, dims) -> np.ndarray:
     return rect.a + lattice * (rect.b - rect.a) / np.asarray(dims, dtype=float)
 
 
+def _as_points(points, d: int, where: str = "") -> np.ndarray:
+    """Points as an (N, d) array, from (N, d) or, when d = 1, (N,); else ValueError."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1 and d == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"{where}points must have shape (N, {d}), got {pts.shape}")
+    return pts
+
+
 def as_values(x) -> np.ndarray:
     """Coerce an array-like into a 1-d float array of finite values."""
     v = np.asarray(x, dtype=float).reshape(-1)
@@ -131,9 +141,9 @@ class ScalarSymbol:
     def sample(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (N, d) (or (N,) when d = 1), giving shape (N,).
 
-        Raises ``ValueError`` unless ``eval`` returns one value per point.
+        Raises ``ValueError`` for any other shape, or unless ``eval`` returns one value per point.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, self.domain.d)
+        pts = _as_points(points, self.domain.d)
         values = np.asarray(self.eval(*pts.T), dtype=float)
         if values.shape != (len(pts),):
             raise ValueError(f"symbol returned shape {values.shape} for {len(pts)} points, "

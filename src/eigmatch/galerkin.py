@@ -320,10 +320,12 @@ def fd_matrix(a: Callable, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (diag, offdiag) of the symmetric tridiagonal matrix:
     diag_i = a_{i-1/2} + a_{i+1/2} and offdiag_i = -a_{i+1/2}, where
-    a_t = a(t/(n+1)).  Raises ValueError unless ``a`` returns n+1 finite values.
+    a_t = a(t/(n+1)).  Raises ValueError unless n is an integer >= 1 and
+    ``a`` returns n+1 finite values.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = int(n)
     half = (np.arange(n + 1) + 0.5) / (n + 1)  # t = 1/2, 3/2, ..., n+1/2
     av = np.asarray(a(half), dtype=float)
     if av.shape != half.shape:

@@ -3,7 +3,7 @@
 The central quantity is the max absolute difference between the ascending
 rearrangements of the two multisets.  Sorting both sides is optimal for the
 infinity norm (a consequence of Weyl's perturbation inequality applied to
-diagonal matrices), which the exhaustive matcher verifies at small sizes.
+diagonal matrices), so no search over pairings is needed.
 
 A matrix symbol's family is matched the same way (``branch_match``): one
 ``sorted_match`` against the stacked samples of all its branches, whose
@@ -12,25 +12,19 @@ pairs are then grouped by the branch of their sample.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import MatrixSymbol, ScalarSymbol, as_values
+from .core import MatrixSymbol, ScalarSymbol, _as_points, as_values
 
 __all__ = [
     "MatchResult",
     "sorted_match",
     "branch_match",
-    "min_perm_match",
     "mn_curve",
 ]
-
-#: Exhaustive permutation search is factorial; refuse beyond this length.
-MAX_EXHAUSTIVE = 9
 
 
 @dataclass(frozen=True)
@@ -93,29 +87,6 @@ def branch_match(lambdas, ms: MatrixSymbol,
     return result, branch[result.sigma]
 
 
-def min_perm_match(samples, lambdas) -> float:
-    """Exhaustive min over permutations tau of max_i |samples_i - lambdas_tau(i)|.
-
-    Factorial cost; equals ``sorted_match(...).m_n`` (covered by tests), so it
-    exists purely as an oracle for small instances.
-    """
-    s = as_values(samples)
-    t = as_values(lambdas)
-    if s.size != t.size:
-        raise ValueError(f"size mismatch: {s.size} vs {t.size}")
-    if s.size < 1:
-        raise ValueError("need at least one value per side")
-    if s.size > MAX_EXHAUSTIVE:
-        raise ValueError(f"exhaustive mode supports length <= {MAX_EXHAUSTIVE}, got {s.size}")
-    s_list = s.tolist()
-    best = math.inf
-    for perm in itertools.permutations(t.tolist()):
-        m = max(abs(a - b) for a, b in zip(s_list, perm))
-        if m < best:
-            best = m
-    return best
-
-
 def mn_curve(
     symbol: ScalarSymbol,
     points_for_n: Callable[[int], np.ndarray],
@@ -127,12 +98,13 @@ def mn_curve(
     For each n the points ``points_for_n(n)``, of shape (N, d) or (N,) when
     d = 1, are restricted to those inside the symbol's subdomain, the symbol
     is sampled there, and the samples are matched against the multiset
-    ``lambdas_by_n[n]``.  Raises ValueError naming n unless ``membership``
-    returns one boolean per point and the samples are as many as the values.
+    ``lambdas_by_n[n]``.  Raises ValueError naming n unless the points have
+    one of those shapes, ``membership`` returns one boolean per point, and
+    the samples are as many as the values.
     """
     rows = []
     for n in ns:
-        pts = np.asarray(points_for_n(int(n)), dtype=float).reshape(-1, symbol.domain.d)
+        pts = _as_points(points_for_n(int(n)), symbol.domain.d, f"n={n}: ")
         if symbol.membership is not None:
             inside = np.asarray(symbol.membership(*pts.T))
             if inside.dtype != bool or inside.shape != (len(pts),):

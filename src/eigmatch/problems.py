@@ -25,10 +25,8 @@ from .galerkin import GridKind, grid_points, symbol_f
 
 __all__ = [
     "cosine_symbol",
-    "cosine_eigs_exact",
     "plateau_ramp_symbol",
     "cos_dip_ramp_symbol",
-    "cos_dip_min",
     "endpoint_indicator",
     "fd_coefficients",
     "fd_symbol_2d",
@@ -55,11 +53,6 @@ def cosine_symbol(a: float, b: float) -> ScalarSymbol:
     return ScalarSymbol(domain=_PI_RECT, eval=lambda t: a + b * np.cos(t))
 
 
-def cosine_eigs_exact(a: float, b: float, n: int) -> np.ndarray:
-    """Eigenvalues {a + b cos(i*pi/(n+1))} of the tridiagonal Toeplitz section."""
-    return a + b * np.cos(grid_points(GridKind.INTERIOR, n + 1))
-
-
 def _plateau_ramp(t):
     t = np.asarray(t, dtype=float)
     return np.where(t < _HALF_PI, 1.0, t + 1.0 - _HALF_PI)
@@ -74,10 +67,6 @@ def plateau_ramp_symbol() -> ScalarSymbol:
     )
 
 
-#: Minimum of cos(2t) + cos(3t) on (0, pi/2), at cos t = (-1+sqrt(10))/6.
-cos_dip_min = -25.0 / 54.0 - 10.0 * math.sqrt(10.0) / 27.0
-
-
 def _cos_dip_ramp(t):
     t = np.asarray(t, dtype=float)
     return np.where(t < _HALF_PI, np.cos(2.0 * t) + np.cos(3.0 * t), t)
@@ -86,8 +75,8 @@ def _cos_dip_ramp(t):
 def cos_dip_ramp_symbol() -> ScalarSymbol:
     """cos(2t) + cos(3t) up to pi/2, then the identity ramp, on [0, pi].
 
-    Discontinuous at pi/2 (left limit -1 jumps to pi/2); range
-    [cos_dip_min, pi].
+    Discontinuous at pi/2 (left limit -1 jumps to pi/2); range [m, pi], where
+    m = -25/54 - 10 sqrt(10)/27 is the minimum of cos(2t) + cos(3t) on (0, pi/2).
     """
     return ScalarSymbol(
         domain=_PI_RECT,

@@ -88,10 +88,6 @@ class FourierCoeffs:
     def order(self) -> int:
         return self.data.size - 1
 
-    def __getitem__(self, k: int) -> float:
-        """f_k, zero outside the stored order."""
-        return self.data[abs(k)] if abs(k) <= self.order else 0.0
-
 
 def _breakpoints(symbol: ScalarSymbol) -> np.ndarray:
     """-pi, pi, and the interior breakpoints of the symbol on (0, pi) with their mirror images."""

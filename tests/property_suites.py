@@ -10,8 +10,9 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from eigmatch.eig import eig_sym
-from eigmatch.match import min_perm_match, sorted_match
-from eigmatch.rearrange import empirical_quantile
+from eigmatch.match import sorted_match
+
+from oracles import empirical_quantile, min_perm_match
 
 
 def sorted_pair_suite(trials: int = 1000, seed: int = 1):

@@ -71,7 +71,7 @@ def test_mn_table_n1_solves_an_empty_odd_half(example, monkeypatch):
     rows = cli.run_mn_table(example, [1])
     assert sizes == [1, 0]
     symbol = cli._MN_EXAMPLES[example]()
-    f0 = fourier_coeffs(symbol, 1)[0].real
+    f0 = fourier_coeffs(symbol, 1).data[0]
     expected = mn_curve(symbol, problems.eigen_angle_grid, {1: np.array([f0])}, [1])
     assert rows[0][0] == 1 and rows[0][1] == pytest.approx(expected[0][1], rel=0, abs=1e-15)
 

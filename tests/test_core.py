@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigmatch.core import Rect, ScalarSymbol, make_uniform_grid
-from eigmatch.problems import fd_coefficients, fd_symbol_2d, plateau_ramp_symbol
+from eigmatch.problems import fd_coefficients, fd_symbol_2d, iga2d_symbol, plateau_ramp_symbol
 from eigmatch.toeplitz import fourier_coeffs
 
 
@@ -213,3 +213,21 @@ def test_branch_samples_match_per_angle_eigvalsh_bitwise():
     thetas = np.linspace(0.0, math.pi, 1000)
     per_angle = np.array([np.linalg.eigvalsh(sym.eval(np.array([t]))[0]) for t in thetas])
     assert np.array_equal(sym.branch_samples(thetas), per_angle)
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 2, 1), (8, 1), (4, 3), ()],
+                         ids=["flat", "3-d", "one-column", "three-columns", "scalar"])
+def test_sample_rejects_points_of_a_shape_other_than_n_by_d(shape):
+    # a flat array of 8 angles used to be read as 4 points of the 2-d symbol
+    with pytest.raises(ValueError, match=r"points must have shape \(N, 2\), got"):
+        iga2d_symbol().sample(np.full(shape, 0.5))
+
+
+def test_sample_takes_flat_or_one_column_points_in_one_dimension():
+    points = np.linspace(0.1, 3.0, 8)
+    symbol = plateau_ramp_symbol()
+    flat = symbol.sample(points)
+    assert flat.shape == (8,)
+    assert np.array_equal(symbol.sample(points[:, None]), flat)
+    with pytest.raises(ValueError, match=r"shape \(N, 1\), got \(4, 2\)"):
+        symbol.sample(points.reshape(4, 2))

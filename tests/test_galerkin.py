@@ -31,10 +31,11 @@ from eigmatch.core import make_uniform_grid
 from eigmatch.match import sorted_match
 from eigmatch.problems import (
     c0_quadratic_symbol,
-    cosine_eigs_exact,
     eigen_angle_grid,
     iga2d_symbol,
 )
+
+from oracles import cosine_eigs_exact
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,18 @@ def test_fd_matrix_rejects_a_coefficient_without_n_plus_1_finite_values(a, messa
     # np.ones(3) used to give a silent 2 x 2 matrix, and 1.0 an IndexError
     with np.errstate(divide="ignore"), pytest.raises(ValueError, match=message):
         fd_matrix(a, 4)
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -1, math.nan, math.inf])
+def test_fd_matrix_rejects_an_n_that_is_not_an_integer_at_least_one(n):
+    # 2.5 used to give a silent 3 x 3 matrix
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        fd_matrix(np.exp, n)
+
+
+def test_fd_matrix_takes_a_numpy_integer_n():
+    for got, want in zip(fd_matrix(np.exp, np.int64(4)), fd_matrix(np.exp, 4)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 5, 10])

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from eigmatch.core import MatrixSymbol, Rect, ScalarSymbol, make_uniform_grid
-from eigmatch.match import branch_match, min_perm_match, mn_curve, sorted_match
+from eigmatch.match import branch_match, mn_curve, sorted_match
 from eigmatch.problems import (
-    cosine_eigs_exact,
     cosine_symbol,
     endpoint_indicator,
     eigen_angle_grid,
 )
 
+from oracles import cosine_eigs_exact, min_perm_match
 from property_suites import sorted_pair_suite, min_perm_suite
 
 
@@ -194,3 +194,12 @@ def test_mn_curve_rejects_membership_without_one_boolean_per_point(membership):
     grid_for_n = lambda n: make_uniform_grid(symbol.domain, (n, n))
     with pytest.raises(ValueError, match="n=10: membership returned .* for 100 points"):
         mn_curve(symbol, grid_for_n, {10: np.zeros(100)}, [10])
+
+
+@pytest.mark.parametrize("points", [lambda n: np.linspace(0.1, 0.9, 2 * n * n),
+                                    lambda n: np.full((n * n, 3), 0.5)],
+                         ids=["flat", "three-columns"])
+def test_mn_curve_rejects_points_that_are_not_n_by_d(points):
+    # flat points used to be read as pairs and matched as one row
+    with pytest.raises(ValueError, match=r"n=10: points must have shape \(N, 2\), got"):
+        mn_curve(disk_symbol(), points, {10: np.zeros(100)}, [10])

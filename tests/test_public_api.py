@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import eigmatch
@@ -24,3 +26,31 @@ def test_package_reexports_exactly_the_library_all():
     for module in modules:
         for name in module.__all__:  # a name left in __all__ after its deletion fails here
             assert getattr(eigmatch, name) is getattr(module, name)
+
+
+def _loaded_names(node):
+    """Every name and attribute that ``node`` reads."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a name only the tests call belongs under tests/, not in the library;
+    # neither its own definition nor the __init__ re-export counts as a use
+    declared, used = {}, set()
+    for path in sorted(pathlib.Path(eigmatch.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = [ast.unparse(t) for t in getattr(stmt, "targets", ())]
+            if targets == ["__all__"]:
+                declared.update((name, path.stem) for name in ast.literal_eval(stmt.value))
+                continue
+            own = getattr(stmt, "name", None)
+            used.update(name for name in _loaded_names(stmt) if name != own)
+    assert {"core", "problems"} <= set(declared.values())
+    unused = {name: module for name, module in declared.items() if name not in used}
+    assert unused == {}

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eigmatch.rearrange import QuantileInterpolant, empirical_quantile
-
+from oracles import QuantileInterpolant, empirical_quantile
 from property_suites import quantile_integral_suite, quantile_measure_suite
 
 

@@ -9,9 +9,7 @@ from eigmatch import toeplitz
 from eigmatch.core import Rect, ScalarSymbol
 from eigmatch.eig import eig_sym
 from eigmatch.problems import (
-    cos_dip_min,
     cos_dip_ramp_symbol,
-    cosine_eigs_exact,
     cosine_symbol,
     fd_coefficients,
     fd_symbol_2d,
@@ -26,6 +24,8 @@ from eigmatch.toeplitz import (
     toeplitz_build,
     toeplitz_halves,
 )
+
+from oracles import cos_dip_min, cosine_eigs_exact
 
 
 def _sin_half_pi(q):
@@ -57,33 +57,32 @@ def _cos_dip_ramp_exact(order):
 def test_cosine_coefficients_by_orthogonality():
     a, b = 1.7, -0.4
     f = cosine_symbol(a, b)
-    assert fourier_coeffs(f, 0)[0] == pytest.approx(a, abs=1e-12)
-    assert fourier_coeffs(f, 1)[1] == pytest.approx(b / 2, abs=1e-12)
-    assert fourier_coeffs(f, 1)[-1] == pytest.approx(b / 2, abs=1e-12)
-    assert abs(fourier_coeffs(f, 5)[5]) <= 1e-12
+    assert fourier_coeffs(f, 0).data[0] == pytest.approx(a, abs=1e-12)
+    assert fourier_coeffs(f, 1).data[1] == pytest.approx(b / 2, abs=1e-12)
+    assert abs(fourier_coeffs(f, 5).data[5]) <= 1e-12
 
 
 def test_constant_symbol_coefficients():
     f = cosine_symbol(3.25, 0.0)
-    assert fourier_coeffs(f, 0)[0] == pytest.approx(3.25, abs=1e-13)
-    assert abs(fourier_coeffs(f, 3)[3]) <= 1e-13
+    assert fourier_coeffs(f, 0).data[0] == pytest.approx(3.25, abs=1e-13)
+    assert abs(fourier_coeffs(f, 3).data[3]) <= 1e-13
 
 
 def test_plateau_ramp_mean_value(monkeypatch):
     # closed form: (1/pi) * [pi/2 + int_{pi/2}^{pi} (t + 1 - pi/2) dt] = 1 + pi/8
-    f0 = fourier_coeffs(plateau_ramp_symbol(), 0)[0]
+    f0 = fourier_coeffs(plateau_ramp_symbol(), 0).data[0]
     assert f0 == pytest.approx(1.0 + math.pi / 8, abs=1e-12)
     monkeypatch.setattr(toeplitz, "_MAX_PANEL", math.pi / 4)  # twice the panels
-    doubled = fourier_coeffs(plateau_ramp_symbol(), 0)[0]
+    doubled = fourier_coeffs(plateau_ramp_symbol(), 0).data[0]
     assert abs(f0 - doubled) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 64, 511, 512])
 def test_quadrature_node_doubling_converged(monkeypatch, k):
     symbols = (plateau_ramp_symbol(), cos_dip_ramp_symbol(), cosine_symbol(2.0, -2.0))
-    once = [fourier_coeffs(symbol, k)[k] for symbol in symbols]
+    once = [fourier_coeffs(symbol, k).data[k] for symbol in symbols]
     monkeypatch.setattr(toeplitz, "_MAX_PANEL", math.pi / 4)  # twice the panels
-    twice = [fourier_coeffs(symbol, k)[k] for symbol in symbols]
+    twice = [fourier_coeffs(symbol, k).data[k] for symbol in symbols]
     assert np.max(np.abs(np.subtract(once, twice))) <= 1e-10
 
 
@@ -92,8 +91,7 @@ def test_coefficient_table_matches_single_path():
     table = fourier_coeffs(symbol, 40)
     exact = _cos_dip_ramp_exact(40)
     for k in (-40, -7, 0, 3, 40):
-        assert table[k] == pytest.approx(exact[abs(k)], abs=1e-12)
-    assert table[100] == 0.0
+        assert table.data[abs(k)] == pytest.approx(exact[abs(k)], abs=1e-12)
 
 
 @pytest.mark.parametrize("symbol,exact", [(plateau_ramp_symbol(), _plateau_ramp_exact),
@@ -118,8 +116,6 @@ def test_spherical_bessel_table_matches_scipy():
 def test_real_even_symbol_coefficients_are_real_symmetric():
     table = fourier_coeffs(plateau_ramp_symbol(), 64)
     assert table.order == 64 and table.data.shape == (65,) and table.data.dtype == np.float64
-    assert all(table[k] == table[-k] == table.data[k] for k in range(65))
-    assert table[65] == table[-65] == 0.0
     with pytest.raises(ValueError, match="read-only"):
         table.data[0] = 0.0
 
