@@ -5,28 +5,40 @@ order, Hermiticity validated on input, an empty spectrum for a 0 x 0 dense
 matrix, and a tridiagonal path that never densifies (the n = 10^4
 finite-difference tables are the binding size).
 
-Dense and pencil solves go through numpy alone, so importing the package
-does not load scipy (about 0.3 s of a CLI start).  ``eig_sym`` is numpy's
+Importing the package does not load scipy (about 0.3 s of a CLI start),
+and no solve does where numpy vendors OpenBLAS.  ``eig_sym`` is numpy's
 ``eigvalsh``: LAPACK ``syevd`` for real input and ``heevd`` for complex
 input, whatever its imaginary part (every matrix the package builds is
-real).  ``eig_gen_sym_def`` reduces the pencil (K, M) with the Cholesky
-factor M = L L^H to the standard problem for L^-1 K L^-H (the LAPACK *sygv
-reduction), forming L^-1 explicitly: one inverse and two products were
-faster than two general solves.
+real).
+
+``eig_gen_sym_def`` solves a real pencil (K, M) with one LAPACK ``dsygv``
+call: the Cholesky factor M = L L^T, the reduction to L^-1 K L^-T in place
+(``dsygst``) and a symmetric solve, about 2.7 N^3 flops where an explicit
+inverse and two products took about 7 N^3.  Its workspace size comes from
+an ``lwork = -1`` query, as ``scipy.linalg.eigh(K, M, driver="gv")`` asks
+it, so the values are bit-identical to that call on the same OpenBLAS at
+the same thread count.  A complex pencil, and the stacked symbol pencils of
+``galerkin``, go through the same reduction in numpy
+(``_pencil_eigvalsh``), forming L^-1 explicitly: it is the only batched
+path.
 
 The tridiagonal path calls LAPACK ``dsterf`` (Pal-Walker-Kahan QR, values
 only), the routine that ``scipy.linalg.eigh_tridiagonal(d, e,
 eigvals_only=True)`` reaches too, so the values are bit-identical to it.
-It is bound with ``ctypes`` from the OpenBLAS that numpy's wheels vendor and
-have already loaded (``scipy_dsterf_64_`` in numpy 2, ``dsterf_64_`` in the
-numpy 1.x ILP64 wheels, both with 64-bit LAPACK integers), so no second
-LAPACK is loaded, and a ctypes call releases the interpreter lock, so the
-concurrent solves of ``mn-table2d`` run on separate cores.  Where numpy
-vendors no such library (conda, MKL, Accelerate builds), the binding falls
-back to scipy's public ``scipy.linalg.lapack.dsterf``: the same routine and
-the same values, but its wrapper holds the lock for the whole solve, so
-there the solves run one at a time.  Either is bound on the first
-tridiagonal solve, never at import.
+
+``dsterf`` and ``dsygv`` are bound with ``ctypes`` from the OpenBLAS that
+numpy's wheels vendor and have already loaded (``scipy_dsterf_64_`` in
+numpy 2, ``dsterf_64_`` in the numpy 1.x ILP64 wheels, both with 64-bit
+LAPACK integers; likewise for ``dsygv``), so no second LAPACK is loaded,
+and a ctypes call releases the interpreter lock, so the concurrent solves
+of ``mn-table2d`` run on separate cores.  Where numpy vendors no such
+library (conda, MKL, Accelerate builds), each binding falls back to scipy's
+public ``scipy.linalg.lapack`` wrapper of the same routine (``dsygv`` after
+a ``dsygv_lwork`` query), but the wrapper holds the lock for the whole
+solve, so there the solves run one at a time.  ``dsterf`` gives the same
+values from either library; ``dsygv`` calls BLAS, whose kernels and thread
+count can move the last bits between two OpenBLAS builds.  Each routine is
+bound on its first solve, never at import.
 
 Dense and pencil inputs must be finite: a NaN or infinity raises
 ``ValueError`` before LAPACK sees it, as on the tridiagonal path.
@@ -103,8 +115,23 @@ def _bind_blas_threads():
     return None
 
 
-# dsterf in numpy's OpenBLAS, newest naming first; both take 64-bit integers
+_INT_P, _DOUBLE_P = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+
+
+def _numpy_lapack(names, *argtypes):
+    """The first routine of ``names`` that numpy's OpenBLAS exports, or None.
+
+    Returned as a ``ctypes`` function of ``argtypes`` returning nothing;
+    CFUNCTYPE (not PYFUNCTYPE), so each call releases the GIL.
+    """
+    lib = _numpy_openblas()
+    name = next((n for n in names if lib is not None and hasattr(lib, n)), None)
+    return None if name is None else ctypes.CFUNCTYPE(None, *argtypes)((name, lib))
+
+
+# LAPACK routines in numpy's OpenBLAS, newest naming first; both take 64-bit integers
 _DSTERF_NAMES = ("scipy_dsterf_64_", "dsterf_64_")
+_DSYGV_NAMES = ("scipy_dsygv_64_", "dsygv_64_")
 
 
 @functools.cache
@@ -115,26 +142,68 @@ def _bind_dsterf():
     from numpy's OpenBLAS, else from scipy.  Concurrent first calls may each
     bind; the results are equivalent.
     """
-    lib = _numpy_openblas()
-    name = next((n for n in _DSTERF_NAMES if lib is not None and hasattr(lib, n)), None)
-    if name is None:
-        from scipy.linalg.lapack import dsterf  # holds the GIL for the solve
+    dsterf = _numpy_lapack(_DSTERF_NAMES, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P)
+    if dsterf is None:
+        from scipy.linalg.lapack import dsterf as scipy_dsterf  # holds the GIL for the solve
 
         def solve(d, e):
-            values, info = dsterf(d, e, overwrite_d=True, overwrite_e=True)
+            values, info = scipy_dsterf(d, e, overwrite_d=True, overwrite_e=True)
             d[:] = values
             return info
 
         return solve
-    int_p, double_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-    # CFUNCTYPE (not PYFUNCTYPE): the call releases the GIL
-    dsterf = ctypes.CFUNCTYPE(None, int_p, double_p, double_p, int_p)((name, lib))
 
     def solve(d, e):
         n, info = ctypes.c_int64(d.size), ctypes.c_int64(0)
-        dsterf(ctypes.byref(n), d.ctypes.data_as(double_p), e.ctypes.data_as(double_p),
+        dsterf(ctypes.byref(n), d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
                ctypes.byref(info))
         return info.value
+
+    return solve
+
+
+@functools.cache
+def _bind_dsygv():
+    """``solve(a, b) -> (w, info)``: dsygv eigenvalues of the pencil (a, b).
+
+    Itype 1 (a x = w b x), jobz 'N', uplo 'L', on float64 Fortran arrays
+    that are destroyed; the workspace size comes from an ``lwork = -1``
+    query, as in ``scipy.linalg.eigh(a, b, driver="gv")``.  Bound from
+    numpy's OpenBLAS, else from scipy.  Concurrent first calls may each
+    bind; the results are equivalent.
+    """
+    char_p, size = ctypes.c_char_p, ctypes.c_size_t
+    # ITYPE, JOBZ, UPLO, N, A, LDA, B, LDB, W, WORK, LWORK, INFO, then the
+    # lengths of the two character arguments that Fortran passes hidden
+    dsygv = _numpy_lapack(_DSYGV_NAMES, _INT_P, char_p, char_p, _INT_P, _DOUBLE_P, _INT_P,
+                          _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P, size, size)
+    if dsygv is None:
+        from scipy.linalg.lapack import dsygv as scipy_dsygv, dsygv_lwork
+
+        def solve(a, b):
+            work, _ = dsygv_lwork(a.shape[0], uplo="L")
+            w, _, info = scipy_dsygv(a, b, jobz="N", uplo="L", lwork=int(work),
+                                     overwrite_a=True, overwrite_b=True)
+            return w, info
+
+        return solve
+
+    def call(a, b, w, work, lwork):
+        itype, n = ctypes.c_int64(1), ctypes.c_int64(a.shape[0])
+        lwork, info = ctypes.c_int64(lwork), ctypes.c_int64(0)
+        dsygv(ctypes.byref(itype), b"N", b"L", ctypes.byref(n), a.ctypes.data_as(_DOUBLE_P),
+              ctypes.byref(n), b.ctypes.data_as(_DOUBLE_P), ctypes.byref(n),
+              w.ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P), ctypes.byref(lwork),
+              ctypes.byref(info), 1, 1)
+        return info.value
+
+    def solve(a, b):
+        w, query = np.empty(a.shape[0]), np.empty(1)
+        info = call(a, b, w, query, -1)  # the optimal workspace size lands in query[0]
+        if info == 0:
+            lwork = int(query[0])
+            info = call(a, b, w, np.empty(lwork), lwork)
+        return w, info
 
     return solve
 
@@ -207,18 +276,27 @@ def _check_hermitian(A: np.ndarray, name: str = "matrix"):
         raise ValueError(f"{name} is not Hermitian within {tol:.3g} entrywise")
 
 
-class NotPositiveDefiniteError(ValueError):
-    """The mass matrix of a generalized problem failed its Cholesky check."""
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
+    """The mass matrix of a generalized problem failed its Cholesky factorization.
+
+    A ``np.linalg.LinAlgError``, and so a ``ValueError``.
+    """
 
 
 def _pencil_eigvalsh(K: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian pencils (K, M), stacked over (..., k, k).
 
-    With M = L L^H, solves the standard problem for L^-1 K L^-H.  Raises
-    ``np.linalg.LinAlgError`` when a Cholesky factorization fails, that is
-    when some M is not positive definite.
+    With M = L L^H, solves the standard problem for L^-1 K L^-H, forming
+    L^-1 explicitly: one inverse and two products were faster than two
+    general solves.  Raises ``NotPositiveDefiniteError`` when a Cholesky
+    factorization fails, that is when some M is not positive definite; a
+    failure of the symmetric solve stays a plain ``np.linalg.LinAlgError``.
     """
-    Li = np.linalg.inv(np.linalg.cholesky(M))
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"mass matrix is not positive definite: {exc}") from exc
+    Li = np.linalg.inv(L)
     return np.linalg.eigvalsh(Li @ K @ Li.conj().swapaxes(-1, -2))
 
 
@@ -257,9 +335,11 @@ def eig_sym_tridiag(diag, offdiag) -> Spectrum:
 def eig_gen_sym_def(K, M) -> Spectrum:
     """Eigenvalues of the pencil (K, M) with M symmetric positive definite.
 
-    Solved by Cholesky reduction of M followed by a symmetric solve (the
-    LAPACK *sygv reduction, in numpy); all eigenvalues are real and returned
-    ascending.
+    Real input is one LAPACK ``dsygv`` call (Cholesky reduction of M, then
+    a symmetric solve) on private copies; complex input goes through the
+    same reduction in numpy.  All eigenvalues are real and returned
+    ascending.  A failed Cholesky raises ``NotPositiveDefiniteError``, a
+    symmetric solve that fails to converge ``np.linalg.LinAlgError``.
     """
     K = np.asarray(K)
     M = np.asarray(M)
@@ -269,8 +349,14 @@ def eig_gen_sym_def(K, M) -> Spectrum:
         return Spectrum(np.empty(0))
     for name, X in (("K", K), ("M", M)):
         _check_hermitian(X, name)
-    try:
-        vals = _pencil_eigvalsh(K, M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"mass matrix is not positive definite: {exc}") from exc
-    return Spectrum(vals)
+    if np.iscomplexobj(K) or np.iscomplexobj(M):
+        return Spectrum(_pencil_eigvalsh(K, M))
+    n = K.shape[0]
+    w, info = _bind_dsygv()(np.array(K, dtype=np.float64, order="F"),
+                            np.array(M, dtype=np.float64, order="F"))
+    if info > n:  # the leading minor of order info - n is not positive definite
+        raise NotPositiveDefiniteError(
+            f"mass matrix is not positive definite: leading minor of order {info - n}")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsygv failed (info={info})")
+    return Spectrum(w)

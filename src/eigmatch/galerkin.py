@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .eig import Spectrum, _pencil_eigvalsh
+from .eig import NotPositiveDefiniteError, Spectrum, _pencil_eigvalsh
 from .match import sorted_match
 
 __all__ = [
@@ -171,7 +171,7 @@ def _reference_knots(p: int, k: int) -> tuple[np.ndarray, int, int]:
 
 
 def _reference_values(p: int, k: int, ts: np.ndarray, deriv: bool) -> np.ndarray:
-    """Matrix beta_r(t) (or derivative) for r = 1..p-k, shape (len(ts), p-k)."""
+    """Matrix beta_r(t) (or derivative) for r = 1..p-k, shape (ts.size, p-k)."""
     knots, first, eta = _reference_knots(p, k)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     out = _full_rows(knots, p, ts, deriv)[:, first:first + p - k]
@@ -181,24 +181,29 @@ def _reference_values(p: int, k: int, ts: np.ndarray, deriv: bool) -> np.ndarray
 
 @lru_cache(maxsize=None)
 def reference_blocks(p: int, k: int) -> ReferenceBlocks:
-    """Stiffness and mass blocks of the reference basis, exactly integrated."""
+    """Stiffness and mass blocks of the reference basis, exactly integrated.
+
+    One table of values and one of derivatives cover every quadrature node
+    t and its shifts t - l; the (l, span) terms are summed in span order, so
+    each block is bit-identical to integrating span by span.
+    """
     _check_degrees(p, k)
     _, _, eta = _reference_knots(p, k)
     gx, gw = _gauss_legendre(p + 1)
+    w = 0.5 * gw
+    ts = np.arange(eta)[:, None] + 0.5 + 0.5 * gx  # (span, node)
+    shifted = ts - np.arange(eta)[:, None, None]  # (l, span, node): t - l
+    shape = shifted.shape + (p - k,)
+    V = _reference_values(p, k, shifted, deriv=False).reshape(shape)
+    D = _reference_values(p, k, shifted, deriv=True).reshape(shape)
     Kblocks, Mblocks = [], []
     for ell in range(eta):
         K = np.zeros((p - k, p - k))
         M = np.zeros((p - k, p - k))
         for span in range(ell, eta):  # beta(t - ell) vanishes for t < ell
-            ts = span + 0.5 + 0.5 * gx
-            w = 0.5 * gw
-            V = _reference_values(p, k, ts, deriv=False)
-            D = _reference_values(p, k, ts, deriv=True)
-            Vs = _reference_values(p, k, ts - ell, deriv=False)
-            Ds = _reference_values(p, k, ts - ell, deriv=True)
             # entry (r, s) integrates beta_s(t) * beta_r(t - ell)
-            K += np.einsum("q,qs,qr->rs", w, D, Ds)
-            M += np.einsum("q,qs,qr->rs", w, V, Vs)
+            K += np.einsum("q,qs,qr->rs", w, D[0, span], D[ell, span])
+            M += np.einsum("q,qs,qr->rs", w, V[0, span], V[ell, span])
         Kblocks.append(K)
         Mblocks.append(M)
     return ReferenceBlocks(p=p, k=k, eta=eta, Kblocks=tuple(Kblocks), Mblocks=tuple(Mblocks))
@@ -246,7 +251,7 @@ def symbol_e_branches(p: int, k: int, theta) -> np.ndarray:
     H = symbol_h(p, k, theta)
     try:
         return _pencil_eigvalsh(F, H)
-    except np.linalg.LinAlgError as exc:  # mass symbol is PD by construction
+    except NotPositiveDefiniteError as exc:  # mass symbol is PD by construction
         raise RuntimeError(f"mass symbol not positive definite at theta={theta}") from exc
 
 

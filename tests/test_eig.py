@@ -22,7 +22,7 @@ from eigmatch.eig import (
     eig_sym,
     eig_sym_tridiag,
 )
-from eigmatch.galerkin import fd_matrix, symbol_f, symbol_h
+from eigmatch.galerkin import assemble_KM, fd_matrix, symbol_f, symbol_h
 
 from property_suites import weyl_suite
 
@@ -377,6 +377,75 @@ def test_gen_rejects_indefinite_mass():
     M = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(NotPositiveDefiniteError):
         eig_gen_sym_def(K, M)
+    with pytest.raises(NotPositiveDefiniteError):
+        eig_gen_sym_def(K.astype(complex), M.astype(complex))
+
+
+def test_gen_reports_dsygv_failure(monkeypatch):
+    # dsygv sets INFO in 1..n when the symmetric solve fails to converge and
+    # INFO = n + i when the leading minor of order i of M is not positive
+    # definite; no finite positive definite input is known to do the former
+    n = 4
+    K, M = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1), np.eye(n)
+    monkeypatch.setattr(eigmatch.eig, "_bind_dsygv", lambda: lambda a, b: (np.zeros(n), 3))
+    with pytest.raises(np.linalg.LinAlgError, match="dsygv.*info=3") as raised:
+        eig_gen_sym_def(K, M)
+    assert not isinstance(raised.value, NotPositiveDefiniteError)
+    monkeypatch.setattr(eigmatch.eig, "_bind_dsygv", lambda: lambda a, b: (np.zeros(n), n + 1))
+    with pytest.raises(NotPositiveDefiniteError, match="order 1"):
+        eig_gen_sym_def(K, M)
+
+
+def test_complex_pencil_solve_failure_is_not_a_mass_failure(monkeypatch):
+    def fail(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    K, M = _random_pencil(np.random.default_rng(11), (5, 5), complex_=True)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge") as raised:
+        eig_gen_sym_def(K, M)
+    assert not isinstance(raised.value, NotPositiveDefiniteError)
+
+
+_SPLINE_PENCILS = [(8, 0, 20), (5, 1, 13), (2, 0, 3)]
+
+
+@pytest.mark.parametrize("p,k,n", _SPLINE_PENCILS)
+def test_gen_bit_identical_to_scipy_gv_on_spline_pencils(p, k, n):
+    # both libraries at their default thread count: a level-3 BLAS call
+    # splits differently over another number of threads
+    K, M = assemble_KM(n, p, k)
+    K0, M0 = K.copy(), M.copy()
+    expected = scipy.linalg.eigh(K, M, eigvals_only=True, driver="gv")
+    assert np.array_equal(eig_gen_sym_def(K, M).values, expected)
+    assert np.array_equal(K, K0) and np.array_equal(M, M0)
+
+
+@pytest.fixture
+def scipy_dsygv(monkeypatch):
+    """Bind dsygv as on a numpy without a vendored OpenBLAS; count scipy's calls."""
+    calls = []
+    dsygv = scipy.linalg.lapack.dsygv
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dsygv(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsygv", counting)
+    monkeypatch.setattr(eigmatch.eig, "_numpy_openblas", lambda: None)
+    eigmatch.eig._bind_dsygv.cache_clear()
+    yield calls
+    eigmatch.eig._bind_dsygv.cache_clear()
+
+
+def test_dsygv_scipy_fallback_is_bit_identical(scipy_dsygv):
+    for p, k, n in _SPLINE_PENCILS:
+        K, M = assemble_KM(n, p, k)
+        expected = scipy.linalg.eigh(K, M, eigvals_only=True, driver="gv")
+        assert np.array_equal(eig_gen_sym_def(K, M).values, expected)
+    assert len(scipy_dsygv) == len(_SPLINE_PENCILS)
+    with pytest.raises(NotPositiveDefiniteError):
+        eig_gen_sym_def(np.eye(3), np.diag([1.0, -1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -195,6 +195,17 @@ def test_reference_blocks_doubled_node_oracle(p, k):
         assert np.max(np.abs(rb.Mblocks[ell] - Mo[ell])) <= 1e-12
 
 
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(1, 13) for k in (0, 1) if k < p])
+def test_reference_blocks_equal_per_span_oracle_bit_for_bit(p, k):
+    # one basis table over every node must change no bit of the per-span sums
+    rb = reference_blocks(p, k)
+    Ko, Mo = _blocks_oracle(p, k, p + 1)
+    assert len(rb.Kblocks) == len(Ko) == rb.eta
+    for ell in range(rb.eta):
+        assert np.array_equal(rb.Kblocks[ell], Ko[ell])
+        assert np.array_equal(rb.Mblocks[ell], Mo[ell])
+
+
 def test_reference_block_definiteness():
     for p, k in [(2, 0), (3, 0), (3, 1), (6, 1)]:
         rb = reference_blocks(p, k)
