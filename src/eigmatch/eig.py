@@ -6,21 +6,19 @@ matrix, and a tridiagonal path that never densifies (the n = 10^4
 finite-difference tables are the binding size).
 
 Importing the package does not load scipy (about 0.3 s of a CLI start),
-and no solve does where numpy vendors OpenBLAS.  ``eig_sym`` is numpy's
-``eigvalsh``: LAPACK ``syevd`` for real input and ``heevd`` for complex
-input, whatever its imaginary part (every matrix the package builds is
-real).
+and no dense or pencil solve does.  ``eig_sym`` is numpy's ``eigvalsh``:
+LAPACK ``syevd`` for real input and ``heevd`` for complex input, whatever
+its imaginary part (every matrix the package builds is real).
 
 ``eig_gen_sym_def`` solves a real pencil (K, M) with one LAPACK ``dsygv``
 call: the Cholesky factor M = L L^T, the reduction to L^-1 K L^-T in place
 (``dsygst``) and a symmetric solve, about 2.7 N^3 flops where an explicit
-inverse and two products took about 7 N^3.  Its workspace size comes from
+inverse and two products take about 7 N^3.  Its workspace size comes from
 an ``lwork = -1`` query, as ``scipy.linalg.eigh(K, M, driver="gv")`` asks
-it, so the values are bit-identical to that call on the same OpenBLAS at
-the same thread count.  A complex pencil, and the stacked symbol pencils of
-``galerkin``, go through the same reduction in numpy
-(``_pencil_eigvalsh``), forming L^-1 explicitly: it is the only batched
-path.
+it.  A complex pencil, the stacked symbol pencils of ``galerkin``, and a
+real pencil where numpy's OpenBLAS exports no ``dsygv`` go through the same
+reduction in numpy (``_pencil_eigvalsh``), forming L^-1 explicitly: it is
+the only batched path.
 
 The tridiagonal path calls LAPACK ``dsterf`` (Pal-Walker-Kahan QR, values
 only), the routine that ``scipy.linalg.eigh_tridiagonal(d, e,
@@ -32,12 +30,10 @@ numpy 2, ``dsterf_64_`` in the numpy 1.x ILP64 wheels, both with 64-bit
 LAPACK integers; likewise for ``dsygv``), so no second LAPACK is loaded,
 and a ctypes call releases the interpreter lock, so the concurrent solves
 of ``mn-table2d`` run on separate cores.  Where numpy vendors no such
-library (conda, MKL, Accelerate builds), each binding falls back to scipy's
-public ``scipy.linalg.lapack`` wrapper of the same routine (``dsygv`` after
-a ``dsygv_lwork`` query), but the wrapper holds the lock for the whole
-solve, so there the solves run one at a time.  ``dsterf`` gives the same
-values from either library; ``dsygv`` calls BLAS, whose kernels and thread
-count can move the last bits between two OpenBLAS builds.  Each routine is
+library (conda, MKL, Accelerate builds), ``dsterf`` falls back to scipy's
+public ``scipy.linalg.lapack.dsterf`` (numpy has no tridiagonal solver):
+the same routine and the same values, but its wrapper holds the lock for
+the whole solve, so there the solves run one at a time.  Each routine is
 bound on its first solve, never at import.
 
 Dense and pencil inputs must be finite: a NaN or infinity raises
@@ -169,8 +165,8 @@ def _bind_dsygv():
     Itype 1 (a x = w b x), jobz 'N', uplo 'L', on float64 Fortran arrays
     that are destroyed; the workspace size comes from an ``lwork = -1``
     query, as in ``scipy.linalg.eigh(a, b, driver="gv")``.  Bound from
-    numpy's OpenBLAS, else from scipy.  Concurrent first calls may each
-    bind; the results are equivalent.
+    numpy's OpenBLAS; None where it exports no dsygv.  Concurrent first
+    calls may each bind; the results are equivalent.
     """
     char_p, size = ctypes.c_char_p, ctypes.c_size_t
     # ITYPE, JOBZ, UPLO, N, A, LDA, B, LDB, W, WORK, LWORK, INFO, then the
@@ -178,15 +174,7 @@ def _bind_dsygv():
     dsygv = _numpy_lapack(_DSYGV_NAMES, _INT_P, char_p, char_p, _INT_P, _DOUBLE_P, _INT_P,
                           _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P, size, size)
     if dsygv is None:
-        from scipy.linalg.lapack import dsygv as scipy_dsygv, dsygv_lwork
-
-        def solve(a, b):
-            work, _ = dsygv_lwork(a.shape[0], uplo="L")
-            w, _, info = scipy_dsygv(a, b, jobz="N", uplo="L", lwork=int(work),
-                                     overwrite_a=True, overwrite_b=True)
-            return w, info
-
-        return solve
+        return None
 
     def call(a, b, w, work, lwork):
         itype, n = ctypes.c_int64(1), ctypes.c_int64(a.shape[0])
@@ -336,8 +324,9 @@ def eig_gen_sym_def(K, M) -> Spectrum:
     """Eigenvalues of the pencil (K, M) with M symmetric positive definite.
 
     Real input is one LAPACK ``dsygv`` call (Cholesky reduction of M, then
-    a symmetric solve) on private copies; complex input goes through the
-    same reduction in numpy.  All eigenvalues are real and returned
+    a symmetric solve) on private copies; complex input, and real input
+    where numpy's OpenBLAS exports no ``dsygv``, go through the same
+    reduction in numpy.  All eigenvalues are real and returned
     ascending.  A failed Cholesky raises ``NotPositiveDefiniteError``, a
     symmetric solve that fails to converge ``np.linalg.LinAlgError``.
     """
@@ -349,11 +338,12 @@ def eig_gen_sym_def(K, M) -> Spectrum:
         return Spectrum(np.empty(0))
     for name, X in (("K", K), ("M", M)):
         _check_hermitian(X, name)
-    if np.iscomplexobj(K) or np.iscomplexobj(M):
+    dsygv = None if np.iscomplexobj(K) or np.iscomplexobj(M) else _bind_dsygv()
+    if dsygv is None:
         return Spectrum(_pencil_eigvalsh(K, M))
     n = K.shape[0]
-    w, info = _bind_dsygv()(np.array(K, dtype=np.float64, order="F"),
-                            np.array(M, dtype=np.float64, order="F"))
+    w, info = dsygv(np.array(K, dtype=np.float64, order="F"),
+                    np.array(M, dtype=np.float64, order="F"))
     if info > n:  # the leading minor of order info - n is not positive definite
         raise NotPositiveDefiniteError(
             f"mass matrix is not positive definite: leading minor of order {info - n}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eigmatch.cli import _max_workers, main, run_bspline_verify, run_grid_infer
-from eigmatch.eig import one_blas_thread
+from eigmatch.eig import _bind_blas_threads, one_blas_thread
 from eigmatch.galerkin import assemble_KM_sweep, symbol_f
 
 
@@ -230,7 +230,10 @@ def test_stiffness_inference_reaches_degree_12():
 
 def test_pencil_family_passes_at_degree_9():
     # criterion 8 stops at p = 8; at p = 9 the worst row is within 1e-8 by
-    # about a tenth, on one BLAS thread as every CLI run solves
+    # about a tenth on one BLAS thread, as every CLI run solves, and thread
+    # round-off alone can cross that margin
+    if _bind_blas_threads() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
     with one_blas_thread():
         rows = run_bspline_verify("L", 9, 20, 1e-8)
     assert len(rows) == 17 * 19
