@@ -21,7 +21,6 @@ from .galerkin import (
     grid_assign_L,
     grid_assign_M,
     grid_points,
-    grid_size,
     iga_2d_matrix,
     infer_grid_assignment,
     reference_blocks,

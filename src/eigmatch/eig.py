@@ -40,7 +40,8 @@ Dense and pencil inputs must be finite: a NaN or infinity raises
 ``ValueError`` before LAPACK sees it, as on the tridiagonal path.
 
 ``one_blas_thread`` pins the OpenBLAS that numpy vendors to one thread for
-the duration of a ``with`` block; the CLI runs every experiment inside one.
+the duration of a ``with`` block, or of a call to a function it decorates;
+the CLI runs every experiment, and every runner that solves, inside one.
 At the package's sizes (at most a few hundred) a second thread saves no
 wall time, and OpenBLAS's idle workers busy-wait after each threaded call,
 about doubling the CPU time.  The setting is process-wide (OpenBLAS's
@@ -207,7 +208,8 @@ def one_blas_thread():
 
     The count is process state, so overlapping scopes (nested, or in other
     Python threads) share one setting: the first to enter saves the count
-    and the last to leave restores it.  Binds on the first use.
+    and the last to leave restores it.  Binds on the first use.  As a
+    decorator, ``@one_blas_thread()``, it scopes each call of the function.
     """
     global _one_thread_depth, _saved_threads
     pair = _bind_blas_threads()

@@ -20,7 +20,7 @@ matrices agree with the symbolic ones to rounding error.
 The block symbols take a scalar angle or an array of angles.  The
 verification and inference routines take the branch values as a table: the
 ascending branch values at the n+1 angles of the full grid, shape
-(n+1, number of branches).
+(n+1, number of branches), from which they read n and the branch count.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "seq_a",
     "alpha",
     "grid_points",
-    "grid_size",
     "grid_assign_M",
     "grid_assign_L",
     "verify_eig_formula",
@@ -102,12 +101,11 @@ def _basis_table(knots_list: Sequence[np.ndarray], p: int,
     return spans, values.T, derivs.T
 
 
-def _full_rows(knots: np.ndarray, p: int, x, deriv: bool) -> np.ndarray:
-    """Every basis function (or derivative) at every point, shape (N, nf)."""
+def _full_rows(knots: np.ndarray, p: int, x) -> np.ndarray:
+    """Every basis function, then every derivative, at every point: shape (2, N, nf)."""
     spans, values, derivs = _basis_table([knots], p, [x])
-    out = np.zeros((spans.size, knots.size - p - 1))
-    cols = spans[:, None] - p + np.arange(p + 1)
-    np.put_along_axis(out, cols, derivs if deriv else values, axis=1)
+    out = np.zeros((2, spans.size, knots.size - p - 1))
+    out[:, np.arange(spans.size)[:, None], spans[:, None] - p + np.arange(p + 1)] = values, derivs
     return out
 
 
@@ -170,12 +168,12 @@ def _reference_knots(p: int, k: int) -> tuple[np.ndarray, int, int]:
     return padded, k + 1, eta
 
 
-def _reference_values(p: int, k: int, ts: np.ndarray, deriv: bool) -> np.ndarray:
-    """Matrix beta_r(t) (or derivative) for r = 1..p-k, shape (ts.size, p-k)."""
+def _reference_values(p: int, k: int, ts: np.ndarray) -> np.ndarray:
+    """Matrices beta_r(t), then beta_r'(t), for r = 1..p-k: shape (2, ts.size, p-k)."""
     knots, first, eta = _reference_knots(p, k)
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    out = _full_rows(knots, p, ts, deriv)[:, first:first + p - k]
-    out[(ts < 0.0) | (ts > eta)] = 0.0
+    out = _full_rows(knots, p, ts)[:, :, first:first + p - k]
+    out[:, (ts < 0.0) | (ts > eta)] = 0.0
     return out
 
 
@@ -183,9 +181,9 @@ def _reference_values(p: int, k: int, ts: np.ndarray, deriv: bool) -> np.ndarray
 def reference_blocks(p: int, k: int) -> ReferenceBlocks:
     """Stiffness and mass blocks of the reference basis, exactly integrated.
 
-    One table of values and one of derivatives cover every quadrature node
-    t and its shifts t - l; the (l, span) terms are summed in span order, so
-    each block is bit-identical to integrating span by span.
+    One basis-table pass gives the values and derivatives at every
+    quadrature node t and its shifts t - l; the (l, span) terms are summed
+    in span order, so each block is bit-identical to integrating span by span.
     """
     _check_degrees(p, k)
     _, _, eta = _reference_knots(p, k)
@@ -193,9 +191,7 @@ def reference_blocks(p: int, k: int) -> ReferenceBlocks:
     w = 0.5 * gw
     ts = np.arange(eta)[:, None] + 0.5 + 0.5 * gx  # (span, node)
     shifted = ts - np.arange(eta)[:, None, None]  # (l, span, node): t - l
-    shape = shifted.shape + (p - k,)
-    V = _reference_values(p, k, shifted, deriv=False).reshape(shape)
-    D = _reference_values(p, k, shifted, deriv=True).reshape(shape)
+    V, D = _reference_values(p, k, shifted).reshape((2,) + shifted.shape + (p - k,))
     Kblocks, Mblocks = [], []
     for ell in range(eta):
         K = np.zeros((p - k, p - k))
@@ -412,20 +408,11 @@ def _kind_rows(kind: GridKind) -> slice:
     return slice(0 if keep_zero else 1, None if keep_pi else -1)
 
 
-def _check_grid_n(n: int):
+def grid_points(kind: GridKind, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
-
-
-def grid_points(kind: GridKind, n: int) -> np.ndarray:
-    _check_grid_n(n)
     # the last angle is pi itself: n * pi / n rounds off it for some n (11, 13, ...)
     return np.append(np.arange(n) * math.pi / n, math.pi)[_kind_rows(kind)]
-
-
-def grid_size(kind: GridKind, n: int) -> int:
-    _check_grid_n(n)
-    return n - 1 + sum(_KIND_KEEPS[kind])
 
 
 def _check_branch_index(p: int, k: int, j: int):
@@ -467,12 +454,12 @@ def grid_assign_L(p: int, k: int, j: int) -> GridKind:
 # Exact-eigenvalue verification
 # ---------------------------------------------------------------------------
 
-def _branch_table(branches: np.ndarray, n: int) -> np.ndarray:
-    """The branch table as floats, checked to be (n+1, number of branches)."""
+def _branch_table(branches: np.ndarray) -> np.ndarray:
+    """The branch table as floats, checked to be (angles, branches) with angles >= 2."""
     table = np.asarray(branches, dtype=float)
-    if table.ndim != 2 or table.shape[0] != n + 1:
-        raise ValueError(f"branch table has shape {table.shape} for {n + 1} "
-                         "angles, expected (angles, branches)")
+    if table.ndim != 2 or table.shape[0] < 2:
+        raise ValueError(f"branch table has shape {table.shape}, expected (angles, branches) "
+                         "with at least the angles 0 and pi")
     return table
 
 
@@ -484,7 +471,6 @@ def verify_eig_formula(
     spectrum: Spectrum,
     branches: np.ndarray,
     assignment: Sequence[GridKind],
-    n: int,
     tol: float,
 ) -> tuple[bool, float]:
     """Check that a spectrum equals branch samples on the assigned grids.
@@ -492,21 +478,23 @@ def verify_eig_formula(
     Forms the multiset {lambda_j(theta) : theta in grid(assignment[j])},
     sorted-matches it against the spectrum, and reports (max_error <= tol,
     max_error).  ``branches`` holds the ascending branch values at the n+1
-    angles of the full grid, shape (n+1, m), so one table can serve both
-    inference and verification.
+    angles of the full grid {i*pi/n : i = 0..n}, shape (n+1, m), so one table
+    can serve both inference and verification; n and m are read from it.
+    Raises ValueError unless there is one grid kind per branch and the
+    assigned grids hold as many points as the spectrum, so a table for
+    another n or another branch count is refused.
     """
-    table = _branch_table(branches, n)
+    table = _branch_table(branches)
     if len(assignment) != table.shape[1]:
         raise ValueError(f"{table.shape[1]} branches but {len(assignment)} grid kinds")
-    total = sum(grid_size(kind, n) for kind in assignment)
-    if total != spectrum.n:
-        raise ValueError(f"assigned grids hold {total} points, spectrum has {spectrum.n}")
     values = _assignment_values(table, assignment)
+    if values.size != spectrum.n:
+        raise ValueError(f"assigned grids hold {values.size} points, spectrum has {spectrum.n}")
     err = sorted_match(values, spectrum.values).m_n
     return err <= tol, err
 
 
-def infer_grid_assignment(spectrum: Spectrum, branches: np.ndarray, p: int, k: int, n: int,
+def infer_grid_assignment(spectrum: Spectrum, branches: np.ndarray,
                           tol: float) -> tuple[GridKind, ...] | None:
     """Infer grids on which the branch samples equal the spectrum, or None.
 
@@ -515,7 +503,8 @@ def infer_grid_assignment(spectrum: Spectrum, branches: np.ndarray, p: int, k: i
     passing assignment in FULL < NO_ZERO < NO_PI < INTERIOR order per branch
     is returned, in O(p + dim log dim) work.  The reconstruction is
     empirical: it recovers a figure-encoded table, not a closed formula.
-    ``branches`` is as in :func:`verify_eig_formula`.
+    ``branches`` is as in :func:`verify_eig_formula`, so a table for another
+    n or another branch count gives None.
 
     The grid kinds share the interior samples and differ only in the
     endpoint values they keep.  Endpoint values chained within ``tol`` form
@@ -526,11 +515,8 @@ def infer_grid_assignment(spectrum: Spectrum, branches: np.ndarray, p: int, k: i
     match well within ``tol`` and clusters more than ``tol`` apart; the
     final check holds regardless.
     """
-    table = _branch_table(branches, n)
+    table = _branch_table(branches)
     m = table.shape[1]
-    if m != p - k:
-        raise ValueError(f"branch table has {m} branches, expected {p - k}")
-    sorted_spec = np.sort(spectrum.values, kind="stable")
     interior = np.sort(table[1:-1].ravel())
     ends = np.concatenate([table[0], table[-1]])  # lambda_j(0) at j, lambda_j(pi) at m + j
     order = np.argsort(ends, kind="stable")
@@ -543,7 +529,7 @@ def infer_grid_assignment(spectrum: Spectrum, branches: np.ndarray, p: int, k: i
     def near(values: np.ndarray) -> np.ndarray:
         return np.searchsorted(values, hi, side="right") - np.searchsorted(values, lo, side="left")
 
-    need = (near(sorted_spec) - near(interior)).tolist()
+    need = (near(spectrum.values) - near(interior)).tolist()
     size = np.bincount(cluster).tolist()
     if any(not 0 <= r <= s for r, s in zip(need, size)):
         return None
@@ -564,9 +550,7 @@ def infer_grid_assignment(spectrum: Spectrum, branches: np.ndarray, p: int, k: i
         for c, g in gain.items():
             still[c] -= g
         assignment.append(kind)
-    if sum(grid_size(kind, n) for kind in assignment) != spectrum.n:
-        return None
-    values = np.sort(_assignment_values(table, assignment), kind="stable")
-    if not float(np.max(np.abs(values - sorted_spec))) <= tol:
+    values = _assignment_values(table, assignment)
+    if values.size != spectrum.n or not sorted_match(values, spectrum.values).m_n <= tol:
         return None
     return tuple(assignment)

@@ -240,6 +240,15 @@ def test_pencil_family_passes_at_degree_9():
     assert all(ok for *_, ok in rows), [row for row in rows if not row[-1]]
 
 
+def test_library_runner_solves_on_one_blas_thread(blas_threads):
+    # called from Python, not through the CLI, with numpy's OpenBLAS on 2 threads
+    rows = run_bspline_verify("L", 9, 20, 1e-8)
+    assert blas_threads() == 2
+    with one_blas_thread():
+        assert rows == run_bspline_verify("L", 9, 20, 1e-8)
+    assert all(ok for *_, ok in rows), [row for row in rows if not row[-1]]
+
+
 @pytest.mark.parametrize("sweep,n_rows", [
     (lambda: run_bspline_verify("K", 3, 6, 1e-8), 5 * 5),  # 5 pairs, n = 2..6 each
     (lambda: run_grid_infer(3, 20, 1e-8), 5),  # 5 pairs, probes n = 5, 10, 20

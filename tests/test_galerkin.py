@@ -15,7 +15,6 @@ from eigmatch.galerkin import (
     grid_assign_L,
     grid_assign_M,
     grid_points,
-    grid_size,
     iga_2d_matrix,
     infer_grid_assignment,
     reference_blocks,
@@ -107,7 +106,7 @@ def test_iga_2d_rejects_tiny_n():
 
 def _basis_rows(n, p, k, xs, deriv=False):
     """Every full-basis function (boundary included) at each point, shape (N, nf)."""
-    return _full_rows(_open_knots(n, p, k), p, np.asarray(xs, dtype=float), deriv)
+    return _full_rows(_open_knots(n, p, k), p, np.asarray(xs, dtype=float))[int(deriv)]
 
 
 @pytest.mark.parametrize("p,k", [(1, 0), (2, 0), (3, 1), (5, 1), (8, 0), (8, 1)])
@@ -177,10 +176,8 @@ def _blocks_oracle(p, k, nodes):
         for span in range(ell, eta):
             ts = span + 0.5 + 0.5 * gx
             w = 0.5 * gw
-            V = _reference_values(p, k, ts, deriv=False)
-            D = _reference_values(p, k, ts, deriv=True)
-            Vs = _reference_values(p, k, ts - ell, deriv=False)
-            Ds = _reference_values(p, k, ts - ell, deriv=True)
+            V, D = _reference_values(p, k, ts)
+            Vs, Ds = _reference_values(p, k, ts - ell)
             K[ell] += np.einsum("q,qs,qr->rs", w, D, Ds)
             M[ell] += np.einsum("q,qs,qr->rs", w, V, Vs)
     return K, M
@@ -204,6 +201,22 @@ def test_reference_blocks_equal_per_span_oracle_bit_for_bit(p, k):
     for ell in range(rb.eta):
         assert np.array_equal(rb.Kblocks[ell], Ko[ell])
         assert np.array_equal(rb.Mblocks[ell], Mo[ell])
+
+
+@pytest.mark.parametrize("p,k", [(2, 0), (8, 1)])
+def test_reference_blocks_take_one_basis_table(monkeypatch, p, k):
+    # the values and the derivatives come from the same table pass
+    import eigmatch.galerkin as galerkin
+
+    basis_table, calls = galerkin._basis_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return basis_table(*args)
+
+    monkeypatch.setattr(galerkin, "_basis_table", counted)
+    reference_blocks.__wrapped__(p, k)  # past the cache
+    assert len(calls) == 1
 
 
 def test_reference_block_definiteness():
@@ -461,7 +474,7 @@ def test_grid_points_examples():
     assert np.allclose(grid_points(GridKind.INTERIOR, 2), [math.pi / 2])
     for kind, count in [(GridKind.FULL, 9), (GridKind.NO_ZERO, 8),
                         (GridKind.NO_PI, 8), (GridKind.INTERIOR, 7)]:
-        assert grid_points(kind, 8).size == count == grid_size(kind, 8)
+        assert grid_points(kind, 8).size == count
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1023, 1024])
@@ -487,8 +500,6 @@ def test_full_grid_runs_from_zero_to_exactly_pi():
 def test_grid_size_rejects_n_below_one_like_grid_points(kind, n):
     with pytest.raises(ValueError, match="n must be >= 1"):
         grid_points(kind, n)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        grid_size(kind, n)
 
 
 def test_grid_assignment_examples():
@@ -509,7 +520,7 @@ def test_assigned_grid_sizes_sum_to_dimension(family, n):
         for k in (0, 1):
             if k > p - 1:
                 continue
-            total = sum(grid_size(assign(p, k, j), n) for j in range(1, p - k + 1))
+            total = sum(grid_points(assign(p, k, j), n).size for j in range(1, p - k + 1))
             assert total == n * (p - k) + k - 1
 
 
@@ -526,7 +537,7 @@ def test_verify_mass_family_small_case():
     p, k, n = 3, 0, 7
     spectrum, branches = _mass_spectrum_and_branches(p, k, n)
     assignment = [grid_assign_M(p, k, j) for j in range(1, p - k + 1)]
-    ok, err = verify_eig_formula(spectrum, branches, assignment, n, 1e-8)
+    ok, err = verify_eig_formula(spectrum, branches, assignment, 1e-8)
     assert ok and err <= 1e-12
 
 
@@ -535,7 +546,7 @@ def test_verify_mass_family_beyond_acceptance_range(p):
     # pins the corrected partial-sum scan behind alpha() for larger p
     spectrum, branches = _mass_spectrum_and_branches(p, 1, 5)
     assignment = [grid_assign_M(p, 1, j) for j in range(1, p)]
-    ok, err = verify_eig_formula(spectrum, branches, assignment, 5, 1e-8)
+    ok, err = verify_eig_formula(spectrum, branches, assignment, 1e-8)
     assert ok, err
 
 
@@ -543,7 +554,7 @@ def test_verify_rejects_count_mismatch():
     p, k, n = 3, 0, 7
     spectrum, branches = _mass_spectrum_and_branches(p, k, n)
     with pytest.raises(ValueError):
-        verify_eig_formula(spectrum, branches, [GridKind.FULL] * 3, n, 1e-8)
+        verify_eig_formula(spectrum, branches, [GridKind.FULL] * 3, 1e-8)
 
 
 def test_verify_swapped_assignment_fails_clearly():
@@ -556,7 +567,7 @@ def test_verify_swapped_assignment_fails_clearly():
     i0 = assignment.index(GridKind.NO_ZERO)
     i1 = assignment.index(GridKind.NO_PI)
     swapped[i0], swapped[i1] = swapped[i1], swapped[i0]
-    ok, err = verify_eig_formula(spectrum, branches, swapped, n, 1e-8)
+    ok, err = verify_eig_formula(spectrum, branches, swapped, 1e-8)
     assert not ok and err > 1e-4
 
 
@@ -565,7 +576,7 @@ def test_infer_quadratic_c0_assignment():
     K, _ = assemble_KM(n, 2, 0)
     spectrum = eig_sym(K / n)
     branches = np.linalg.eigvalsh(symbol_f(2, 0, grid_points(GridKind.FULL, n)))
-    assert infer_grid_assignment(spectrum, branches, 2, 0, n, 1e-8) == (
+    assert infer_grid_assignment(spectrum, branches, 1e-8) == (
         GridKind.NO_ZERO,
         GridKind.INTERIOR,
     )
@@ -574,7 +585,7 @@ def test_infer_quadratic_c0_assignment():
 def test_infer_matches_mass_assignment_rule():
     p, k, n = 3, 0, 8
     spectrum, branches = _mass_spectrum_and_branches(p, k, n)
-    inferred = infer_grid_assignment(spectrum, branches, p, k, n, 1e-8)
+    inferred = infer_grid_assignment(spectrum, branches, 1e-8)
     assert inferred == tuple(grid_assign_M(p, k, j) for j in range(1, p - k + 1))
 
 
@@ -591,7 +602,7 @@ def _search_grid_assignments(spectrum, table, m, n, tol):
     sorted_spec = np.sort(spectrum.values)
     passing = []
     for assignment in itertools.product(list(GridKind), repeat=m):
-        if sum(grid_size(kind, n) for kind in assignment) != spectrum.n:
+        if sum(grid_points(kind, n).size for kind in assignment) != spectrum.n:
             continue
         values = np.sort(np.concatenate(
             [table[_ORACLE_ROWS[kind], j] for j, kind in enumerate(assignment)]))
@@ -608,7 +619,7 @@ def _stiffness_spectrum_and_branches(p, k, n):
 def _assert_inference_matches_search(spectrum, branches, p, k, n, tol=1e-8):
     """Inferred assignment equals the search's first; returns (first, number passing)."""
     expected = _search_grid_assignments(spectrum, branches, p - k, n, tol)
-    assert infer_grid_assignment(spectrum, branches, p, k, n, tol) == expected[0], (p, k, n)
+    assert infer_grid_assignment(spectrum, branches, tol) == expected[0], (p, k, n)
     return expected
 
 
@@ -662,7 +673,7 @@ def test_single_branch_has_unique_feasible_assignment():
     feasible = [
         kinds
         for kinds in itertools.product(list(GridKind), repeat=1)
-        if sum(grid_size(kind, n) for kind in kinds) == n - 1
+        if sum(grid_points(kind, n).size for kind in kinds) == n - 1
     ]
     assert feasible == [(GridKind.INTERIOR,)]
 
@@ -673,20 +684,25 @@ def test_pencil_family_small_case():
     spectrum = Spectrum(eig_gen_sym_def(K, M).values / n**2)
     branches = symbol_e_branches(p, k, grid_points(GridKind.FULL, n))
     assignment = [grid_assign_L(p, k, j) for j in range(1, p - k + 1)]
-    ok, err = verify_eig_formula(spectrum, branches, assignment, n, 1e-8)
+    ok, err = verify_eig_formula(spectrum, branches, assignment, 1e-8)
     assert ok, err
 
 
 def test_branch_table_requires_one_row_per_angle():
+    # n is read from the table: one for n + 1 (n + 2 angles) fails the size
+    # check and the sorted match
     p, k, n = 3, 0, 7
-    spectrum, table = _mass_spectrum_and_branches(p, k, n)
+    spectrum, _ = _mass_spectrum_and_branches(p, k, n)
+    _, table = _mass_spectrum_and_branches(p, k, n + 1)
     assignment = [grid_assign_M(p, k, j) for j in range(1, p - k + 1)]
-    with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
-        verify_eig_formula(spectrum, table.T, assignment, n, 1e-8)
-    with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
-        infer_grid_assignment(spectrum, table[1:], p, k, n, 1e-8)
-    with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
-        infer_grid_assignment(spectrum, np.ones(n + 1), p, k, n, 1e-8)
+    with pytest.raises(ValueError, match="assigned grids hold 23 points, spectrum has 20"):
+        verify_eig_formula(spectrum, table, assignment, 1e-8)
+    assert infer_grid_assignment(spectrum, table, 1e-8) is None
+    for flat in (np.ones(n + 1), np.ones((1, p - k))):
+        with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
+            verify_eig_formula(spectrum, flat, assignment, 1e-8)
+        with pytest.raises(ValueError, match="expected \\(angles, branches\\)"):
+            infer_grid_assignment(spectrum, flat, 1e-8)
 
 
 def test_kept_basis_functions_vanish_at_boundary():
