@@ -14,11 +14,13 @@ experiment, runs with numpy's OpenBLAS on one thread and restores the
 previous count afterwards, so a ``run_*`` called from Python gives the
 CLI's bytes.  The dense solves here are at most a few hundred wide (the
 512-wide Toeplitz halves, 159-wide spline matrices, one 900-wide e4p
-matrix): a second BLAS thread saves no wall time on them, and its worker
-busy-waits after every threaded call.  One thread also makes the CSV bytes
-independent of the machine's core count.  The count is process state, so
-it is set once per run rather than around each solve.  The tridiagonal
-solves (``dsterf``) are single-threaded LAPACK and are unaffected.
+matrix): a second BLAS thread saves no wall time on them, and its worker,
+started when numpy is imported, busy-waits.  So the run also stops that
+idle worker when it is the only Python thread, and restoring the count
+starts it again.  One thread also makes the CSV bytes independent of the
+machine's core count.  The count is process state, so it is set once per
+run rather than around each solve.  The tridiagonal solves (``dsterf``)
+are single-threaded LAPACK and are unaffected.
 """
 
 from __future__ import annotations

@@ -44,12 +44,19 @@ the duration of a ``with`` block, or of a call to a function it decorates;
 the CLI runs every experiment, and every runner that solves, inside one.
 At the package's sizes (at most a few hundred) a second thread saves no
 wall time, and OpenBLAS's idle workers busy-wait after each threaded call,
-about doubling the CPU time.  The setting is process-wide (OpenBLAS's
-thread-local setter changes it for every thread too), so it belongs to the
-caller that owns the run, not to each solve: a per-solve toggle would race
-between Python threads and make the round-off depend on timing.  The get
-and set functions are bound with ``ctypes`` on the first use, never at
-import; with another BLAS nothing is bound and the count is left alone.
+about doubling the CPU time.  numpy's OpenBLAS starts its workers when
+numpy is imported, and a count of 1 leaves them spinning, so the
+outermost scope also stops them with ``blas_thread_shutdown_``, after
+setting the count: any later set starts them again, as restoring the
+count does on exit.  It stops them only when its thread is the only
+Python thread, since a stop frees the buffers of a threaded call that
+another thread may be in.  The setting is process-wide
+(OpenBLAS's thread-local setter changes it for every thread too), so it
+belongs to the caller that owns the run, not to each solve: a per-solve
+toggle would race between Python threads and make the round-off depend on
+timing.  The get, set and shutdown functions are bound with ``ctypes`` on
+the first use, never at import; with another BLAS nothing is bound and the
+count is left alone.
 """
 
 from __future__ import annotations
@@ -197,6 +204,17 @@ def _bind_dsygv():
     return solve
 
 
+@functools.cache
+def _bind_blas_shutdown():
+    """``shutdown()``: stop the worker threads of numpy's OpenBLAS, or None.
+
+    OpenBLAS's ``blas_thread_shutdown_``; the next set of the thread count,
+    or the next threaded call, starts the workers again.  None where numpy's
+    OpenBLAS exports no such function.
+    """
+    return _numpy_lapack(("blas_thread_shutdown_",))
+
+
 _THREADS_LOCK = threading.Lock()
 _one_thread_depth = 0
 _saved_threads = 0
@@ -208,8 +226,12 @@ def one_blas_thread():
 
     The count is process state, so overlapping scopes (nested, or in other
     Python threads) share one setting: the first to enter saves the count
-    and the last to leave restores it.  Binds on the first use.  As a
-    decorator, ``@one_blas_thread()``, it scopes each call of the function.
+    and the last to leave restores it.  The first to enter also stops the
+    idle workers, which would otherwise spin, when it is the only Python
+    thread: stopping them while another thread is in a threaded BLAS call
+    would free that call's buffers.  Restoring the count starts them again.
+    Binds on the first use.  As a decorator, ``@one_blas_thread()``, it
+    scopes each call of the function.
     """
     global _one_thread_depth, _saved_threads
     pair = _bind_blas_threads()
@@ -220,7 +242,10 @@ def one_blas_thread():
     with _THREADS_LOCK:
         if _one_thread_depth == 0:
             _saved_threads = get()
-            set_(1)
+            set_(1)  # after a shutdown, any set starts the workers again
+            shutdown = _bind_blas_shutdown()
+            if shutdown is not None and threading.active_count() == 1:
+                shutdown()
         _one_thread_depth += 1
     try:
         yield
@@ -233,14 +258,15 @@ def one_blas_thread():
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalues of a matrix, ascending."""
+    """All eigenvalues of a matrix, finite and ascending."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1).copy()
-        if not np.all(np.diff(v) >= 0):  # also rejects NaN
-            raise ValueError("spectrum values must be ascending")
+        # finite first: a lone NaN has no differences, and inf - inf warns
+        if not (np.isfinite(v).all() and np.all(np.diff(v) >= 0)):
+            raise ValueError("spectrum values must be finite and ascending")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -148,6 +148,15 @@ def _scipy_tridiag(d, e):
     return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
 
 
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout; its stdout as JSON."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return json.loads(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                     text=True, check=True, timeout=120).stdout)
+
+
 @pytest.mark.parametrize("coef", sorted(problems.fd_coefficients))
 @pytest.mark.parametrize("n", [2, 3, 900, 2500])
 def test_tridiag_bit_identical_to_scipy_on_fd_matrices(coef, n):
@@ -267,15 +276,20 @@ def test_one_blas_thread_restores_the_count(blas_threads):
     assert blas_threads() == 2
 
 
-def test_overlapping_blas_scopes_share_one_setting(blas_threads):
-    # the count is process-wide: only the outermost scope may restore it
+def test_overlapping_blas_scopes_share_one_setting(blas_threads, monkeypatch):
+    # the count is process-wide: only the outermost scope may restore it, and
+    # only it stops the workers, after setting the count to 1 (a set after a
+    # stop starts them again); the thread count is recorded at each stop
     get = blas_threads
     one = eigmatch.eig.one_blas_thread
+    stops = []
+    monkeypatch.setattr(eigmatch.eig, "_bind_blas_shutdown", lambda: lambda: stops.append(get()))
+    assert threading.active_count() == 1
     with one():
         with one():
             assert get() == 1
         assert get() == 1
-    assert get() == 2
+    assert get() == 2 and stops == [1]
 
     inner_entered, outer_left, seen = threading.Event(), threading.Event(), []
 
@@ -286,12 +300,49 @@ def test_overlapping_blas_scopes_share_one_setting(blas_threads):
             seen.append(get())
 
     with ThreadPoolExecutor(1) as pool:
+        pool.submit(lambda: None).result()  # the pool thread is alive from here on
         with one():
             future = pool.submit(other)
             assert inner_entered.wait(5)
         outer_left.set()
         future.result()
-    assert seen == [1] and get() == 2
+    # another Python thread was alive, so the workers were left running
+    assert seen == [1] and get() == 2 and stops == [1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_one_blas_thread_stops_the_idle_workers():
+    # a fresh interpreter, since scipy's own OpenBLAS workers run in this one
+    if eigmatch.eig._bind_blas_shutdown() is None:
+        pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
+    script = """
+import json, os, time
+import numpy as np
+from eigmatch.eig import _bind_blas_threads, one_blas_thread
+
+get, set_ = _bind_blas_threads()
+old = get()
+with one_blas_thread():
+    tasks = len(os.listdir("/proc/self/task"))
+    cpu = time.process_time()
+    time.sleep(0.2)
+    cpu = time.process_time() - cpu
+restored = get()
+# integer entries: every order of summation gives the exact product
+A = np.random.default_rng(0).integers(-8, 9, size=(300, 300)).astype(float)
+set_(2)
+two = A @ A
+set_(1)
+one = A @ A
+set_(old)
+print(json.dumps({"tasks": tasks, "cpu": cpu, "old": old, "restored": restored,
+                  "equal": bool(np.array_equal(one, two))}))
+"""
+    report = _run_fresh(script)
+    assert report["tasks"] == 1
+    assert report["cpu"] < 0.01
+    assert report["restored"] == report["old"]
+    assert report["equal"]
 
 
 def test_empty_matrix_has_empty_spectrum():
@@ -466,7 +517,8 @@ def test_spectrum_requires_ascending():
         Spectrum(np.array([2.0, 1.0]))
 
 
-@pytest.mark.parametrize("values", [[1.0, math.nan, 0.5], [math.nan, 1.0], [0.0, math.nan]])
+@pytest.mark.parametrize("values", [[1.0, math.nan, 0.5], [math.nan, 1.0], [0.0, math.nan],
+                                    [math.nan], [math.inf, math.inf], [-math.inf]])
 def test_spectrum_rejects_nan(values):
     with pytest.raises(ValueError, match="ascending"):
         Spectrum(np.array(values))
@@ -498,11 +550,7 @@ modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"alive": sum(t.is_alive() for t in threads), "results": results,
                   "modules": modules}))
 """
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    report = json.loads(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                       text=True, check=True, timeout=120).stdout)
+    report = _run_fresh(script)
     assert report["alive"] == 0
     expected = _scipy_tridiag(np.full(3, 2.0), np.full(2, -1.0)).tolist()
     assert report["results"] == [expected] * 8
