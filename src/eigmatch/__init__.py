@@ -10,7 +10,14 @@ exact-eigenvalue grid formulas of the spline families.
 """
 
 from .core import MatrixSymbol, Rect, ScalarSymbol, make_uniform_grid
-from .eig import NotPositiveDefiniteError, Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag
+from .eig import (
+    NotPositiveDefiniteError,
+    Spectrum,
+    eig_gen_sym_def,
+    eig_sym,
+    eig_sym_inplace,
+    eig_sym_tridiag,
+)
 from .galerkin import (
     GridKind,
     ReferenceBlocks,

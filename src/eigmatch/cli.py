@@ -35,7 +35,14 @@ import numpy as np
 
 from . import problems
 from .core import make_uniform_grid
-from .eig import Spectrum, eig_gen_sym_def, eig_sym, eig_sym_tridiag, one_blas_thread
+from .eig import (
+    Spectrum,
+    eig_gen_sym_def,
+    eig_sym,
+    eig_sym_inplace,
+    eig_sym_tridiag,
+    one_blas_thread,
+)
 from .galerkin import (
     GridKind,
     assemble_KM,
@@ -112,21 +119,21 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     """Sorted-match curve of a Toeplitz family against its symbol on [0, pi].
 
     Each distinct n is solved once, as the two half-size problems of the
-    symmetric Toeplitz section.  Each half is a temporary, solved as
-    :func:`toeplitz_halves` yields it and dropped before the next is built,
-    so a row holds one half and the solver's copy of it, not both halves.
-    The solves run serially: solving the two halves concurrently cut the
-    wall time by 5-14% at n <= 1024 but raised the peak resident size by
-    12.6%, since a pool thread's own malloc arena holds a second set of
-    solve buffers.
+    symmetric Toeplitz section.  Each half is a temporary, solved in its
+    own storage by :func:`eig_sym_inplace` as :func:`toeplitz_halves`
+    yields it, and dropped before the next is built, so a row holds one
+    half and no copy of it.  The solves run serially: solving the two
+    halves concurrently cut the wall time by 5-14% at n <= 1024 but raised
+    the peak resident size by 12.6%, since a pool thread's own malloc
+    arena holds a second set of solve buffers.
     """
     symbol = _MN_EXAMPLES[example]()
     coeffs = fourier_coeffs(symbol, max(ns) - 1 if max(ns) > 1 else 1)
 
     def lam(n: int) -> np.ndarray:
         halves = toeplitz_halves(coeffs, n)
-        even = eig_sym(next(halves)).values
-        return np.sort(np.concatenate([even, eig_sym(next(halves)).values]))
+        even = eig_sym_inplace(next(halves)).values
+        return np.sort(np.concatenate([even, eig_sym_inplace(next(halves)).values]))
 
     lambdas = {n: lam(n) for n in dict.fromkeys(ns)}
     return mn_curve(symbol, problems.eigen_angle_grid, lambdas, ns)

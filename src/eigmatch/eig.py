@@ -8,7 +8,15 @@ finite-difference tables are the binding size).
 Importing the package does not load scipy (about 0.3 s of a CLI start),
 and no dense or pencil solve does.  ``eig_sym`` is numpy's ``eigvalsh``:
 LAPACK ``syevd`` for real input and ``heevd`` for complex input, whatever
-its imaginary part (every matrix the package builds is real).
+its imaginary part (every matrix the package builds is real).  It solves
+a copy of its input; that is cheap at the spline sizes, where a ctypes
+call cost about 25 us more than numpy's own at N = 20-60 (2-CPU Xeon).
+
+``eig_sym_inplace`` makes numpy's real call, ``dsyevd`` with jobz 'N',
+uplo 'L' and the queried workspace, on the caller's own Fortran-ordered
+array, which it destroys, so its values are ``eig_sym``'s bit for bit and
+no copy is made: ``mn-table`` holds one 2048-wide Toeplitz half at
+n = 4096, not the half and a copy of it.
 
 ``eig_gen_sym_def`` solves a real pencil (K, M) with one LAPACK ``dsygv``
 call: the Cholesky factor M = L L^T, the reduction to L^-1 K L^-T in place
@@ -24,20 +32,23 @@ The tridiagonal path calls LAPACK ``dsterf`` (Pal-Walker-Kahan QR, values
 only), the routine that ``scipy.linalg.eigh_tridiagonal(d, e,
 eigvals_only=True)`` reaches too, so the values are bit-identical to it.
 
-``dsterf`` and ``dsygv`` are bound with ``ctypes`` from the OpenBLAS that
-numpy's wheels vendor and have already loaded (``scipy_dsterf_64_`` in
-numpy 2, ``dsterf_64_`` in the numpy 1.x ILP64 wheels, both with 64-bit
-LAPACK integers; likewise for ``dsygv``), so no second LAPACK is loaded,
-and a ctypes call releases the interpreter lock, so the concurrent solves
-of ``mn-table2d`` run on separate cores.  Where numpy vendors no such
-library (conda, MKL, Accelerate builds), ``dsterf`` falls back to scipy's
-public ``scipy.linalg.lapack.dsterf`` (numpy has no tridiagonal solver):
-the same routine and the same values, but its wrapper holds the lock for
-the whole solve, so there the solves run one at a time.  Each routine is
-bound on its first solve, never at import.
+``dsterf``, ``dsygv`` and ``dsyevd`` are bound with ``ctypes`` from the
+OpenBLAS that numpy's wheels vendor and have already loaded
+(``scipy_dsterf_64_`` in numpy 2, ``dsterf_64_`` in the numpy 1.x ILP64
+wheels, both with 64-bit LAPACK integers; likewise for the others), so no
+second LAPACK is loaded, and a ctypes call releases the interpreter lock,
+so the concurrent solves of ``mn-table2d`` run on separate cores.  Where
+numpy vendors no such library (conda, MKL, Accelerate builds), ``dsterf``
+falls back to scipy's public ``scipy.linalg.lapack.dsterf`` (numpy has no
+tridiagonal solver): the same routine and the same values, but its
+wrapper holds the lock for the whole solve, so there the solves run one
+at a time; ``eig_sym_inplace`` falls back to ``np.linalg.eigvalsh``, which
+copies.  Each routine is bound on its first solve, never at import.
 
-Dense and pencil inputs must be finite: a NaN or infinity raises
-``ValueError`` before LAPACK sees it, as on the tridiagonal path.
+Dense and pencil inputs must be finite and Hermitian within 1e-10 of their
+largest entry: otherwise ``ValueError`` is raised before LAPACK sees them,
+as on the tridiagonal path.  The check compares one panel of rows at a
+time, so it holds no n x n temporary either.
 
 ``one_blas_thread`` pins the OpenBLAS that numpy vendors to one thread for
 the duration of a ``with`` block, or of a call to a function it decorates;
@@ -71,9 +82,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Spectrum", "NotPositiveDefiniteError", "eig_sym", "eig_sym_tridiag", "eig_gen_sym_def"]
+__all__ = ["Spectrum", "NotPositiveDefiniteError", "eig_sym", "eig_sym_inplace", "eig_sym_tridiag",
+           "eig_gen_sym_def"]
 
 _HERM_RTOL = 1e-10
+_CHECK_PANEL = 2**15  # entries per row panel of the Hermitian check
 
 # C get/set pairs for the thread count of the OpenBLAS in numpy's wheels,
 # newest naming first (numpy 2.x, then the 64-bit and plain builds)
@@ -136,6 +149,7 @@ def _numpy_lapack(names, *argtypes):
 # LAPACK routines in numpy's OpenBLAS, newest naming first; both take 64-bit integers
 _DSTERF_NAMES = ("scipy_dsterf_64_", "dsterf_64_")
 _DSYGV_NAMES = ("scipy_dsygv_64_", "dsygv_64_")
+_DSYEVD_NAMES = ("scipy_dsyevd_64_", "dsyevd_64_")
 
 
 @functools.cache
@@ -199,6 +213,43 @@ def _bind_dsygv():
         if info == 0:
             lwork = int(query[0])
             info = call(a, b, w, np.empty(lwork), lwork)
+        return w, info
+
+    return solve
+
+
+@functools.cache
+def _bind_dsyevd():
+    """``solve(a) -> (w, info)``: dsyevd eigenvalues of a, which is destroyed.
+
+    Jobz 'N', uplo 'L', on a float64 Fortran array; ``lwork`` and
+    ``liwork`` come from a query with both at -1, the call numpy's
+    ``eigvalsh`` makes on its own copy.  Bound from numpy's OpenBLAS; None
+    where it exports no dsyevd.  Concurrent first calls may each bind; the
+    results are equivalent.
+    """
+    char_p, size = ctypes.c_char_p, ctypes.c_size_t
+    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, then the
+    # lengths of the two character arguments that Fortran passes hidden
+    dsyevd = _numpy_lapack(_DSYEVD_NAMES, char_p, char_p, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P,
+                           _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P, size, size)
+    if dsyevd is None:
+        return None
+
+    def call(a, w, work, lwork, iwork, liwork):
+        n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
+        lwork, liwork = ctypes.c_int64(lwork), ctypes.c_int64(liwork)
+        dsyevd(b"N", b"L", ctypes.byref(n), a.ctypes.data_as(_DOUBLE_P), ctypes.byref(n),
+               w.ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P), ctypes.byref(lwork),
+               iwork.ctypes.data_as(_INT_P), ctypes.byref(liwork), ctypes.byref(info), 1, 1)
+        return info.value
+
+    def solve(a):
+        w, query, iquery = np.empty(a.shape[0]), np.empty(1), np.empty(1, dtype=np.int64)
+        info = call(a, w, query, -1, iquery, -1)  # the optimal sizes land in the queries
+        if info == 0:
+            lwork, liwork = int(query[0]), int(iquery[0])
+            info = call(a, w, np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
         return w, info
 
     return solve
@@ -278,16 +329,27 @@ class Spectrum:
 def _check_hermitian(A: np.ndarray, name: str = "matrix"):
     """Entrywise |A - A^H| <= 1e-10 * max(1, max|A|), so the test scales with A.
 
-    A NaN or infinity in A raises ValueError first.  For real A, A - A^T is
-    exactly antisymmetric in floating point, so its maximum is max|A - A^T|
-    and neither |A| nor |A - A^T| is formed.
+    A NaN or infinity in A raises ValueError first.  The difference is
+    taken one panel of rows at a time, at most ``_CHECK_PANEL`` entries
+    each, so no n x n temporary is formed; a matrix up to 181 wide is one
+    panel.  For real A, A - A^T is exactly antisymmetric in floating point,
+    so its maximum is max|A - A^T| and neither |A| nor |A - A^T| is formed.
     """
     real = not np.iscomplexobj(A)
-    peak = max(float(A.max()), -float(A.min())) if real else float(np.max(np.abs(A)))
+    n = A.shape[0]
+    rows = max(1, _CHECK_PANEL // n)
+    if real:
+        peak = max(float(A.max()), -float(A.min()))
+    else:
+        peak = max(float(np.abs(A[i : i + rows]).max()) for i in range(0, n, rows))
     if not math.isfinite(peak):
         raise ValueError("array must not contain infs or NaNs")
     tol = _HERM_RTOL * max(1.0, peak)
-    asymmetry = np.max(A - A.T) if real else np.max(np.abs(A - A.conj().T))
+    asymmetry = 0.0
+    for i in range(0, n, rows):
+        mirror = A[:, i : i + rows].T
+        diff = A[i : i + rows] - (mirror if real else mirror.conj())
+        asymmetry = max(asymmetry, float(diff.max() if real else np.abs(diff).max()))
     if asymmetry > tol:
         raise ValueError(f"{name} is not Hermitian within {tol:.3g} entrywise")
 
@@ -325,6 +387,33 @@ def eig_sym(A) -> Spectrum:
         return Spectrum(np.empty(0))
     _check_hermitian(A)
     return Spectrum(np.linalg.eigvalsh(A))
+
+
+def eig_sym_inplace(A: np.ndarray) -> Spectrum:
+    """Eigenvalues of a real symmetric matrix, ascending, solved in A's own storage.
+
+    A must be a writeable, Fortran-contiguous float64 square array, and it
+    is destroyed: LAPACK ``dsyevd`` reads its lower triangle, the call that
+    numpy's ``eigvalsh`` makes on a copy, so the values equal
+    ``eig_sym(A)`` bit for bit.  The input checks are ``eig_sym``'s.  The
+    first call with n >= 1 binds ``dsyevd``; where numpy's OpenBLAS exports
+    none, A is solved by ``np.linalg.eigvalsh``, which copies it.
+    """
+    if not (isinstance(A, np.ndarray) and A.dtype == np.float64 and A.ndim == 2
+            and A.shape[0] == A.shape[1]):
+        raise ValueError("matrix must be a square float64 array")
+    if not (A.flags.f_contiguous and A.flags.writeable):
+        raise ValueError("matrix must be writeable and Fortran-contiguous")
+    if A.size == 0:
+        return Spectrum(np.empty(0))
+    _check_hermitian(A)
+    dsyevd = _bind_dsyevd()
+    if dsyevd is None:
+        return Spectrum(np.linalg.eigvalsh(A))
+    w, info = dsyevd(A)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed (info={info})")
+    return Spectrum(w)
 
 
 def eig_sym_tridiag(diag, offdiag) -> Spectrum:

@@ -61,14 +61,14 @@ def test_mn_table_n1_solves_an_empty_odd_half(example, monkeypatch):
     from eigmatch.toeplitz import fourier_coeffs
 
     sizes = []
-    solver = cli.eig_sym
+    solver = cli.eig_sym_inplace
 
     def counted(A):
         spectrum = solver(A)
         sizes.append(spectrum.n)
         return spectrum
 
-    monkeypatch.setattr(cli, "eig_sym", counted)
+    monkeypatch.setattr(cli, "eig_sym_inplace", counted)
     rows = cli.run_mn_table(example, [1])
     assert sizes == [1, 0]
     symbol = cli._MN_EXAMPLES[example]()
@@ -93,8 +93,8 @@ def test_mn_table_never_builds_the_section(capsys, monkeypatch):
 
 
 def test_mn_table_holds_one_half_at_a_time(monkeypatch):
-    # T_1024 splits into two 512 x 512 halves: the solve of one and the
-    # solver's copy of it fit under the bound, and a second half would not
+    # T_1024 splits into two 512 x 512 halves, each solved in its own
+    # storage: one half fits under the bound, and a copy of it would not
     import tracemalloc
 
     import eigmatch.cli as cli
@@ -108,7 +108,19 @@ def test_mn_table_holds_one_half_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert [n for n, _ in rows] == [1024]
-    assert peak < 2.5 * 512**2 * 8
+    assert peak < 1.5 * 512**2 * 8
+
+
+@pytest.mark.parametrize("example", ["e2", "e3"])
+def test_mn_table_rows_without_dsyevd_are_unchanged(example, monkeypatch):
+    # where numpy's OpenBLAS exports no dsyevd, the halves go to eigvalsh
+    import eigmatch.cli as cli
+    import eigmatch.eig
+
+    ns = [1, 2, 3, 64, 65, 1024]
+    expected = cli.run_mn_table(example, ns)
+    monkeypatch.setattr(eigmatch.eig, "_bind_dsyevd", lambda: None)
+    assert cli.run_mn_table(example, ns) == expected
 
 
 def test_mn_table2d_small_square(capsys):
@@ -330,7 +342,7 @@ def test_nan_error_fails_the_row(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,binding,solved", [
     (["mn-table2d", "--coef", "exp", "--ns", "900,900,1600"], "eig_sym_tridiag", [1600, 900]),
     # each Toeplitz section is solved as its two centrosymmetric halves
-    (["mn-table", "--example", "e2", "--ns", "16,8,16,8"], "eig_sym", [8, 8, 4, 4]),
+    (["mn-table", "--example", "e2", "--ns", "16,8,16,8"], "eig_sym_inplace", [8, 8, 4, 4]),
     (["exactness", "--example", "e1", "--ns", "3,50,3"], "eig_sym", [3, 50]),
     (["exactness", "--example", "e4p", "--ns", "3,2,3"], "eig_sym", [9, 4]),
     (["exactness", "--example", "e5", "--ns", "20,3,20"], "eig_sym", [39, 5]),

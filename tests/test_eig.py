@@ -20,9 +20,11 @@ from eigmatch.eig import (
     _pencil_eigvalsh,
     eig_gen_sym_def,
     eig_sym,
+    eig_sym_inplace,
     eig_sym_tridiag,
 )
 from eigmatch.galerkin import assemble_KM, fd_matrix, symbol_f, symbol_h
+from eigmatch.toeplitz import fourier_coeffs, toeplitz_halves
 
 from property_suites import weyl_suite
 
@@ -349,6 +351,7 @@ def test_empty_matrix_has_empty_spectrum():
     for empty in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):
         assert eig_sym(empty).n == 0
         assert eig_gen_sym_def(empty, empty).n == 0
+    assert eig_sym_inplace(np.zeros((0, 0), order="F")).n == 0  # the odd half of T_1
     with pytest.raises(ValueError, match="square"):
         eig_sym(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="same size"):
@@ -492,8 +495,98 @@ def test_gen_without_dsygv_is_the_numpy_reduction(no_numpy_dsygv):
         eig_gen_sym_def(np.eye(3), np.diag([1.0, -1.0, 1.0]))
 
 
+@pytest.fixture(scope="module")
+def table_coeffs():
+    return {name: fourier_coeffs(symbol(), 1023) for name, symbol in
+            (("e2", problems.plateau_ramp_symbol), ("e3", problems.cos_dip_ramp_symbol))}
+
+
+@pytest.mark.parametrize("example", ["e2", "e3"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
+def test_inplace_solve_equals_eig_sym_on_the_halves(table_coeffs, example, n):
+    for half in toeplitz_halves(table_coeffs[example], n):
+        expected = eig_sym(half).values  # eigvalsh solves a copy
+        assert np.array_equal(eig_sym_inplace(half).values, expected)
+
+
+def test_inplace_solve_reads_the_lower_triangle_as_eig_sym_does():
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(40, 40))
+    A = A + A.T
+    A += 1e-12 * np.abs(A).max() * np.tril(rng.normal(size=(40, 40)), -1)
+    assert not np.array_equal(eig_sym(A.T).values, eig_sym(A).values)  # the triangles differ
+    assert np.array_equal(eig_sym_inplace(np.asfortranarray(A)).values, eig_sym(A).values)
+
+
+def test_inplace_solve_overwrites_its_input():
+    # no copy: LAPACK's reduction to tridiagonal form is left in A
+    A = np.random.default_rng(22).normal(size=(6, 6))
+    A = np.asfortranarray(A + A.T)
+    before = A.copy(order="F")
+    assert np.array_equal(eig_sym_inplace(A).values, eig_sym(before).values)
+    if eigmatch.eig._bind_dsyevd() is not None:
+        assert not np.array_equal(A, before)
+
+
+def test_inplace_solve_rejects_what_it_cannot_overwrite():
+    laplacian = 2.0 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)
+    with pytest.raises(ValueError, match="Fortran-contiguous"):
+        eig_sym_inplace(np.ascontiguousarray(laplacian))
+    with pytest.raises(ValueError, match="Fortran-contiguous"):
+        eig_sym_inplace(np.asfortranarray(np.eye(6))[::2, ::2])
+    frozen = np.asfortranarray(laplacian)
+    frozen.setflags(write=False)
+    with pytest.raises(ValueError, match="writeable"):
+        eig_sym_inplace(frozen)
+    for other in (laplacian.astype(np.float32, order="F"), laplacian.astype(complex, order="F"),
+                  np.zeros((2, 3), order="F"), laplacian.tolist()):
+        with pytest.raises(ValueError, match="square float64"):
+            eig_sym_inplace(other)
+
+
+def test_inplace_solve_reports_dsyevd_failure(monkeypatch):
+    monkeypatch.setattr(eigmatch.eig, "_bind_dsyevd", lambda: lambda a: (np.zeros(a.shape[0]), 5))
+    with pytest.raises(np.linalg.LinAlgError, match=r"dsyevd failed \(info=5\)"):
+        eig_sym_inplace(np.asfortranarray(np.eye(3)))
+
+
+@pytest.fixture
+def no_numpy_dsyevd(monkeypatch):
+    """Bind dsyevd as on a numpy without a vendored OpenBLAS."""
+    monkeypatch.setattr(eigmatch.eig, "_numpy_openblas", lambda: None)
+    eigmatch.eig._bind_dsyevd.cache_clear()
+    yield
+    eigmatch.eig._bind_dsyevd.cache_clear()
+
+
+def test_inplace_solve_without_dsyevd_is_eigvalsh(no_numpy_dsyevd, table_coeffs):
+    assert eigmatch.eig._bind_dsyevd() is None
+    for half in toeplitz_halves(table_coeffs["e3"], 65):
+        assert np.array_equal(eig_sym_inplace(half).values, np.linalg.eigvalsh(half))
+
+
+@pytest.mark.parametrize("solve", [eig_sym, eig_sym_inplace], ids=["eig_sym", "inplace"])
+def test_hermitian_check_reaches_the_last_row_panel(solve):
+    # the check compares one panel of rows at a time; an asymmetry whose
+    # positive side lies only in the last, partial panel must still count
+    n = 300
+    rows = eigmatch.eig._CHECK_PANEL // n
+    assert rows < n - 1 and n % rows  # several panels, the last one partial
+    A = np.asfortranarray(np.eye(n))
+    A[n - 1, 0] = 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        solve(A)
+    A[n - 1, 0] = 0.0
+    A[0, n - 1] = -1e-6  # the same asymmetry, seen from the first panel
+    with pytest.raises(ValueError, match="not Hermitian"):
+        solve(A)
+    A[n - 1, 0] = -1e-6
+    assert solve(A).n == n
+    assert eigmatch.eig._CHECK_PANEL // 159 >= 159  # spline matrices stay one panel
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["A", "asymmetric A", "complex A", "K", "M"])
+@pytest.mark.parametrize("where", ["A", "asymmetric A", "complex A", "K", "M", "in-place A"])
 def test_dense_solvers_reject_non_finite(bad, where):
     laplacian = 2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
     X = laplacian.astype(complex) if where == "complex A" else laplacian.copy()
@@ -507,6 +600,8 @@ def test_dense_solvers_reject_non_finite(bad, where):
                 eig_gen_sym_def(X, np.eye(4))
             elif where == "M":
                 eig_gen_sym_def(laplacian, X)
+            elif where == "in-place A":
+                eig_sym_inplace(np.asfortranarray(X))
             else:
                 eig_sym(X)
     assert not isinstance(raised.value, NotPositiveDefiniteError)

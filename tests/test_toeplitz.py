@@ -143,6 +143,64 @@ def test_fourier_coeffs_report_a_nan_as_not_finite():
         fourier_coeffs(nan, 3)
 
 
+def _jump_at_one(t):
+    return np.where(t < 1.0, 1.0, 2.0 + t)
+
+
+def test_fourier_coeffs_reject_an_undeclared_jump():
+    # the jump at theta = 1 lies inside the panel [0, pi/2]: its Legendre
+    # tail reads 0.2, and the coefficients would be off by up to 1.6e-2
+    sym = ScalarSymbol(domain=plateau_ramp_symbol().domain, eval=_jump_at_one)
+    with pytest.raises(ValueError, match=r"does not resolve the symbol on \[0, 1\.5708\].*"
+                                         r"declare a breakpoint"):
+        fourier_coeffs(sym, 64)
+
+
+def test_fourier_coeffs_take_a_declared_jump():
+    # f_0 = (1/pi) [1 + int_1^pi (2 + t) dt] = (1 + 2 (pi - 1) + (pi^2 - 1) / 2) / pi
+    sym = ScalarSymbol(domain=plateau_ramp_symbol().domain, eval=_jump_at_one,
+                       discontinuities=(1.0,))
+    f0 = (1.0 + 2.0 * (math.pi - 1.0) + (math.pi**2 - 1.0) / 2.0) / math.pi
+    assert fourier_coeffs(sym, 64).data[0] == pytest.approx(f0, abs=1e-14)
+
+
+def test_fourier_coeffs_reject_a_symbol_too_oscillatory_for_the_panels():
+    # cos(30 theta): a Legendre tail of 3e-2, coefficients off by 1.6e-4
+    sym = ScalarSymbol(domain=plateau_ramp_symbol().domain, eval=lambda t: np.cos(30.0 * t))
+    with pytest.raises(ValueError, match="does not resolve the symbol"):
+        fourier_coeffs(sym, 64)
+
+
+def test_fourier_coeffs_take_a_zero_symbol():
+    # an all-zero panel has no tail to compare
+    sym = ScalarSymbol(domain=plateau_ramp_symbol().domain, eval=lambda t: 0.0 * t)
+    assert not fourier_coeffs(sym, 8).data.any()
+
+
+@pytest.mark.parametrize("order", [0, 127, 128, 129, 300, 1023])
+def test_order_blocks_give_the_one_block_coefficients(monkeypatch, order):
+    symbols = (plateau_ramp_symbol(), cos_dip_ramp_symbol(), cosine_symbol(2.0, -2.0))
+    blocked = [fourier_coeffs(symbol, order).data for symbol in symbols]
+    monkeypatch.setattr(toeplitz, "_ORDER_BLOCK", order + 1)  # every order in one block
+    for symbol, data in zip(symbols, blocked):
+        assert np.array_equal(fourier_coeffs(symbol, order).data, data)
+
+
+def test_coefficients_hold_one_block_of_moments_at_a_time():
+    # one Bessel table over every order 0..1023 alone is 4 x 1024 x 32 x 8 B = 1 MiB
+    import tracemalloc
+
+    symbol = cos_dip_ramp_symbol()
+    fourier_coeffs(symbol, 8)  # the Gauss table is built once, outside the trace
+    tracemalloc.start()
+    try:
+        fourier_coeffs(symbol, 1023)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def _full_period_plateau_ramp(t):
     t = np.abs(t)
     return np.where(t < math.pi / 2, 1.0, t + 1.0 - math.pi / 2)
@@ -263,6 +321,7 @@ def test_toeplitz_halves_bit_identical_to_sliced_section(example, n):
     assert len(halves) == 2
     for got, want in zip(halves, _sliced_halves(toeplitz_build(c, n))):
         assert got.dtype == want.dtype == np.float64
+        assert got.flags.f_contiguous and got.flags.writeable  # for eig_sym_inplace
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
