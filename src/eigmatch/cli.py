@@ -9,18 +9,22 @@ Exit codes: 0 on success, 1 when a tolerance check fails (failing rows are
 listed on stderr), 2 on usage errors and when ``--output`` cannot be
 written.
 
-Every ``run_*`` function that solves, and ``run`` around a whole
-experiment, runs with numpy's OpenBLAS on one thread and restores the
-previous count afterwards, so a ``run_*`` called from Python gives the
-CLI's bytes.  The dense solves here are at most a few hundred wide (the
-512-wide Toeplitz halves, 159-wide spline matrices, one 900-wide e4p
-matrix): a second BLAS thread saves no wall time on them, and its worker,
-started when numpy is imported, busy-waits.  So the run also stops that
-idle worker when it is the only Python thread, and restoring the count
-starts it again.  One thread also makes the CSV bytes independent of the
-machine's core count.  The count is process state, so it is set once per
-run rather than around each solve.  The tridiagonal solves (``dsterf``)
-are single-threaded LAPACK and are unaffected.
+``main``, from its first line, every ``run_*`` function that solves, and
+``run`` around a whole experiment, run with numpy's OpenBLAS on one thread
+and restore the previous count afterwards, so a ``run_*`` called from
+Python gives the CLI's bytes.  The dense solves here are at most a few
+hundred wide (the 512-wide Toeplitz halves, 159-wide spline matrices, one
+900-wide e4p matrix): a second BLAS thread saves no wall time on them, and
+its worker, started when numpy is imported, busy-waits.  So the outermost
+scope also stops that idle worker when it is the only Python thread, and
+restoring the count starts it again.  From the command line the outermost
+scope is ``main``'s: the worker is stopped before the arguments are parsed,
+and the count is restored once, when ``main`` returns.  One thread also
+makes the CSV bytes independent of the machine's core count.  The count is
+process state, so it is set once per run rather than around each solve.
+The tridiagonal solves (``dsterf``) are single-threaded LAPACK and are
+unaffected.  Only ``mn-table2d`` starts a thread pool, and it alone
+imports ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -125,7 +128,8 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     half and no copy of it.  The solves run serially: solving the two
     halves concurrently cut the wall time by 5-14% at n <= 1024 but raised
     the peak resident size by 12.6%, since a pool thread's own malloc
-    arena holds a second set of solve buffers.
+    arena holds a second set of solve buffers.  The two halves' values are
+    concatenated unsorted: ``mn_curve`` sorts them.
     """
     symbol = _MN_EXAMPLES[example]()
     coeffs = fourier_coeffs(symbol, max(ns) - 1 if max(ns) > 1 else 1)
@@ -133,7 +137,7 @@ def run_mn_table(example: str, ns: list[int]) -> list[tuple[int, float]]:
     def lam(n: int) -> np.ndarray:
         halves = toeplitz_halves(coeffs, n)
         even = eig_sym_inplace(next(halves)).values
-        return np.sort(np.concatenate([even, eig_sym_inplace(next(halves)).values]))
+        return np.concatenate([even, eig_sym_inplace(next(halves)).values])
 
     lambdas = {n: lam(n) for n in dict.fromkeys(ns)}
     return mn_curve(symbol, problems.eigen_angle_grid, lambdas, ns)
@@ -145,8 +149,12 @@ def run_mn_table_2d(coef: str, ns: list[int]) -> list[tuple[int, float]]:
 
     The solves run on a thread pool: with ``dsterf`` bound from numpy's
     OpenBLAS, ``eig_sym_tridiag`` releases the interpreter lock, so they
-    proceed on separate cores.
+    proceed on separate cores.  This is the one command that starts a pool,
+    so ``concurrent.futures`` (with ``logging``, ``queue`` and
+    ``traceback``) is imported here rather than at every CLI start.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     a = problems.fd_coefficients[coef]
     symbol = problems.fd_symbol_2d(a)
     for n in ns:
@@ -251,10 +259,13 @@ def _spline_batches(family: str, pmax: int, ns: list[int]):
     """Yield (p, k, [(n, scaled spectrum, branch table) for n in ns]) for p <= pmax, k < min(2, p).
 
     One :func:`assemble_KM_sweep` builds every n's (K, M), each dropped once its
-    spectrum is taken; one symbol evaluation on the concatenated full grids
-    gives every n's branch table, bit for bit the per-n one.
+    spectrum is taken; one symbol evaluation on the distinct angles of the
+    concatenated full grids (130 of 228 at n = 2..20), expanded to every
+    angle, gives every n's branch table, bit for bit the per-n one: every
+    stacked solve treats each angle alone.
     """
-    theta = np.concatenate([grid_points(GridKind.FULL, n) for n in ns])
+    theta, inverse = np.unique(np.concatenate([grid_points(GridKind.FULL, n) for n in ns]),
+                               return_inverse=True)
     bounds = np.cumsum([n + 1 for n in ns])[:-1]
     for p in range(1, pmax + 1):
         for k in range(min(2, p)):
@@ -264,7 +275,7 @@ def _spline_batches(family: str, pmax: int, ns: list[int]):
                 tables = np.linalg.eigvalsh((symbol_h if family == "M" else symbol_f)(p, k, theta))
             spectra = [_scaled_spectrum(family, K, M, n)
                        for n, (K, M) in zip(ns, assemble_KM_sweep(ns, p, k))]
-            yield p, k, list(zip(ns, spectra, np.split(tables, bounds)))
+            yield p, k, list(zip(ns, spectra, np.split(tables[inverse], bounds)))
 
 
 @one_blas_thread()
@@ -441,7 +452,13 @@ def run(name: str, params: dict, output: str | None = None) -> int:
 # Command-line wiring
 # ---------------------------------------------------------------------------
 
+@one_blas_thread()
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``), :func:`run` its subcommand, return the exit code.
+
+    The whole call, parsing included, is one ``one_blas_thread`` scope (see
+    the module docstring), also when the parser exits.
+    """
     parser = argparse.ArgumentParser(
         prog="eigmatch", description="experiment runner for sorted eigenvalue/sample matching"
     )

@@ -52,20 +52,22 @@ time, so it holds no n x n temporary either.
 
 ``one_blas_thread`` pins the OpenBLAS that numpy vendors to one thread for
 the duration of a ``with`` block, or of a call to a function it decorates;
-the CLI runs every experiment, and every runner that solves, inside one.
+the CLI's ``main`` runs in one from its first line, before the arguments
+are parsed, and every experiment and every runner that solves holds its
+own, so a runner called from Python pins and restores the count too.
 At the package's sizes (at most a few hundred) a second thread saves no
 wall time, and OpenBLAS's idle workers busy-wait after each threaded call,
 about doubling the CPU time.  numpy's OpenBLAS starts its workers when
 numpy is imported, and a count of 1 leaves them spinning, so the
 outermost scope also stops them with ``blas_thread_shutdown_``, after
 setting the count: any later set starts them again, as restoring the
-count does on exit.  It stops them only when its thread is the only
-Python thread, since a stop frees the buffers of a threaded call that
-another thread may be in.  The setting is process-wide
-(OpenBLAS's thread-local setter changes it for every thread too), so it
-belongs to the caller that owns the run, not to each solve: a per-solve
-toggle would race between Python threads and make the round-off depend on
-timing.  The get, set and shutdown functions are bound with ``ctypes`` on
+count does on exit (from the CLI, once, when ``main`` returns).  It stops
+them only when its thread is the only Python thread, since a stop frees
+the buffers of a threaded call that another thread may be in.  The
+setting is process-wide (OpenBLAS's thread-local setter changes it for
+every thread too), so it belongs to the caller that owns the run, not to
+each solve: a per-solve toggle would race between Python threads and make
+the round-off depend on timing.  The get, set and shutdown functions are bound with ``ctypes`` on
 the first use, never at import; with another BLAS nothing is bound and the
 count is left alone.
 """

@@ -116,21 +116,27 @@ def _spherical_jn(omega: np.ndarray) -> np.ndarray:
     continued-fraction form, which cannot overflow, and j_m is the last forward
     value times their product.  Every denominator on that side is
     omega j_{m-1} / j_m > 0, since j_{m-1} has no zero below m + 1 > omega.
+    When every omega is at least 31, no m is above it, and the backward
+    recurrence is skipped: the forward values are the same expressions, so
+    the same bits.
     """
     w = np.asarray(omega, dtype=float)
     out = np.empty(w.shape + (_LEGENDRE_TERMS,))
-    ratio = np.empty_like(out)
+    miller = not (w >= _LEGENDRE_TERMS - 1).all()
     with np.errstate(divide="ignore", invalid="ignore"):  # discarded branches of np.where
-        r = np.zeros(w.shape)
-        for m in range(_MILLER_START, 0, -1):
-            r = w / (2 * m + 1 - w * r)
-            if m < _LEGENDRE_TERMS:
-                ratio[..., m] = r
+        if miller:
+            ratio = np.empty_like(out)
+            r = np.zeros(w.shape)
+            for m in range(_MILLER_START, 0, -1):
+                r = w / (2 * m + 1 - w * r)
+                if m < _LEGENDRE_TERMS:
+                    ratio[..., m] = r
         out[..., 0] = np.where(w == 0.0, 1.0, np.sin(w) / w)
-        out[..., 1] = np.where(w >= 1.0, (out[..., 0] - np.cos(w)) / w, out[..., 0] * ratio[..., 1])
-        for m in range(1, _LEGENDRE_TERMS - 1):
-            out[..., m + 1] = np.where(w >= m + 1, (2 * m + 1) / w * out[..., m] - out[..., m - 1],
-                                       out[..., m] * ratio[..., m + 1])
+        for m in range(_LEGENDRE_TERMS - 1):
+            forward = ((out[..., 0] - np.cos(w)) / w if m == 0
+                       else (2 * m + 1) / w * out[..., m] - out[..., m - 1])
+            out[..., m + 1] = (np.where(w >= m + 1, forward, out[..., m] * ratio[..., m + 1])
+                               if miller else forward)
     return out
 
 

@@ -240,6 +240,24 @@ def test_stiffness_inference_reaches_degree_12():
     assert all(stable for *_, stable in inferred), [row for row in inferred if not row[-1]]
 
 
+@pytest.mark.parametrize("family", ["K", "M", "L"])
+def test_spline_branch_tables_equal_the_all_angle_evaluation(family):
+    # the tables are evaluated once per distinct angle (130 of the 228 here)
+    from eigmatch.cli import _spline_batches
+    from eigmatch.galerkin import GridKind, grid_points, symbol_e_branches, symbol_h
+
+    ns = list(range(2, 21))
+    theta = np.concatenate([grid_points(GridKind.FULL, n) for n in ns])
+    for p, k, batch in _spline_batches(family, 6, ns):
+        if family == "L":
+            tables = symbol_e_branches(p, k, theta)
+        else:
+            tables = np.linalg.eigvalsh((symbol_h if family == "M" else symbol_f)(p, k, theta))
+        expected = np.split(tables, np.cumsum([n + 1 for n in ns])[:-1])
+        assert [n for n, _, _ in batch] == ns
+        assert all(np.array_equal(table, e) for (_, _, table), e in zip(batch, expected))
+
+
 def test_pencil_family_passes_at_degree_9():
     # criterion 8 stops at p = 8; at p = 9 the worst row is within 1e-8 by
     # about a tenth on one BLAS thread, as every CLI run solves, and thread
@@ -415,29 +433,29 @@ def test_usage_error_exit_code():
 
 
 def test_mn_table2d_pool_follows_cpu_affinity(monkeypatch, capsys):
-    import eigmatch.cli as cli
+    import concurrent.futures
 
     pools = []
-    real_pool = cli.ThreadPoolExecutor
+    real_pool = concurrent.futures.ThreadPoolExecutor
 
     def recorded(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
     code, out, _ = run_cli(capsys, "mn-table2d", "--coef", "exp", "--ns", "900,1600")
     assert code == 0 and pools == [1]
     assert out.splitlines()[1:] == ["900,0.0684,0.0684420962491", "1600,0.0559,0.0559256023132"]
 
 
 def test_mn_table_starts_no_thread(monkeypatch, capsys):
-    import eigmatch.cli as cli
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("mn-table must solve on the calling thread")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     code, out, _ = run_cli(capsys, "mn-table", "--example", "e2", "--ns", "8,16")
     assert code == 0 and out.splitlines()[1].startswith("8,0.0851,")
 
@@ -573,6 +591,52 @@ def test_experiments_run_on_one_blas_thread(capsys, monkeypatch, blas_threads, o
     assert blas_threads() == 2
 
 
+def test_parser_runs_on_one_blas_thread_and_its_exit_restores_the_count(capsys, monkeypatch,
+                                                                         blas_threads):
+    import argparse
+
+    seen = []
+    error = argparse.ArgumentParser.error
+
+    def recorded(self, message):
+        seen.append(blas_threads())
+        error(self, message)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "error", recorded)
+    with pytest.raises(SystemExit) as exc:
+        main(["mn-table"])
+    assert exc.value.code == 2 and "--example" in capsys.readouterr().err
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_main_stops_the_idle_workers_before_parsing():
+    # a fresh interpreter: the shutdown runs only when main's is the one Python thread
+    import eigmatch.eig
+
+    if _bind_blas_threads() is None or eigmatch.eig._bind_blas_shutdown() is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count or shutdown functions")
+    script = """
+import argparse, os
+import eigmatch.eig
+from eigmatch.cli import main
+
+calls = []
+shutdown = eigmatch.eig._bind_blas_shutdown()
+eigmatch.eig._bind_blas_shutdown = lambda: lambda: (calls.append("shutdown"), shutdown())
+parse_args = argparse.ArgumentParser.parse_args
+
+def recorded(self, *args, **kwargs):
+    calls.append("parse")
+    return parse_args(self, *args, **kwargs)
+
+argparse.ArgumentParser.parse_args = recorded
+code = main(["--output", os.devnull, "counterexample", "--ns", "10"])
+print(code, *calls)
+"""
+    assert _run_python("-c", script).split() == ["0", "shutdown", "parse"]
+
+
 def test_blas_thread_count_restored_when_experiment_raises(monkeypatch, blas_threads):
     import eigmatch.cli as cli
 
@@ -601,6 +665,14 @@ def test_cli_import_binds_no_blas():
     out = _run_python("-c", "import eigmatch.cli, eigmatch.eig; "
                       "print(eigmatch.eig._bind_blas_threads.cache_info().currsize)")
     assert out.strip() == "0"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # only mn-table2d starts a pool, and it imports concurrent.futures itself
+    out = _run_python("-c", "import sys, numpy; before = set(sys.modules); import eigmatch.cli; "
+                      "print(sorted(m for m in set(sys.modules) - before "
+                      "if m.split('.')[0] == 'concurrent'))")
+    assert out.strip() == "[]"
 
 
 def test_csv_independent_of_openblas_thread_count():

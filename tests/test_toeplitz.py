@@ -113,6 +113,13 @@ def test_spherical_bessel_table_matches_scipy():
         assert np.max(np.abs(table - spherical_jn(m, omega[:, None]))) <= 4e-15
 
 
+def test_spherical_bessel_forward_only_block_is_bit_identical():
+    # with every omega >= 31 Miller's recurrence is skipped; an appended 0 forces it
+    for omega in [np.array([31.0]), 31.0 + np.arange(128) * 0.37,
+                  np.arange(128, 256) * math.pi / 8, np.arange(896, 1024) * math.pi / 4]:
+        assert np.array_equal(_spherical_jn(omega), _spherical_jn(np.append(omega, 0.0))[:-1])
+
+
 def test_real_even_symbol_coefficients_are_real_symmetric():
     table = fourier_coeffs(plateau_ramp_symbol(), 64)
     assert table.order == 64 and table.data.shape == (65,) and table.data.dtype == np.float64
