@@ -16,15 +16,15 @@ Python gives the CLI's bytes.  The dense solves here are at most a few
 hundred wide (the 512-wide Toeplitz halves, 159-wide spline matrices, one
 900-wide e4p matrix): a second BLAS thread saves no wall time on them, and
 its worker, started when numpy is imported, busy-waits.  So the outermost
-scope also stops that idle worker when it is the only Python thread, and
-restoring the count starts it again.  From the command line the outermost
-scope is ``main``'s: the worker is stopped before the arguments are parsed,
-and the count is restored once, when ``main`` returns.  One thread also
-makes the CSV bytes independent of the machine's core count.  The count is
-process state, so it is set once per run rather than around each solve.
-The tridiagonal solves (``dsterf``) are single-threaded LAPACK and are
-unaffected.  Only ``mn-table2d`` starts a thread pool, and it alone
-imports ``concurrent.futures``.
+scope stops that idle worker after each set of the count, on entry and on
+exit, when it is the only Python thread.  From the command line that scope
+is ``main``'s: the worker is stopped before the arguments are parsed, and
+the count is restored once, when ``main`` returns, leaving no worker
+spinning.  One thread also makes the CSV bytes independent of the machine's
+core count.  The count is process state, so it is set once per run rather
+than around each solve.  The tridiagonal solves (``dsterf``) are
+single-threaded LAPACK and are unaffected.  Only ``mn-table2d`` starts a
+thread pool, and it alone imports ``concurrent.futures``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 import pytest
 
-from eigmatch.eig import _DSTERF_NAMES, _bind_blas_threads, _numpy_openblas
+from eigmatch.eig import _bind_blas_threads, _bind_dsterf
 
 
 @pytest.fixture
@@ -19,5 +19,4 @@ def blas_threads():
 @pytest.fixture
 def numpy_dsterf():
     """Whether numpy's vendored OpenBLAS exports dsterf, so that no solve needs scipy."""
-    lib = _numpy_openblas()
-    return lib is not None and any(hasattr(lib, name) for name in _DSTERF_NAMES)
+    return _bind_dsterf() is not None

@@ -634,7 +634,7 @@ argparse.ArgumentParser.parse_args = recorded
 code = main(["--output", os.devnull, "counterexample", "--ns", "10"])
 print(code, *calls)
 """
-    assert _run_python("-c", script).split() == ["0", "shutdown", "parse"]
+    assert _run_python("-c", script).split() == ["0", "shutdown", "parse", "shutdown"]
 
 
 def test_blas_thread_count_restored_when_experiment_raises(monkeypatch, blas_threads):

@@ -253,6 +253,7 @@ def scipy_fallback(monkeypatch):
 
 
 def test_scipy_fallback_is_bit_identical(scipy_fallback):
+    assert eigmatch.eig._bind_dsterf() is None  # eig_sym_tridiag calls scipy itself
     rng = np.random.default_rng(14)
     cases = [fd_matrix(problems.fd_coefficients[coef], 900) for coef in sorted(problems.fd_coefficients)]
     cases += [(rng.normal(size=n), rng.normal(size=n - 1)) for n in (2, 5, 501)]
@@ -268,6 +269,38 @@ def test_dsterf_bound_once():
     assert eigmatch.eig._bind_dsterf() is eigmatch.eig._bind_dsterf()
 
 
+def _fake_workspace_routine(query_info, sizes, info):
+    """A routine that reports ``sizes`` from a workspace query; it records its calls."""
+    calls = []
+
+    def call(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            return info
+        for query, size in zip(args[1::2], sizes):
+            query[0] = size
+        return query_info
+
+    return call, calls
+
+
+def test_failed_workspace_query_is_the_only_call():
+    call, calls = _fake_workspace_routine(-4, (7, 3), 0)
+    assert eigmatch.eig._with_workspace(call, ("a",), (np.float64, np.int64)) == -4
+    [(a, work, lwork, iwork, liwork)] = calls
+    assert (a, lwork, liwork) == ("a", -1, -1)
+    assert (work.dtype, work.size, iwork.dtype, iwork.size) == (np.float64, 1, np.int64, 1)
+
+
+def test_workspace_query_sizes_the_call():
+    call, calls = _fake_workspace_routine(0, (7, 3), 9)
+    assert eigmatch.eig._with_workspace(call, ("a",), (np.float64, np.int64)) == 9
+    assert len(calls) == 2
+    a, work, lwork, iwork, liwork = calls[1]
+    assert (a, lwork, liwork) == ("a", 7, 3)
+    assert (work.dtype, work.size, iwork.dtype, iwork.size) == (np.float64, 7, np.int64, 3)
+
+
 def test_one_blas_thread_restores_the_count(blas_threads):
     with eigmatch.eig.one_blas_thread():
         assert blas_threads() == 1
@@ -279,9 +312,9 @@ def test_one_blas_thread_restores_the_count(blas_threads):
 
 
 def test_overlapping_blas_scopes_share_one_setting(blas_threads, monkeypatch):
-    # the count is process-wide: only the outermost scope may restore it, and
-    # only it stops the workers, after setting the count to 1 (a set after a
-    # stop starts them again); the thread count is recorded at each stop
+    # the count is process-wide: only the outermost scope may set it, on
+    # entry and on exit, and it stops the workers after each set (a set
+    # starts them again); the thread count is recorded at each stop
     get = blas_threads
     one = eigmatch.eig.one_blas_thread
     stops = []
@@ -291,7 +324,7 @@ def test_overlapping_blas_scopes_share_one_setting(blas_threads, monkeypatch):
         with one():
             assert get() == 1
         assert get() == 1
-    assert get() == 2 and stops == [1]
+    assert get() == 2 and stops == [1, 2]
 
     inner_entered, outer_left, seen = threading.Event(), threading.Event(), []
 
@@ -309,7 +342,7 @@ def test_overlapping_blas_scopes_share_one_setting(blas_threads, monkeypatch):
         outer_left.set()
         future.result()
     # another Python thread was alive, so the workers were left running
-    assert seen == [1] and get() == 2 and stops == [1]
+    assert seen == [1] and get() == 2 and stops == [1, 2]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
@@ -345,6 +378,32 @@ print(json.dumps({"tasks": tasks, "cpu": cpu, "old": old, "restored": restored,
     assert report["cpu"] < 0.01
     assert report["restored"] == report["old"]
     assert report["equal"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_one_blas_thread_exit_leaves_no_idle_worker():
+    # a fresh interpreter: restoring the count of 2 starts a worker, and the
+    # exit stops it again; a later threaded call starts the workers itself
+    if eigmatch.eig._bind_blas_shutdown() is None:
+        pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
+    script = """
+import json, os
+import numpy as np
+from eigmatch.eig import _bind_blas_threads, one_blas_thread
+
+get, set_ = _bind_blas_threads()
+set_(2)
+with one_blas_thread():
+    pass
+restored, tasks = get(), len(os.listdir("/proc/self/task"))
+# integer entries: every order of summation gives the exact product
+A = np.random.default_rng(0).integers(-8, 9, size=(800, 800)).astype(float)
+two = A @ A
+set_(1)
+one = A @ A
+print(json.dumps({"restored": restored, "tasks": tasks, "equal": bool(np.array_equal(one, two))}))
+"""
+    assert _run_fresh(script) == {"restored": 2, "tasks": 1, "equal": True}
 
 
 def test_empty_matrix_has_empty_spectrum():
